@@ -87,31 +87,33 @@ func jobSeed(seed int64, i int) int64 { return seed*1000 + int64(i) }
 
 // campaignEnv is a running server and one client connection.
 type campaignEnv struct {
-	srv  *server.Server
-	base string
-	cl   *http.Client
+	srv *server.Server
+	cl  *client
 }
 
-func setupCampaign(reps int) (*campaignEnv, float64, error) {
-	env := &campaignEnv{cl: newClient()}
-	var times []float64
-	for r := 0; r < reps; r++ {
-		if env.srv != nil {
-			env.srv.Shutdown()
-		}
-		start := time.Now()
-		var err error
-		env.srv, env.base, err = startServer(0)
-		if err != nil {
-			return nil, 0, err
-		}
-		times = append(times, time.Since(start).Seconds())
+// setupCampaign starts the server; it returns the set-up time in seconds.
+func setupCampaign() (*campaignEnv, float64, error) {
+	start := time.Now()
+	srv, base, err := startServer(0)
+	if err != nil {
+		return nil, 0, err
 	}
-	return env, median(times), nil
+	return &campaignEnv{srv: srv, cl: newClient(base)}, time.Since(start).Seconds(), nil
+}
+
+// setupAgain times one more set-up on a server of its own, which it then
+// shuts down.
+func setupAgain() (float64, error) {
+	env, t, err := setupCampaign()
+	if err != nil {
+		return 0, err
+	}
+	env.close()
+	return t, nil
 }
 
 func (e *campaignEnv) close() {
-	e.cl.CloseIdleConnections()
+	e.cl.close()
 	e.srv.Shutdown()
 }
 
@@ -128,7 +130,7 @@ func (e *campaignEnv) runJob(path string, body []byte) (jobRun, error) {
 	var jr jobRun
 	start := time.Now()
 	var resp bytes.Buffer
-	status, err := post(e.cl, e.base+path, body, &resp)
+	status, err := e.cl.do("POST", path, body, &resp)
 	if err != nil {
 		return jr, err
 	}
@@ -147,7 +149,7 @@ func (e *campaignEnv) runJob(path string, body []byte) (jobRun, error) {
 			Error  string          `json:"error"`
 			Result json.RawMessage `json:"result"`
 		}
-		if err := getJSON(e.cl, e.base+sub.Status, &view); err != nil {
+		if err := e.cl.getJSON(sub.Status, &view); err != nil {
 			return jr, err
 		}
 		switch view.State {
@@ -165,14 +167,19 @@ func (e *campaignEnv) runJob(path string, body []byte) (jobRun, error) {
 }
 
 // runCampaign measures one campaign workload end to end: jobs back to back
-// for the measured window, then the checks against direct runs.
+// for the measured window, then the checks against direct runs, with the
+// gauge sampling throughout.
 func runCampaign(w campaignWorkload, o runOpts, rep *report) error {
-	env, setup, err := setupCampaign(o.sizes.setups)
+	g := startGauge()
+	defer g.close()
+	env, setup, err := setupCampaign()
 	if err != nil {
 		return err
 	}
 	defer env.close()
-	rep.set("setup_s", setup)
+	// Set-up is timed again after every job, so that setup_s samples the
+	// machine all through the run.
+	setups := []float64{setup}
 
 	heap := startHeapSampler()
 	start := time.Now()
@@ -182,6 +189,11 @@ func runCampaign(w campaignWorkload, o runOpts, rep *report) error {
 	for time.Since(start) < time.Duration(o.seconds*float64(time.Second)) || jobs == 0 {
 		rep.attempted++
 		jr, err := env.runJob(w.path, w.body(jobSeed(o.seed, jobs), o.sizes))
+		setup, serr := setupAgain()
+		if serr != nil {
+			return serr
+		}
+		setups = append(setups, setup)
 		if err != nil {
 			rep.failed++
 			rep.infof("job %d: %v", jobs, err)
@@ -201,7 +213,7 @@ func runCampaign(w campaignWorkload, o runOpts, rep *report) error {
 	}
 	elapsed := time.Since(start)
 	rep.set("heap_live_mb", heap.finish())
-	t := tailOf(lat)
+	t := tailOf(lat, tailP)
 	rep.set("p50_ms", median(lat))
 	rep.set("tail_ms", t.Value)
 	rep.set("ops_per_s", median(rates))
@@ -220,6 +232,10 @@ func runCampaign(w campaignWorkload, o runOpts, rep *report) error {
 			rep.wrong(fmt.Errorf("job %d: %w", c.i, err))
 		}
 	}
+
+	rep.set("setup_s", median(setups))
+	rep.infof("set-up: median of %d", len(setups))
+	rep.toReference(g)
 	return nil
 }
 

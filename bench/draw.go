@@ -35,3 +35,17 @@ func (d *draw) between(lo, hi float64) float64 { return lo + (hi-lo)*d.float() }
 
 // intn returns a uniform integer in [0, n).
 func (d *draw) intn(n int) int { return int(d.uint64() % uint64(n)) }
+
+// slot returns request i's slot in a mix of n slots. Each block of n
+// consecutive request numbers takes every slot once, in an order the seed
+// shuffles, so every block holds the mix exactly and no seed's inputs cost
+// more than another's.
+func slot(seed int64, i, n int) int {
+	d := newDraw(seed, 102, i/n)
+	perm := make([]int, n)
+	for k := range perm {
+		j := d.intn(k + 1)
+		perm[k], perm[j] = perm[j], k
+	}
+	return perm[i%n]
+}

@@ -100,3 +100,24 @@ func TestClosedLoopLimit(t *testing.T) {
 		}
 	}
 }
+
+func TestSlotHoldsTheMixInEveryBlock(t *testing.T) {
+	const n = 10
+	orders := map[string]bool{}
+	for b := 0; b < 20; b++ {
+		seen := map[int]bool{}
+		order := ""
+		for i := b * n; i < (b+1)*n; i++ {
+			s := slot(7, i, n)
+			seen[s] = true
+			order += string(rune('0' + s))
+		}
+		if len(seen) != n {
+			t.Fatalf("block %d holds slots %v, want each of 0..%d once", b, seen, n-1)
+		}
+		orders[order] = true
+	}
+	if len(orders) < 2 {
+		t.Error("every block has the same order; want the seed to shuffle them")
+	}
+}

@@ -48,8 +48,10 @@ type serveInputs struct {
 	sets   [][]setTask
 	// hot is the hot set: the requests the cache is meant to answer.
 	hot []request
-	// pick draws one request of the mix.
-	pick func(d *draw) request
+	// mix is the number of slots in the request mix; pick makes the request
+	// for one slot, with d drawing its details.
+	mix  int
+	pick func(slot int, d *draw) request
 	// warm lists the requests whose answers set-up puts in the cache.
 	warm []request
 }
@@ -76,10 +78,10 @@ var (
 var hotQs = []float64{5, 10, 20, 40}
 
 // hotInputs builds serve-hot: 16 curves (frontloaded, constant, 1000-piece
-// gaussian, 64-piece piecewise) at 4 Qs make the 64-body hot set; 72% of
-// requests re-send a hot body, 8% send a hot curve at a fresh Q, and 20%
-// re-submit one of 8 fixed 6-task sets in delta mode with one task's curve
-// edited.
+// gaussian, 64-piece piecewise) at 4 Qs make the 64-body hot set. Of every
+// 50 requests, 36 re-send a hot body and 4 send a hot curve at a fresh Q (9
+// and 1 of each curve kind), and 10 re-submit one of 8 fixed 6-task sets in
+// delta mode with one task's curve edited.
 func hotInputs(seed int64) (*serveInputs, error) {
 	in := &serveInputs{}
 	for i := 0; i < 16; i++ {
@@ -117,12 +119,14 @@ func hotInputs(seed int64) (*serveInputs, error) {
 	for s := range in.sets {
 		in.warm = append(in.warm, request{set: true, curve: s, delta: true})
 	}
-	in.pick = func(d *draw) request {
-		switch u := d.float(); {
-		case u < 0.72:
-			return in.hot[d.intn(len(in.hot))]
-		case u < 0.80:
-			r := in.hot[d.intn(len(in.hot))]
+	// Hot body k is curve k%16, whose kind is k%4.
+	in.mix = 50
+	in.pick = func(s int, d *draw) request {
+		switch {
+		case s < 36:
+			return in.hot[4*d.intn(16)+s%4]
+		case s < 40:
+			r := in.hot[4*d.intn(16)+s%4]
 			r.q = d.between(5, 45)
 			return r
 		default:
@@ -133,10 +137,13 @@ func hotInputs(seed int64) (*serveInputs, error) {
 	return in, nil
 }
 
-// bulkInputs builds serve-bulk: 80% of requests analyse one of 48 explicit
-// piecewise curves (16 each of 2048, 4096 and 8192 pieces) at a fresh Q, so
-// every one misses the cache; 20% analyse one of 8 fixed 4-task sets of
-// 2048-piece curves without delta.
+// bulkInputs builds serve-bulk: of every 10 requests, 8 analyse one of 48
+// explicit piecewise curves (16 each of 2048, 4096 and 8192 pieces) at a
+// fresh Q, so every one misses the cache, and 2 analyse one of 8 fixed
+// 4-task sets of 2048-piece curves without delta. The 8 are 2, 4 and 2 of the
+// three sizes: latency grows with size, sets slowest, so the median request
+// lies well inside the 4096-piece group, not at a gap between two groups
+// where a small shift in the mix moves p50 by half.
 func bulkInputs(seed int64) (*serveInputs, error) {
 	in := &serveInputs{}
 	for i := 0; i < bulkCurves; i++ {
@@ -154,11 +161,14 @@ func bulkInputs(seed int64) (*serveInputs, error) {
 		}
 		in.sets = append(in.sets, set)
 	}
-	in.pick = func(d *draw) request {
-		if d.float() < 0.80 {
-			return request{curve: d.intn(bulkCurves), q: d.between(20, 400)}
+	// Curve i has 2048<<(i%3) pieces.
+	in.mix = 10
+	in.pick = func(s int, d *draw) request {
+		size := [10]int{0, 0, 1, 1, 1, 1, 2, 2, -1, -1}[s]
+		if size < 0 {
+			return request{set: true, curve: d.intn(bulkSets)}
 		}
-		return request{set: true, curve: d.intn(bulkSets)}
+		return request{curve: 3*d.intn(bulkCurves/3) + size, q: d.between(20, 400)}
 	}
 	return in, nil
 }

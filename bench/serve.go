@@ -21,17 +21,19 @@ type serveWorkload struct {
 	inputs func(seed int64) (*serveInputs, error)
 }
 
-// The share of the measured window each phase takes: the three ladder rungs
-// open loop, then the closed-loop capacity phase. The reference rung gets
-// most of it, so its tail percentile has the samples to be p99.
-var phaseShares = [3]float64{0.05, 0.7, 0.05}
-
-const capacityShare = 0.2
-
-// capacityWindows is how many equal windows the capacity phase is cut into;
-// the reported throughput is their median, so one burst of lost CPU time
-// moves one window, not the result.
-const capacityWindows = 5
+// A serve run's measured window opens with the low and high rungs of the
+// open-loop ladder, rungShare of it each. The rest is cut into cycles equal
+// rounds, each a reference slice (open loop at the reference rate, refShare
+// of the round) followed by a capacity slice (closed loop). On a shared
+// machine the speed the program gets drifts by tens of percent over seconds
+// to minutes; interleaving spreads both measurements over the whole window,
+// so a slow stretch weighs on each alike instead of on whichever phase it
+// happened to hit.
+const (
+	rungShare = 0.05
+	cycles    = 10
+	refShare  = 0.65
+)
 
 // maxOversleepP99 is the generator's own lateness above which its latencies
 // start to measure the machine's scheduler rather than the program; a run
@@ -47,34 +49,49 @@ type serveEnv struct {
 	base string
 }
 
-// setupServe starts the server (and, for serve-hot, warms its cache over
-// the hot set) reps times, keeping the last instance; it returns the median
-// set-up time in seconds.
-func setupServe(w serveWorkload, seed int64, reps int) (*serveEnv, float64, error) {
+// setupServe makes the workload's inputs for seed and starts its server; it
+// returns the set-up time in seconds.
+func setupServe(w serveWorkload, seed int64) (*serveEnv, float64, error) {
 	in, err := w.inputs(seed)
 	if err != nil {
 		return nil, 0, err
 	}
 	env := &serveEnv{w: w, in: in, seed: seed}
-	var times []float64
-	for r := 0; r < reps; r++ {
-		if env.srv != nil {
-			env.srv.Shutdown()
-		}
-		start := time.Now()
-		env.srv, env.base, err = startServer(w.cacheEntries)
-		if err != nil {
-			return nil, 0, err
-		}
-		if w.warm {
-			if err := env.warmUp(); err != nil {
-				env.srv.Close()
-				return nil, 0, err
-			}
-		}
-		times = append(times, time.Since(start).Seconds())
+	t, err := env.start()
+	if err != nil {
+		return nil, 0, err
 	}
-	return env, median(times), nil
+	return env, t, nil
+}
+
+// start brings up the server (and, for serve-hot, warms its cache over the
+// hot set); it returns the time that took in seconds.
+func (e *serveEnv) start() (float64, error) {
+	start := time.Now()
+	srv, base, err := startServer(e.w.cacheEntries)
+	if err != nil {
+		return 0, err
+	}
+	e.srv, e.base = srv, base
+	if e.w.warm {
+		if err := e.warmUp(); err != nil {
+			srv.Close()
+			return 0, err
+		}
+	}
+	return time.Since(start).Seconds(), nil
+}
+
+// setupAgain times one more set-up on a server of its own, which it then
+// shuts down.
+func (e *serveEnv) setupAgain() (float64, error) {
+	other := &serveEnv{w: e.w, in: e.in, seed: e.seed}
+	t, err := other.start()
+	if err != nil {
+		return 0, err
+	}
+	other.close()
+	return t, nil
 }
 
 // warmUp sends every warm-up request once on one connection.
@@ -131,70 +148,78 @@ func (p phase) failed() int {
 	return n
 }
 
-// ladder runs the three open-loop rungs over seconds×phaseShares, numbering
-// requests from first; it returns the rungs and the next request number.
+// rung sends rate×seconds open-loop requests (at least one) numbered from
+// *next, and advances *next past them.
+func rung(clk clock, cs []conn, next *int, name string, rate, seconds float64) phase {
+	n := int(rate * seconds)
+	if n < 1 {
+		n = 1
+	}
+	interval := time.Duration(float64(time.Second) / rate)
+	start := clk.now() + 5*time.Millisecond
+	p := phase{name: name, rate: rate, samples: openLoop(clk, cs, *next, n, start, interval)}
+	*next += n
+	return p
+}
+
+// window is a serve run's measured window.
+type window struct {
+	// rungs are the low, reference and high rungs; the reference rung holds
+	// the samples of every reference slice.
+	rungs [3]phase
+	// rates is each capacity slice's closed-loop throughput in req/s.
+	rates                   []float64
+	capCompleted, capFailed int
+}
+
+// measure runs the measured window, seconds long: the low and high rungs,
+// then the rounds of reference and capacity slices, calling between after
+// each slice.
+func measure(clk clock, cs []conn, rates [3]float64, seconds float64, between func()) window {
+	var w window
+	next := 0
+	w.rungs[0] = rung(clk, cs, &next, "low", rates[0], seconds*rungShare)
+	w.rungs[2] = rung(clk, cs, &next, "high", rates[2], seconds*rungShare)
+	w.rungs[1] = phase{name: "reference", rate: rates[1]}
+	round := seconds * (1 - 2*rungShare) / cycles
+	for k := 0; k < cycles; k++ {
+		s := rung(clk, cs, &next, "reference", rates[1], round*refShare)
+		w.rungs[1].samples = append(w.rungs[1].samples, s.samples...)
+		between()
+		start := clk.now()
+		n, bad := closedLoop(clk, cs, next, 0, start+time.Duration(round*(1-refShare)*float64(time.Second)))
+		w.rates = append(w.rates, float64(n)/(clk.now()-start).Seconds())
+		w.capCompleted, w.capFailed, next = w.capCompleted+n, w.capFailed+bad, next+n
+		between()
+	}
+	return w
+}
+
+// ladder runs the three rungs back to back, each with about as many requests
+// as a measured window sends at its rate, numbering requests from first; it
+// returns the rungs and the next request number. The traced run reads the
+// registry's counters over it, so they repeat exactly for a given seed.
 func (e *serveEnv) ladder(clk clock, cs []conn, first int, seconds float64) ([]phase, int) {
-	names := [3]string{"low", "reference", "high"}
-	var out []phase
 	next := first
-	for k, rate := range e.w.rates {
-		n := int(rate * seconds * phaseShares[k])
-		if n < 1 {
-			n = 1
-		}
-		interval := time.Duration(float64(time.Second) / rate)
-		start := clk.now() + 5*time.Millisecond
-		out = append(out, phase{name: names[k], rate: rate, samples: openLoop(clk, cs, next, n, start, interval)})
-		next += n
+	ref := seconds * (1 - 2*rungShare) * refShare
+	out := []phase{
+		rung(clk, cs, &next, "low", e.w.rates[0], seconds*rungShare),
+		rung(clk, cs, &next, "reference", e.w.rates[1], ref),
+		rung(clk, cs, &next, "high", e.w.rates[2], seconds*rungShare),
 	}
 	return out, next
 }
 
-// The reference rung is cut into consecutive windows of at least
-// windowSamples requests each, at most maxWindows of them, and the reported
-// p50 and tail are medians over the windows: one burst of lost CPU time then
-// moves one window, not the result. windowSamples keeps ten samples beyond
-// each window's p99.
-const (
-	windowSamples = 1000
-	maxWindows    = 5
-)
-
-// windowed returns the median over windows of each window's median and of
-// each window's tail (the tail's P, N and Beyond are the first window's),
-// and the window count.
-func windowed(lat []float64) (float64, tail, int) {
-	w := len(lat) / windowSamples
-	if w > maxWindows {
-		w = maxWindows
-	}
-	if w < 1 {
-		w = 1
-	}
-	var p50s, tails []float64
-	var first tail
-	for k := 0; k < w; k++ {
-		win := lat[k*len(lat)/w : (k+1)*len(lat)/w]
-		t := tailOf(win)
-		if k == 0 {
-			first = t
-		}
-		p50s = append(p50s, median(win))
-		tails = append(tails, t.Value)
-	}
-	first.Value = median(tails)
-	return median(p50s), first, w
-}
-
-// runServe measures one serve workload end to end: the ladder, then the
-// capacity phase, then the answer checks.
+// runServe measures one serve workload end to end: the measured window,
+// then the answer checks, with the gauge sampling throughout.
 func runServe(w serveWorkload, o runOpts, rep *report) error {
-	env, setup, err := setupServe(w, o.seed, o.sizes.setups)
+	g := startGauge()
+	defer g.close()
+	env, setup, err := setupServe(w, o.seed)
 	if err != nil {
 		return err
 	}
 	defer env.close()
-	rep.set("setup_s", setup)
 
 	cs, scs := env.conns(maxConns)
 	defer func() {
@@ -202,25 +227,27 @@ func runServe(w serveWorkload, o runOpts, rep *report) error {
 			c.close()
 		}
 	}()
-	clk := newRealClock()
-	heap := startHeapSampler()
-	phases, next := env.ladder(clk, cs, 0, o.seconds)
-	window := time.Duration(o.seconds * capacityShare / capacityWindows * float64(time.Second))
-	var rates []float64
-	completed, capFailed := 0, 0
-	for k := 0; k < capacityWindows; k++ {
-		start := clk.now()
-		n, bad := closedLoop(clk, cs, next, 0, start+window)
-		rates = append(rates, float64(n)/(clk.now()-start).Seconds())
-		completed, capFailed, next = completed+n, capFailed+bad, next+n
+	// Set-up is timed again after every slice of the window, so that setup_s
+	// samples the machine all through the run.
+	setups := []float64{setup}
+	between := func() {
+		if err == nil {
+			setup, err = env.setupAgain()
+			setups = append(setups, setup)
+		}
 	}
+	heap := startHeapSampler()
+	win := measure(newRealClock(), cs, w.rates, o.seconds, between)
 	rep.set("heap_live_mb", heap.finish())
+	if err != nil {
+		return err
+	}
 
 	var oversleep []float64
-	for _, p := range phases {
+	for _, p := range win.rungs {
 		oversleep = append(oversleep, rep.account(p)...)
 		lat := p.latenciesMs()
-		t := tailOf(lat)
+		t := tailOf(lat, 99)
 		var lags []time.Duration
 		for _, s := range p.samples {
 			lags = append(lags, s.lag())
@@ -229,19 +256,17 @@ func runServe(w serveWorkload, o runOpts, rep *report) error {
 		rep.infof("phase %-9s rate=%g req/s sent=%d failed=%d p50=%.4f ms p%d=%.4f ms (n=%d, %d beyond) backlog_end=%.3f ms growing=%v",
 			p.name, p.rate, len(p.samples), p.failed(), median(lat), t.P, t.Value, t.N, t.Beyond,
 			float64(end)/1e6, growing)
-		if p.name == "reference" {
-			p50, wt, n := windowed(lat)
-			rep.set("p50_ms", p50)
-			rep.set("tail_ms", wt.Value)
-			rep.infof("reference over %d windows: median of window p50s %.4f ms, of window p%ds %.4f ms (%d samples, %d beyond, per window)",
-				n, p50, wt.P, wt.Value, wt.N, wt.Beyond)
-		}
 	}
-	rep.attempted += int64(completed)
-	rep.failed += int64(capFailed)
-	rep.set("ops_per_s", median(rates))
-	rep.infof("capacity: %d requests on %d connections, %d failed; req/s per window %.1f",
-		completed, len(cs), capFailed, rates)
+	ref := win.rungs[1].latenciesMs()
+	rep.set("p50_ms", median(ref))
+	t := tailOf(ref, tailP)
+	rep.set("tail_ms", t.Value)
+	rep.infof("reference tail: p%d=%.4f ms (n=%d, %d beyond)", t.P, t.Value, t.N, t.Beyond)
+	rep.attempted += int64(win.capCompleted)
+	rep.failed += int64(win.capFailed)
+	rep.set("ops_per_s", median(win.rates))
+	rep.infof("capacity: %d requests in %d slices on %d connections, %d failed; req/s per slice %.1f",
+		win.capCompleted, len(win.rates), len(cs), win.capFailed, win.rates)
 
 	p50, p99 := percentile(oversleep, 50), percentile(oversleep, 99)
 	rep.infof("generator oversleep p50=%.1f us p99=%.1f us", p50, p99)
@@ -255,6 +280,10 @@ func runServe(w serveWorkload, o runOpts, rep *report) error {
 	}
 	checkAnswers(rep, env.in, ks)
 	rep.infof("answer check: %d sampled answers compared with direct computation", len(ks))
+
+	rep.set("setup_s", median(setups))
+	rep.infof("set-up: median of %d", len(setups))
+	rep.toReference(g)
 	return nil
 }
 

@@ -18,7 +18,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/counters.golden")
 
 // testSizes shrink every workload to well under a second.
-var testSizes = sizes{setups: 2, atlasFuncs: 15, acceptanceSets: 8, traceSample: 30, traceJobs: 2}
+var testSizes = sizes{atlasFuncs: 15, acceptanceSets: 8, traceSample: 30, traceJobs: 2}
 
 func loadRepoConfig(t *testing.T) *benchConfig {
 	t.Helper()
@@ -154,7 +154,7 @@ func workCounters(t *testing.T, w workload) map[string]float64 {
 	t.Helper()
 	rep := newReport(io.Discard)
 	if w.serve != nil {
-		env, _, err := setupServe(*w.serve, 1, 1)
+		env, _, err := setupServe(*w.serve, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func workCounters(t *testing.T, w workload) map[string]float64 {
 		setCounters(rep, d, procSnap{}, procSnap{}, done, 0, 0)
 		return rep.metrics
 	}
-	env, _, err := setupCampaign(1)
+	env, _, err := setupCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,15 +35,16 @@ func seq(n int) []float64 {
 
 func TestTailKeepsTenSamplesBeyond(t *testing.T) {
 	for _, c := range []struct {
-		n, p, beyond int
+		n, maxP, p, beyond int
 	}{
-		{1000, 99, 10}, // exactly ten beyond p99
-		{999, 98, 19},  // p99 would leave nine
-		{60, 83, 10},   // a campaign-sized sample
-		{20, 50, 10},   // only the median qualifies
-		{5, 50, 2},     // too small: the median, with the short count stated
+		{1000, 99, 99, 10},     // exactly ten beyond p99
+		{999, 99, 98, 19},      // p99 would leave nine
+		{1000, tailP, 90, 100}, // capped at tail_ms's percentile
+		{60, tailP, 83, 10},    // a campaign-sized sample
+		{20, 99, 50, 10},       // only the median qualifies
+		{5, 99, 50, 2},         // too small: the median, with the short count stated
 	} {
-		got := tailOf(seq(c.n))
+		got := tailOf(seq(c.n), c.maxP)
 		if got.P != c.p || got.Beyond != c.beyond || got.N != c.n {
 			t.Errorf("n=%d: tail = p%d with %d beyond (n=%d); want p%d with %d beyond",
 				c.n, got.P, got.Beyond, got.N, c.p, c.beyond)
@@ -58,28 +59,33 @@ func TestTailKeepsTenSamplesBeyond(t *testing.T) {
 	}
 }
 
-func TestWindowedIgnoresABurst(t *testing.T) {
-	// 5000 requests at 0.3 ms with a ~1 ms tail, and one burst of 200
-	// requests held 20 ms inside the second window.
-	lat := make([]float64, 5000)
-	for i := range lat {
-		lat[i] = 0.3
-		if i%50 == 0 {
-			lat[i] = 1
-		}
-		if i >= 1200 && i < 1400 {
-			lat[i] = 20
-		}
+func TestMeasureInterleavesSlices(t *testing.T) {
+	clk := &lateClock{}
+	cs := []conn{&countConn{clk: clk}, &countConn{clk: clk}}
+	const seconds = 10
+	between := 0
+	w := measure(clk, cs, [3]float64{100, 200, 400}, seconds, func() { between++ })
+	// low: 100 req/s for 0.5 s; high: 400 req/s for 0.5 s; reference: ten
+	// slices of 200 req/s for 0.9 s × 0.65 each.
+	if len(w.rungs[0].samples) != 50 || len(w.rungs[2].samples) != 200 || len(w.rungs[1].samples) != 10*117 {
+		t.Errorf("rung sizes %d, %d, %d; want 50, 1170, 200",
+			len(w.rungs[0].samples), len(w.rungs[1].samples), len(w.rungs[2].samples))
 	}
-	p50, tl, n := windowed(lat)
-	if n != 5 || p50 != 0.3 || tl.Value != 1 || tl.P != 99 {
-		t.Errorf("windowed = p50 %g, p%d %g over %d windows; want 0.3, p99 1, 5 windows", p50, tl.P, tl.Value, n)
+	if len(w.rates) != cycles || w.capCompleted == 0 {
+		t.Fatalf("%d capacity slices with %d requests; want %d slices", len(w.rates), w.capCompleted, cycles)
 	}
-	if whole := tailOf(lat); whole.Value != 20 {
-		t.Errorf("whole-phase tail %g, want the burst's 20", whole.Value)
+	if between != 2*cycles {
+		t.Errorf("between called %d times, want once after each of the %d slices", between, 2*cycles)
 	}
-	if _, _, n := windowed(lat[:1500]); n != 1 {
-		t.Errorf("%d windows for 1500 samples, want 1", n)
+	// Back to back, the reference slices would span 5.85 s; interleaved with
+	// the capacity slices they span nearly all of the 9 s after the rungs.
+	ref := w.rungs[1].samples
+	if span := ref[len(ref)-1].due - ref[0].due; span < 8*time.Second {
+		t.Errorf("reference samples span %v, want over 8 s", span)
+	}
+	// countConn fails every fourth request.
+	if w.capFailed < w.capCompleted/5 || w.capFailed > w.capCompleted/3 {
+		t.Errorf("%d of %d capacity requests failed, want about a quarter", w.capFailed, w.capCompleted)
 	}
 }
 

@@ -170,7 +170,7 @@ func encodeIndented(v any) {
 // traceServe is the traced run of a serve workload: the ladder for the
 // counters, then a sample of traceSample requests replayed layer by layer.
 func traceServe(w serveWorkload, o runOpts, rep *report) error {
-	env, _, err := setupServe(w, o.seed, 1)
+	env, _, err := setupServe(w, o.seed)
 	if err != nil {
 		return err
 	}
@@ -415,7 +415,7 @@ func fnv64a(s string) uint64 {
 // eval call, and the first job's functions or task sets replayed through the
 // layers below eval.
 func traceCampaign(w campaignWorkload, o runOpts, rep *report) error {
-	env, _, err := setupCampaign(1)
+	env, _, err := setupCampaign()
 	if err != nil {
 		return err
 	}
