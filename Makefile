@@ -7,7 +7,7 @@ GO ?= go
 BENCH_OUT ?= bench.out
 BENCH_JSON ?= BENCH_PR3.json
 
-.PHONY: build test check race vet lint-api bench bench-smoke bench-pr5 bench-pr8 bench-pr9 bench-pr10 bench-regress bench-regress-pr8 bench-regress-pr9 bench-regress-pr10 nfr figures
+.PHONY: build test check race vet lint-api bench bench-e2e-test bench-smoke bench-pr5 bench-pr8 bench-pr9 bench-pr10 bench-regress bench-regress-pr8 bench-regress-pr9 bench-regress-pr10 nfr figures
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,13 @@ bench:
 	$(GO) test . -run '^$$' -bench . -benchmem > $(BENCH_OUT)
 	$(GO) run ./cmd/benchjson -in $(BENCH_OUT) -out $(BENCH_JSON)
 	@echo "wrote $(BENCH_JSON)"
+
+# bench-e2e-test runs the end-to-end benchmark's own test suite. bench/ is a
+# separate Go module, so `go test ./...` at the root never reaches it; its
+# tests include the machine-independent work-counter golden
+# (bench/testdata/counters.golden) and a short run of every workload.
+bench-e2e-test:
+	cd bench && $(GO) test ./...
 
 # bench-smoke is the CI variant: one iteration of the kernel-comparison
 # benchmarks, failing if the JSON report cannot be produced. Numbers from a
@@ -74,20 +81,18 @@ bench-regress-pr8:
 	$(GO) run ./tools/benchregress -baseline BENCH_PR8.json -current bench_pr8_current.json -tolerance 0.30
 
 # bench-pr9 captures the fixpoint-solver layer: the delay-aware RTA over
-# warm-seeded task sets under the monotone baseline and the cutting-plane
-# solver, at several delay-curve sizes. The report's speedup table pairs
-# solver=monotone with solver=cutting (ns/op), and the rta-iters/op metric
-# records the engine-evaluation count each solver needed — the cutting
-# solver's count is the one the PR 9 acceptance bar (≥25% below the
-# warm-start baseline) is read from.
+# warm-seeded task sets under the cutting-plane solver, at several
+# delay-curve sizes. The rta-iters/op metric records the engine-evaluation
+# count per analysis pass.
 bench-pr9:
 	$(GO) test . -run '^$$' -bench 'RTASolver' -benchmem > bench_pr9.out
 	$(GO) run ./cmd/benchjson -in bench_pr9.out -out BENCH_PR9.json
 	@echo "wrote BENCH_PR9.json"
 
 # bench-regress-pr9 is bench-regress for the solver layer: rerun the
-# solver-comparison benchmarks and compare against the checked-in
-# BENCH_PR9.json baseline (machine-speed normalised).
+# solver benchmarks and compare against the checked-in BENCH_PR9.json
+# baseline (machine-speed normalised). Its solver=monotone rows have no
+# current twin and are skipped.
 bench-regress-pr9:
 	$(GO) test . -run '^$$' -bench 'RTASolver' -benchtime 300ms -benchmem > bench_pr9_current.out
 	$(GO) run ./cmd/benchjson -in bench_pr9_current.out -out bench_pr9_current.json
@@ -97,18 +102,19 @@ bench-regress-pr9:
 # and response-time explorations with and without merging + dominance
 # pruning (the mode=naive vs mode=pruned pairs report both the ns/op
 # speedup and the states/op reduction the PR 10 acceptance bar — ≥10×
-# fewer explored states — is read from), the parallel-frontier scaling
-# ladder, and the content-addressed memoization pair.
+# fewer explored states — is read from) and the content-addressed
+# memoization pair.
 bench-pr10:
-	$(GO) test . -run '^$$' -bench 'Exact(Delay|SAG|Frontier|Memo)' -benchmem > bench_pr10.out
+	$(GO) test . -run '^$$' -bench 'Exact(Delay|SAG|Memo)' -benchmem > bench_pr10.out
 	$(GO) run ./cmd/benchjson -in bench_pr10.out -out BENCH_PR10.json
 	@echo "wrote BENCH_PR10.json"
 
 # bench-regress-pr10 is bench-regress for the exact-exploration layer:
 # rerun the schedule-graph benchmarks and compare against the checked-in
-# BENCH_PR10.json baseline (machine-speed normalised).
+# BENCH_PR10.json baseline (machine-speed normalised). Its
+# BenchmarkExactFrontier rows have no current twin and are skipped.
 bench-regress-pr10:
-	$(GO) test . -run '^$$' -bench 'Exact(Delay|SAG|Frontier|Memo)' -benchtime 300ms -benchmem > bench_pr10_current.out
+	$(GO) test . -run '^$$' -bench 'Exact(Delay|SAG|Memo)' -benchtime 300ms -benchmem > bench_pr10_current.out
 	$(GO) run ./cmd/benchjson -in bench_pr10_current.out -out bench_pr10_current.json
 	$(GO) run ./tools/benchregress -baseline BENCH_PR10.json -current bench_pr10_current.json -tolerance 0.30
 

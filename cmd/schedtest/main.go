@@ -24,7 +24,6 @@ import (
 	"math"
 
 	"fnpr/internal/cli"
-	"fnpr/internal/core"
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
 	"fnpr/internal/npr"
@@ -41,15 +40,10 @@ func main() {
 		horizon  = flag.Float64("horizon", 10000, "simulation horizon (with -simulate)")
 		example  = flag.Bool("example", false, "print a sample specification and exit")
 		margin   = flag.Bool("margin", false, "also compute the delay criticality margin (FP only)")
-		solverFl = flag.String("solver", "auto", "fixpoint solver: auto, monotone or cutting (results are identical; cutting needs far fewer iterations)")
 	)
 	limits := cli.Flags()
 	flag.Parse()
 	g := limits.Guard()
-	solver, err := core.ParseSolver(*solverFl)
-	if err != nil {
-		fatal(cli.Usagef("%v", err))
-	}
 
 	if *example {
 		printExample()
@@ -86,12 +80,12 @@ func main() {
 
 	switch p.Policy {
 	case "fp":
-		analyseFP(g, p, solver)
+		analyseFP(g, p)
 		if *margin {
-			reportMargin(g, p, solver)
+			reportMargin(g, p)
 		}
 	case "edf":
-		analyseEDF(g, p, solver)
+		analyseEDF(g, p)
 	}
 
 	if *simulate {
@@ -100,7 +94,7 @@ func main() {
 	fatal(nil)
 }
 
-func analyseFP(g *guard.Ctx, p *spec.Problem, solver sched.Solver) {
+func analyseFP(g *guard.Ctx, p *spec.Problem) {
 	fmt.Printf("%-10s %12s %12s %12s %12s %10s\n",
 		"task", "R(no-delay)", "R(alg1)", "R(alg1-lim)", "R(eq4)", "deadline")
 
@@ -108,20 +102,20 @@ func analyseFP(g *guard.Ctx, p *spec.Problem, solver sched.Solver) {
 	// response times lower-bound every delay-aware variant, so they warm-seed
 	// the other fixpoints (bit-identical results, fewer iterations).
 	free, err := sched.Analyze(g, p.Tasks, sched.Options{
-		Delay: make([]delay.Function, len(p.Tasks)), Method: sched.Algorithm1, Solver: solver,
+		Delay: make([]delay.Function, len(p.Tasks)), Method: sched.Algorithm1,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	rFree := free.Response
 	alg, errAlg := sched.Analyze(g, p.Tasks, sched.Options{
-		Delay: p.Delay, Method: sched.Algorithm1, Solver: solver, Warm: rFree,
+		Delay: p.Delay, Method: sched.Algorithm1, Warm: rFree,
 	})
 	lim, errLim := sched.Analyze(g, p.Tasks, sched.Options{
-		Delay: p.Delay, Method: sched.Algorithm1, Limited: true, Solver: solver, Warm: rFree,
+		Delay: p.Delay, Method: sched.Algorithm1, Limited: true, Warm: rFree,
 	})
 	eq4, errEq4 := sched.Analyze(g, p.Tasks, sched.Options{
-		Delay: p.Delay, Method: sched.Equation4, Solver: solver, Warm: rFree,
+		Delay: p.Delay, Method: sched.Equation4, Warm: rFree,
 	})
 	for _, err := range []error{errAlg, errLim, errEq4} {
 		// Divergence errors are reported per-column below; a tripped
@@ -159,9 +153,9 @@ func analyseFP(g *guard.Ctx, p *spec.Problem, solver sched.Solver) {
 
 // reportMargin prints the largest factor by which every delay function can
 // grow while the set stays schedulable under Algorithm 1.
-func reportMargin(g *guard.Ctx, p *spec.Problem, solver sched.Solver) {
+func reportMargin(g *guard.Ctx, p *spec.Problem) {
 	m, err := sched.DelayMargin(g, p.Tasks, sched.Options{
-		Delay: p.Delay, Method: sched.Algorithm1, Solver: solver,
+		Delay: p.Delay, Method: sched.Algorithm1,
 	}, 100, 0.01)
 	if err != nil {
 		if cli.Code(err) == cli.ExitResource {
@@ -173,10 +167,10 @@ func reportMargin(g *guard.Ctx, p *spec.Problem, solver sched.Solver) {
 	fmt.Printf("\n  delay criticality margin: %.2fx (delay functions can scale by this factor)\n", m)
 }
 
-func analyseEDF(g *guard.Ctx, p *spec.Problem, solver sched.Solver) {
+func analyseEDF(g *guard.Ctx, p *spec.Problem) {
 	for _, m := range []sched.DelayMethod{sched.Algorithm1, sched.Equation4} {
 		res, err := sched.Analyze(g, p.Tasks, sched.Options{
-			Policy: sched.EDF, Delay: p.Delay, Method: m, Solver: solver,
+			Policy: sched.EDF, Delay: p.Delay, Method: m,
 		})
 		switch {
 		case err != nil && cli.Code(err) == cli.ExitResource:

@@ -154,12 +154,6 @@ type Limits struct {
 	CacheFile string
 	CacheSize int
 
-	// Solver selects the fixpoint solver sweeps run with (-solver):
-	// auto (cutting-plane with monotone fallback, the default), monotone
-	// or cutting. Results are bit-identical for every value; the flag only
-	// trades iteration counts.
-	Solver core.Solver
-
 	// States bounds each exact schedule-graph exploration (-states), also
 	// registered by SweepFlags: 0 = the engine default
 	// (exact.DefaultMaxStates), negative = unbounded. Only the exact
@@ -207,29 +201,8 @@ func (l *Limits) SweepFlags() *Limits {
 	flag.BoolVar(&l.Cache, "cache", false, "memoize analysis results content-addressed by (function, Q, options); bit-identical, repeated sweeps become lookups")
 	flag.StringVar(&l.CacheFile, "cache-file", "", "warm the result cache from this snapshot file and persist it back at exit (implies -cache)")
 	flag.IntVar(&l.CacheSize, "cache-size", 0, "result cache entry bound (0 = default, negative = unbounded)")
-	flag.Var(solverFlag{&l.Solver}, "solver", "fixpoint solver: auto, monotone or cutting (results are identical; cutting needs far fewer iterations)")
 	flag.IntVar(&l.States, "states", 0, "state budget per exact schedule-graph exploration (0 = engine default, negative = unbounded)")
 	return l
-}
-
-// solverFlag adapts core.Solver to flag.Value, so -solver typos fail at
-// flag.Parse with the parser's error instead of deep inside a sweep.
-type solverFlag struct{ s *core.Solver }
-
-func (f solverFlag) String() string {
-	if f.s == nil {
-		return core.SolverAuto.String()
-	}
-	return f.s.String()
-}
-
-func (f solverFlag) Set(v string) error {
-	s, err := core.ParseSolver(v)
-	if err != nil {
-		return err
-	}
-	*f.s = s
-	return nil
 }
 
 // SyncPolicy parses the -sync flag into the journal.Options.SyncEvery value:
@@ -300,7 +273,6 @@ func (l *Limits) SweepOptions(g *guard.Ctx, j *journal.Journal, resume map[strin
 		Journal: j,
 		Resume:  resume,
 		Memo:    l.cache,
-		Solver:  l.Solver,
 		Obs:     g.Obs(),
 	}
 }

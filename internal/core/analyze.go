@@ -64,13 +64,6 @@ type Options struct {
 	Remaining bool
 	From      float64
 
-	// Solver selects the fixpoint strategy for the Equation 4 bound:
-	// cutting-plane jumps with monotone fallback (SolverAuto, the default)
-	// or the classic monotone iteration (SolverMonotone). Results are
-	// bit-identical either way, so Solver is excluded from the Memo cache
-	// key and cached results are shared across solvers.
-	Solver Solver
-
 	// Hints, when non-nil, seeds the Algorithm 1 walk's crossing search
 	// from a previous similar walk and records this walk's crossings back
 	// into Hints.Out — the cross-Q sharing hook used by eval.QSweep.
@@ -143,7 +136,7 @@ func analyze(g *guard.Ctx, f delay.Function, q float64, opts Options) (Result, e
 		if opts.Trace || opts.Limited || opts.Remaining {
 			return Result{}, guard.Invalidf("core: Trace/Limited/Remaining apply to Algorithm1 only (method %v)", opts.Method)
 		}
-		return analyzeEq4(g, sc, f, q, opts.Solver)
+		return analyzeEq4(g, sc, f, q)
 	case NaiveUnsound:
 		if opts.Trace || opts.Limited || opts.Remaining {
 			return Result{}, guard.Invalidf("core: Trace/Limited/Remaining apply to Algorithm1 only (method %v)", opts.Method)
@@ -215,7 +208,7 @@ func limitCharges(f delay.Function, res Result, n int) float64 {
 
 // analyzeEq4 is the Equation 4 baseline under Analyze: validation, the global
 // maximum, then the fixpoint.
-func analyzeEq4(g *guard.Ctx, sc *obs.Scope, f delay.Function, q float64, solver Solver) (Result, error) {
+func analyzeEq4(g *guard.Ctx, sc *obs.Scope, f delay.Function, q float64) (Result, error) {
 	if f == nil {
 		return Result{}, guard.Invalidf("core: nil delay function")
 	}
@@ -224,7 +217,7 @@ func analyzeEq4(g *guard.Ctx, sc *obs.Scope, f delay.Function, q float64, solver
 	}
 	c := f.Domain()
 	_, maxF := f.MaxOn(0, c)
-	v, err := eq4Fixpoint(g, sc, c, q, maxF, solver)
+	v, err := eq4Fixpoint(g, sc, c, q, maxF, true)
 	if err != nil {
 		return Result{}, err
 	}
@@ -297,23 +290,26 @@ func kernelQueryCounter(sc *obs.Scope, f delay.Function) *obs.Counter {
 // delay C' - C; +Inf when the fixpoint diverges (maxDelay >= q). It charges
 // one guard step per fixpoint iteration.
 func Eq4Fixpoint(g *guard.Ctx, c, q, maxDelay float64) (float64, error) {
-	return eq4Fixpoint(g, g.Obs(), c, q, maxDelay, SolverAuto)
+	return eq4Fixpoint(g, g.Obs(), c, q, maxDelay, true)
 }
 
 // eq4Fixpoint is the shared Equation 4 fixpoint loop, instrumented with
 // core.eq4.runs / core.eq4.iterations (plus core.eq4.cuts and
-// core.eq4.fallbacks for the cutting-plane solver).
+// core.eq4.fallbacks for the cutting-plane jumps).
 //
-// The recurrence is cur' = c + ceil(cur/q)·m with m = maxDelay < q. For the
-// cutting solvers the linear relaxation ceil(x/q) ≥ x/q yields the global
-// cutting plane h(x) = c + (x/q)·m ≤ g(x), whose root c·q/(q-m) lower-bounds
-// the least fixpoint; one shaved jump there replaces the O(root/q) monotone
-// ramp, and the remaining monotone steps settle the exact ceil terms. A
-// post-jump iterate that fails to increase would mean the jump overshot (the
-// shave makes that practically impossible — see the cutRelShave comment), in
-// which case the loop reverts to the last monotonically-produced value and
-// continues without jumps, counting core.eq4.fallbacks.
-func eq4Fixpoint(g *guard.Ctx, sc *obs.Scope, c, q, maxDelay float64, solver Solver) (float64, error) {
+// The recurrence is cur' = c + ceil(cur/q)·m with m = maxDelay < q. With
+// jumps, the linear relaxation ceil(x/q) ≥ x/q yields the global cutting
+// plane h(x) = c + (x/q)·m ≤ g(x), whose root c·q/(q-m) lower-bounds the
+// least fixpoint (Singh-style, DESIGN.md §15); one shaved jump there replaces
+// the O(root/q) monotone ramp, and the remaining monotone steps settle the
+// exact ceil terms. A post-jump iterate that fails to increase would mean the
+// jump overshot (the shave makes that practically impossible — see the
+// cutRelShave comment), in which case the loop reverts to the last
+// monotonically-produced value and continues without jumps, counting
+// core.eq4.fallbacks. Without jumps the loop is the plain monotone
+// iteration: every caller passes true, and the tests pass false for the
+// reference the jumps must match bit for bit.
+func eq4Fixpoint(g *guard.Ctx, sc *obs.Scope, c, q, maxDelay float64, jumps bool) (float64, error) {
 	if c <= 0 || q <= 0 || maxDelay < 0 ||
 		math.IsNaN(c) || math.IsNaN(q) || math.IsNaN(maxDelay) ||
 		math.IsInf(c, 0) || math.IsInf(q, 0) || math.IsInf(maxDelay, 0) {
@@ -331,7 +327,7 @@ func eq4Fixpoint(g *guard.Ctx, sc *obs.Scope, c, q, maxDelay float64, solver Sol
 	}
 	var cut float64
 	haveCut := false
-	if solver != SolverMonotone && maxDelay <= cutSlopeCap*q {
+	if jumps && maxDelay <= cutSlopeCap*q {
 		root := c * q / (q - maxDelay)
 		cut = root - math.Max(cutRelShave*root, cutAbsShave)
 		haveCut = !math.IsInf(cut, 0) && !math.IsNaN(cut)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fnpr/internal/delay"
+	"fnpr/internal/obs"
 )
 
 func constF(v, c float64) *delay.Piecewise { return delay.Constant(v, c) }
@@ -184,6 +185,56 @@ func TestStateOfTheArtRawValidation(t *testing.T) {
 	}
 	if _, err := StateOfTheArt(constF(1, 10), -1); err == nil {
 		t.Fatal("accepted negative Q")
+	}
+}
+
+// TestEq4JumpsMatchMonotone is the Equation 4 half of the solver
+// differential: on random (C, Q, max f) the fixpoint with cutting-plane jumps
+// returns bit for bit the value of the plain monotone iteration, +Inf
+// divergence verdicts included.
+func TestEq4JumpsMatchMonotone(t *testing.T) {
+	trials := 20_000
+	if testing.Short() {
+		trials = 2_000
+	}
+	reg := obs.NewRegistry()
+	sc := obs.NewScope(reg)
+	r := rand.New(rand.NewSource(4242))
+	infs := 0
+	for trial := 0; trial < trials; trial++ {
+		c := math.Exp(r.Float64() * math.Log(1e4))    // [1, 1e4), log-uniform
+		q := c * math.Exp(-r.Float64()*math.Log(1e2)) // (C/100, C]
+		var m float64
+		switch r.Intn(6) {
+		case 0:
+			m = 0
+		case 1: // divergent: max f at or above Q
+			m = q * (1 + r.Float64())
+		case 2: // slope above the cut cap: no jump is attempted
+			m = q * (cutSlopeCap + 0.5*(1-cutSlopeCap)*r.Float64())
+		default:
+			m = q * r.Float64()
+		}
+		mono, err := eq4Fixpoint(nil, nil, c, q, m, false)
+		if err != nil {
+			t.Fatalf("trial %d: monotone C=%g Q=%g max=%g: %v", trial, c, q, m, err)
+		}
+		cut, err := eq4Fixpoint(nil, sc, c, q, m, true)
+		if err != nil {
+			t.Fatalf("trial %d: jumps C=%g Q=%g max=%g: %v", trial, c, q, m, err)
+		}
+		if math.Float64bits(mono) != math.Float64bits(cut) {
+			t.Fatalf("trial %d: C=%g Q=%g max=%g: monotone %v, jumps %v", trial, c, q, m, mono, cut)
+		}
+		if math.IsInf(cut, 1) {
+			infs++
+		}
+	}
+	if infs == 0 {
+		t.Fatal("no divergent trial drawn")
+	}
+	if reg.Counter("core.eq4.cuts").Value() == 0 {
+		t.Fatal("no trial took a cutting-plane jump")
 	}
 }
 

@@ -6,16 +6,25 @@ import (
 	"testing"
 
 	"fnpr/internal/delay"
+	"fnpr/internal/exact"
 )
+
+// exactDelay is the exact worst-case cumulative delay of f under Q, from the
+// schedule-graph explorer of package exact (unbounded state budget).
+func exactDelay(t *testing.T, f *delay.Piecewise, q float64) float64 {
+	t.Helper()
+	res, err := exact.Delay(nil, f, q, exact.Options{MaxStates: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Delay
+}
 
 func TestExactWorstCaseConstant(t *testing.T) {
 	// f = 2, C = 50, Q = 10: strikes at progressions 10, 18, 26, 34, 42
 	// -> 5 x 2 = 10, and that IS the worst case.
 	f := delay.Constant(2, 50)
-	exact, err := ExactWorstCase(nil, f, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := exactDelay(t, f, 10)
 	if exact != 10 {
 		t.Fatalf("exact = %g, want 10", exact)
 	}
@@ -31,10 +40,7 @@ func TestExactWorstCaseSinglePeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ExactWorstCase(nil, f, 20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := exactDelay(t, f, 20)
 	if exact != 5 {
 		t.Fatalf("exact = %g, want 5", exact)
 	}
@@ -42,35 +48,14 @@ func TestExactWorstCaseSinglePeak(t *testing.T) {
 
 func TestExactWorstCaseDivergent(t *testing.T) {
 	f := delay.Constant(10, 100)
-	exact, err := ExactWorstCase(nil, f, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := exactDelay(t, f, 10)
 	if !math.IsInf(exact, 1) {
 		t.Fatalf("exact = %g, want +Inf", exact)
 	}
 }
 
-func TestExactWorstCaseValidation(t *testing.T) {
-	if _, err := ExactWorstCase(nil, nil, 10, 0); err == nil {
-		t.Fatal("accepted nil function")
-	}
-	if _, err := ExactWorstCase(nil, delay.Constant(1, 10), 0, 0); err == nil {
-		t.Fatal("accepted Q=0")
-	}
-}
-
-func TestExactWorstCaseNodeBudget(t *testing.T) {
-	// Many pieces and tiny Q relative to C blow up the search; the budget
-	// must trip rather than hang.
-	f := delay.Step(0.1, 0.9, 400, 16)
-	if _, err := ExactWorstCase(nil, f, 2, 1000); err == nil {
-		t.Fatal("expected node-budget error")
-	}
-}
-
-// The oracle is sandwiched: every constructive adversary is at or below it,
-// and Algorithm 1 is at or above it.
+// The exact bound is sandwiched: every constructive adversary is at or below
+// it, and Algorithm 1 is at or above it.
 func TestExactSandwich(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 60; trial++ {
@@ -95,10 +80,7 @@ func TestExactSandwich(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := ExactWorstCase(nil, f, q, 5_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
+		exact := exactDelay(t, f, q)
 		alg, _ := UpperBound(f, q)
 		if exact > alg+1e-9 {
 			t.Fatalf("trial %d: exact %g above Algorithm 1 %g (Q=%g, f=%v)", trial, exact, alg, q, f)
@@ -124,10 +106,7 @@ func TestExactQuantifiesFigure2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ExactWorstCase(nil, f, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := exactDelay(t, f, 10)
 	naive, _ := NaivePointSelection(f, 10)
 	alg, _ := UpperBound(f, 10)
 	if exact <= naive {

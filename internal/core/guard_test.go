@@ -65,13 +65,3 @@ func TestStateOfTheArtCtxBudget(t *testing.T) {
 		t.Fatalf("budget 1: got %v, want ErrBudgetExceeded", err)
 	}
 }
-
-func TestExactWorstCaseCtxCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	g := guard.New(ctx)
-	_, err := ExactWorstCase(g, fig2Function(t), 10, 1_000_000)
-	if !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("canceled context: got %v, want ErrCanceled", err)
-	}
-}

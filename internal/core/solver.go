@@ -1,72 +1,7 @@
 package core
 
-import (
-	"fmt"
-
-	"fnpr/internal/guard"
-)
-
-// Solver selects the fixpoint strategy used by the iterative bounds: the
-// Equation 4 fixpoint here in core and the response-time / demand fixpoints
-// in internal/sched (which aliases this type).
-//
-// The cutting-plane strategy (Singh-style, see DESIGN.md §15) solves the
-// linearized relaxation of the current recurrence exactly and jumps to the
-// largest root of that cutting plane (shaved by a relative safety margin)
-// instead of iterating R_{k+1} = f(R_k) one release at a time. Jump targets
-// are always strictly below the relaxation's real root, so the subsequent
-// monotone steps converge to the same least fixpoint; on any numerical doubt
-// — a post-jump iterate that fails to increase, a speculative
-// deadline crossing, a relaxation slope too close to 1 — the solver reverts
-// to the last value produced by plain monotone iteration and disables further
-// jumps, making the run a warm-started monotone iteration from there on.
-// Results are bit-identical across solvers; only iteration counts differ
-// (differentially asserted on 10k random task sets in internal/sched).
-type Solver int
-
-const (
-	// SolverAuto picks the default strategy: cutting-plane jumps with
-	// automatic fallback to monotone iteration on numerical doubt.
-	SolverAuto Solver = iota
-	// SolverMonotone forces the classic monotone fixpoint iteration
-	// (exactly the pre-solver behaviour, tick for tick).
-	SolverMonotone
-	// SolverCutting requests the cutting-plane strategy explicitly; it
-	// still falls back to monotone iteration on numerical doubt (there is
-	// no unsafe mode).
-	SolverCutting
-)
-
-// String implements fmt.Stringer with the names ParseSolver accepts.
-func (s Solver) String() string {
-	switch s {
-	case SolverAuto:
-		return "auto"
-	case SolverMonotone:
-		return "monotone"
-	case SolverCutting:
-		return "cutting"
-	default:
-		return fmt.Sprintf("Solver(%d)", int(s))
-	}
-}
-
-// ParseSolver parses a -solver flag / "solver" request field value.
-func ParseSolver(s string) (Solver, error) {
-	switch s {
-	case "", "auto":
-		return SolverAuto, nil
-	case "monotone":
-		return SolverMonotone, nil
-	case "cutting", "cutting-plane":
-		return SolverCutting, nil
-	default:
-		return 0, guard.Invalidf("core: unknown solver %q (want auto, monotone or cutting)", s)
-	}
-}
-
 // Cutting-plane safety margins, shared by the Equation 4 fixpoint here and
-// the sched response-time solver.
+// the sched response-time solver (DESIGN.md §15).
 //
 // A jump target is the relaxation root shaved by max(cutRelShave·|root|,
 // cutAbsShave). Floating-point error in the root computation is a few ulps

@@ -3,7 +3,6 @@ package delay
 import (
 	"math"
 	"math/bits"
-	"os"
 	"sync"
 	"time"
 
@@ -25,12 +24,6 @@ import (
 // function un-indexed: the scan over a handful of pieces is cheaper than the
 // sparse-table lookups, and the index memory would be pure overhead.
 const autoIndexMinPieces = 32
-
-// noIndexEnv is the escape hatch: setting FNPR_NO_INDEX=1 (any non-empty
-// value) makes AutoIndex a no-op, forcing every analysis back onto the
-// linear-scan kernel. The golden tests run both ways and assert byte-equal
-// output.
-const noIndexEnv = "FNPR_NO_INDEX"
 
 // Indexed is a Piecewise function with precomputed query structures:
 //
@@ -136,15 +129,13 @@ func NewIndexed(p *Piecewise) *Indexed {
 // functions with at least autoIndexMinPieces pieces gain O(log n) queries,
 // smaller ones and non-piecewise implementations pass through unchanged, and
 // an already-indexed function is returned as-is (so repeated AutoIndex calls
-// never rebuild). Setting FNPR_NO_INDEX in the environment disables wrapping
-// entirely — the escape hatch the differential golden tests use to compare
-// the two kernels end to end.
+// never rebuild).
 func AutoIndex(f Function) Function {
 	switch pf := f.(type) {
 	case *Indexed:
 		return pf
 	case *Piecewise:
-		if pf != nil && pf.Pieces() >= autoIndexMinPieces && os.Getenv(noIndexEnv) == "" {
+		if pf != nil && pf.Pieces() >= autoIndexMinPieces {
 			return NewIndexed(pf)
 		}
 	}

@@ -352,12 +352,6 @@ func TestAutoIndex(t *testing.T) {
 	if got := AutoIndex(nilP); got != Function(nilP) {
 		t.Error("AutoIndex touched a nil *Piecewise")
 	}
-	t.Run("escape-hatch", func(t *testing.T) {
-		t.Setenv(noIndexEnv, "1")
-		if _, ok := AutoIndex(big).(*Indexed); ok {
-			t.Errorf("AutoIndex ignored %s", noIndexEnv)
-		}
-	})
 }
 
 // TestIndexedSinglePiece covers the degenerate one-piece function, where

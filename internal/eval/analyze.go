@@ -54,11 +54,7 @@ func AnalyzeSet(g *guard.Ctx, ts task.Set, fns []delay.Function, opts SweepOptio
 		if d := fns[i].Domain(); math.Abs(d-tk.C) > 1e-9 {
 			return nil, guard.Invalidf("eval: task %s has C=%g but delay function domain %g", tk.Name, tk.C, d)
 		}
-		f := fns[i]
-		if !opts.NoIndex {
-			f = delay.AutoIndex(f)
-		}
-		specs = append(specs, SweepSpec{Name: tk.Name, F: f})
+		specs = append(specs, SweepSpec{Name: tk.Name, F: fns[i]})
 		live = append(live, i)
 	}
 	if len(specs) == 0 {

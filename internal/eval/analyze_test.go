@@ -62,24 +62,38 @@ func TestAnalyzeSetMatchesDirectBounds(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSetIndexTransparency asserts the auto-indexed run and the
-// NoIndex run produce bit-identical sweeps.
+// TestAnalyzeSetIndexTransparency asserts that a batched analysis over curves
+// fine enough to be auto-indexed is bit-identical to direct scan-kernel
+// analyses of the raw *delay.Piecewise curves.
 func TestAnalyzeSetIndexTransparency(t *testing.T) {
-	ts, fns := analyzeTestSet(t)
-	qs := []float64{10, 25, 60, 150}
+	saw, _ := qshareFixture(t, 48)
+	step := delay.Step(1, 6, 90, 40)
+	raw := []*delay.Piecewise{saw, step}
+	ts := task.Set{
+		{Name: "saw", C: saw.Domain(), T: 1000, D: 1000},
+		{Name: "step", C: step.Domain(), T: 500, D: 500},
+	}
+	fns := make([]delay.Function, len(raw))
+	for i, p := range raw {
+		if _, ok := delay.AutoIndex(p).(*delay.Indexed); !ok {
+			t.Fatalf("task %s: %d pieces is below the AutoIndex threshold", ts[i].Name, p.Pieces())
+		}
+		fns[i] = p
+	}
+	qs := []float64{10, 14, 25, 60}
 	indexed, err := AnalyzeSet(nil, ts, fns, SweepOptions{Qs: qs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := AnalyzeSet(nil, ts, fns, SweepOptions{Qs: qs, NoIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range indexed {
-		for k := range indexed[i].Points {
-			a, b := indexed[i].Points[k], plain[i].Points[k]
-			if a != b {
-				t.Fatalf("task %s Q=%g: indexed %+v vs plain %+v", ts[i].Name, qs[k], a, b)
+	for i, p := range raw {
+		for k, q := range qs {
+			scan, err := core.Analyze(nil, p, q, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt := indexed[i].Points[k]
+			if !pt.Done || math.Float64bits(pt.Value) != math.Float64bits(scan.TotalDelay) {
+				t.Fatalf("task %s Q=%g: indexed %+v vs scan %v", ts[i].Name, q, pt, scan.TotalDelay)
 			}
 		}
 	}

@@ -4,16 +4,16 @@ import (
 	"math"
 	"testing"
 
+	"fnpr/internal/core"
 	"fnpr/internal/delay"
 	"fnpr/internal/obs"
 )
 
-// qshareFixture builds a delay function with enough pieces that AutoIndex
-// wraps it in the query index (the hint-capable kernel) and a Q grid inside
-// its interesting range.
-func qshareFixture(t *testing.T) (delay.Function, []float64) {
+// qshareFixture builds an n-piece delay function over [0, 2n] and a Q grid
+// inside its interesting range. At n >= 32 AutoIndex wraps it in the query
+// index (the hint-capable kernel); below that it stays on the scan kernel.
+func qshareFixture(t *testing.T, n int) (*delay.Piecewise, []float64) {
 	t.Helper()
-	const n = 48
 	xs := make([]float64, n+1)
 	ys := make([]float64, n)
 	for i := range xs {
@@ -38,10 +38,10 @@ func qshareFixture(t *testing.T) (delay.Function, []float64) {
 // TestQSweepCrossQHints: on a single-worker sweep, each grid point's walk is
 // seeded from the pieces the previous point recorded (sweep.qshare.seeded);
 // only the curve's first computed point starts cold. The hints are advisory
-// only — the indexed-with-hints sweep must agree bit for bit with the plain
-// scan-kernel sweep.
+// only — the indexed-with-hints sweep must agree bit for bit with direct
+// scan-kernel analyses of the raw curve.
 func TestQSweepCrossQHints(t *testing.T) {
-	f, qs := qshareFixture(t)
+	f, qs := qshareFixture(t, 48)
 	reg := obs.NewRegistry()
 	hinted, err := QSweep(nil, []SweepSpec{{Name: "curve", F: f}},
 		SweepOptions{Qs: qs, Workers: 1, Obs: obs.NewScope(reg)})
@@ -64,27 +64,29 @@ func TestQSweepCrossQHints(t *testing.T) {
 	if seeded+cold > int64(len(qs)) {
 		t.Fatalf("qshare counters exceed grid: seeded=%d cold=%d over %d points", seeded, cold, len(qs))
 	}
-	scan, err := QSweep(nil, []SweepSpec{{Name: "curve", F: f}},
-		SweepOptions{Qs: qs, NoIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range qs {
-		hv, sv := hinted[0].Points[i].Value, scan[0].Points[i].Value
-		if hv != sv && !(math.IsNaN(hv) && math.IsNaN(sv)) {
+	for i, q := range qs {
+		scan, err := core.Analyze(nil, f, q, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hv, sv := hinted[0].Points[i].Value, scan.TotalDelay
+		if math.Float64bits(hv) != math.Float64bits(sv) {
 			t.Fatalf("hinted and scan kernels differ at Q=%g: %g vs %g", qs[i], hv, sv)
 		}
 	}
 }
 
 // TestQSweepScanKernelNoHintCounters: the scan kernel records no walk pieces,
-// so a NoIndex sweep must leave the qshare counters untouched (they count
-// hint-capable walks only).
+// so a sweep over a curve below the AutoIndex threshold must leave the qshare
+// counters untouched (they count hint-capable walks only).
 func TestQSweepScanKernelNoHintCounters(t *testing.T) {
-	f, qs := qshareFixture(t)
+	f, qs := qshareFixture(t, 24)
+	if _, ok := delay.AutoIndex(f).(*delay.Indexed); ok {
+		t.Fatal("fixture is above the AutoIndex threshold")
+	}
 	reg := obs.NewRegistry()
 	if _, err := QSweep(nil, []SweepSpec{{Name: "curve", F: f}},
-		SweepOptions{Qs: qs, Workers: 1, NoIndex: true, Obs: obs.NewScope(reg)}); err != nil {
+		SweepOptions{Qs: qs, Workers: 1, Obs: obs.NewScope(reg)}); err != nil {
 		t.Fatal(err)
 	}
 	if s, c := reg.Counter("sweep.qshare.seeded").Value(), reg.Counter("sweep.qshare.cold").Value(); s != 0 || c != 0 {

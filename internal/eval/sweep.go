@@ -321,19 +321,6 @@ type SweepOptions struct {
 	// SweepPoint.Cached. Build with core.NewResultCache.
 	Memo *memo.Cache
 
-	// Solver selects the fixpoint solver every grid point runs with
-	// (core.SolverAuto by default: cutting-plane acceleration with
-	// monotone fallback). Results are bit-identical across solvers.
-	Solver core.Solver
-
-	// NoIndex disables the per-spec query index (delay.AutoIndex), forcing
-	// every grid point onto the linear-scan kernel. The indexed and scan
-	// kernels are bit-for-bit equivalent (proven by the differential and
-	// golden tests), so this only trades speed — it exists for those tests
-	// and for the scan side of the kernel benchmarks. The FNPR_NO_INDEX
-	// environment variable has the same effect process-wide.
-	NoIndex bool
-
 	// Obs is the observability scope the sweep reports into: progress
 	// events (SweepStarted, PointDone, PointRetried, PointDegraded,
 	// PointQuarantined, SweepResumed, SweepFinished), per-worker
@@ -433,16 +420,14 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 	// Build each spec's query index once, up front, and share it across the
 	// whole Q grid and every worker (Indexed is immutable, hence safe for
 	// concurrent queries). Working on a copy keeps the caller's specs
-	// untouched.
-	if !opts.NoIndex {
-		indexed := make([]SweepSpec, len(specs))
-		copy(indexed, specs)
-		for i := range indexed {
-			indexed[i].F = delay.AutoIndex(indexed[i].F)
-		}
-		specs = indexed
+	// untouched. Below the AutoIndex piece threshold the scan kernel stays.
+	indexed := make([]SweepSpec, len(specs))
+	copy(indexed, specs)
+	for i := range indexed {
+		indexed[i].F = delay.AutoIndex(indexed[i].F)
 	}
-	// FNPR_CHAOS_PANIC_PROB (like FNPR_NO_INDEX, a doc-gated escape hatch)
+	specs = indexed
+	// FNPR_CHAOS_PANIC_PROB (a doc-gated escape hatch)
 	// wraps every spec in the deterministic fault injector, forcing real
 	// retries and backoff sleeps — the seam the end-to-end crash-safety
 	// tests use to kill a binary mid-backoff. Unset in normal operation.
@@ -611,7 +596,7 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 						// Fresh Out every attempt: the stored slice is only
 						// ever read (as a later walk's In), never appended to.
 						hints = core.WalkHints{In: in}
-						return core.Analyze(g, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo, Solver: opts.Solver, Hints: &hints})
+						return core.Analyze(g, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo, Hints: &hints})
 					})
 				})
 				if err == nil {
@@ -648,7 +633,7 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 				// a recovery scope (a poisoned function can panic in
 				// Domain/MaxOn too).
 				fb, ferr := guard.Run(g, label+" (Eq.4 fallback)", func() (core.Result, error) {
-					return core.Analyze(g, spec.F, q, core.Options{Method: core.Equation4, Obs: sc, Memo: opts.Memo, Solver: opts.Solver})
+					return core.Analyze(g, spec.F, q, core.Options{Method: core.Equation4, Obs: sc, Memo: opts.Memo})
 				})
 				if ferr != nil {
 					if fatal(ferr) {

@@ -3,7 +3,6 @@ package exact
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
@@ -40,21 +39,13 @@ type dstate struct{ e, d float64 }
 // Explorer runs exact-delay explorations with reusable state slabs: the
 // frontier, successor and visited-frontier buffers survive across calls, so
 // steady-state explorations of same-sized instances allocate nothing (the
-// sim.Runner discipline). Not safe for concurrent use; Delay itself shards
-// work over Options.Workers goroutines internally.
+// sim.Runner discipline). Not safe for concurrent use: give each goroutine
+// its own Explorer.
 type Explorer struct {
 	cur, next []dstate
 	front     []dstate // visited pareto frontier: e ascending, d ascending
 	starts    []float64
 	lastF     *delay.Piecewise // breakpoints cache key for starts
-	shards    []shardResult
-}
-
-// shardResult is one worker's contribution to a layer expansion.
-type shardResult struct {
-	out      []dstate
-	best     float64
-	expanded int
 }
 
 // NewExplorer returns an Explorer with empty slabs; they grow to the
@@ -123,11 +114,11 @@ func (ex *Explorer) Delay(g *guard.Ctx, f *delay.Piecewise, q float64, opts Opti
 	return res, nil
 }
 
-// explore is the layered BFS. The scenario normalisation (every preemption
+// explore is the layered BFS over normalised scenarios: every preemption
 // strikes either as early as the spacing constraint allows or at the first
-// instant its progression enters a later piece) is the one the naive oracle
-// core.ExactWorstCase branches on; the engines agree to within float
-// summation order.
+// instant its progression enters a later piece. Moving a strike earlier
+// within its piece keeps its charge and only relaxes the spacing of later
+// strikes, so some worst-case scenario has this shape (DESIGN.md §16.1).
 func (ex *Explorer) explore(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts Options) (DelayResult, error) {
 	if ex.lastF != f {
 		ex.starts = append(ex.starts[:0], f.Breakpoints()...)
@@ -151,7 +142,7 @@ func (ex *Explorer) explore(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts
 		if budget > 0 && res.States+len(ex.cur) > budget {
 			return DelayResult{}, &StateSpaceError{States: res.States + len(ex.cur), Limit: budget}
 		}
-		layerBest, expanded, err := ex.expandLayer(g, f, q, c, opts)
+		layerBest, expanded, err := ex.expandLayer(g, f, q, c)
 		if err != nil {
 			return DelayResult{}, err
 		}
@@ -163,9 +154,8 @@ func (ex *Explorer) explore(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts
 			ex.cur, ex.next = ex.next, ex.cur
 			continue
 		}
-		// Canonicalise the merged successor layer: sort by (e asc, d desc)
-		// so one ascending sweep keeps exactly the pareto-undominated
-		// states, independent of the worker sharding that produced them.
+		// Canonicalise the successor layer: sort by (e asc, d desc) so one
+		// ascending sweep keeps exactly the pareto-undominated states.
 		slices.SortFunc(ex.next, func(a, b dstate) int {
 			switch {
 			case a.e != b.e:
@@ -216,101 +206,38 @@ func (ex *Explorer) explore(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts
 
 // expandLayer expands every state of ex.cur into ex.next (reset first) and
 // returns the best paid delay seen plus the number of states expanded.
-// With opts.Workers > 1 the frontier is split into contiguous shards, each
-// expanded into a worker-private buffer, and the buffers are concatenated
-// in shard order — the successor sequence is byte-identical to a serial
-// expansion.
-func (ex *Explorer) expandLayer(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts Options) (best float64, expanded int, err error) {
-	ex.next = ex.next[:0]
-	workers := opts.Workers
-	if workers > len(ex.cur) {
-		workers = len(ex.cur)
-	}
-	if workers <= 1 {
-		sh := shardResult{out: ex.next}
-		if err := expandShard(g, f, q, c, ex.cur, ex.starts, &sh); err != nil {
+// Successors are emitted in (state, candidate) order.
+func (ex *Explorer) expandLayer(g *guard.Ctx, f *delay.Piecewise, q, c float64) (best float64, expanded int, err error) {
+	out := ex.next[:0]
+	for _, s := range ex.cur {
+		if err := g.Tick(); err != nil {
 			return 0, 0, err
 		}
-		ex.next = sh.out
-		return sh.best, sh.expanded, nil
-	}
-	if cap(ex.shards) < workers {
-		ex.shards = append(ex.shards[:cap(ex.shards)], make([]shardResult, workers-cap(ex.shards))...)
-	}
-	shards := ex.shards[:workers]
-	var wg sync.WaitGroup
-	per := (len(ex.cur) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(ex.cur) {
-			hi = len(ex.cur)
-		}
-		sh := &shards[w]
-		sh.out = sh.out[:0]
-		sh.best, sh.expanded = 0, 0
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(block []dstate, sh *shardResult) {
-			defer wg.Done()
-			// Work on a stack-local copy: appending through the shared
-			// shard array would false-share slice headers between workers
-			// (every append rewrites a header on a cache line the
-			// neighbouring worker is also writing).
-			local := *sh
-			// Expansion errors are guard aborts; they re-surface from the
-			// post-join g.Err() check, so the shard just stops early.
-			_ = expandShard(g, f, q, c, block, ex.starts, &local)
-			*sh = local
-		}(ex.cur[lo:hi], sh)
-	}
-	wg.Wait()
-	if err := g.Err(); err != nil {
-		return 0, 0, err
-	}
-	for w := range shards {
-		ex.next = append(ex.next, shards[w].out...)
-		if shards[w].best > best {
-			best = shards[w].best
-		}
-		expanded += shards[w].expanded
-	}
-	return best, expanded, nil
-}
-
-// expandShard expands one contiguous frontier block. Successors are emitted
-// in (state, candidate) order, so concatenating shard outputs in shard
-// order reproduces the serial successor sequence exactly.
-func expandShard(g *guard.Ctx, f *delay.Piecewise, q, c float64, block []dstate, starts []float64, sh *shardResult) error {
-	for _, s := range block {
-		if err := g.Tick(); err != nil {
-			return err
-		}
-		sh.expanded++
-		emit(f, q, c, s, s.e, sh)
-		for _, st := range starts {
+		expanded++
+		out = emit(f, q, c, s, s.e, out, &best)
+		for _, st := range ex.starts {
 			if st > s.e && st < c {
-				emit(f, q, c, s, st, sh)
+				out = emit(f, q, c, s, st, out, &best)
 			}
 		}
 	}
-	return nil
+	ex.next = out
+	return best, expanded, nil
 }
 
 // emit charges a strike at progression prog from state s and appends the
-// successor, unless the job completes before the strike.
-func emit(f *delay.Piecewise, q, c float64, s dstate, prog float64, sh *shardResult) {
+// successor to out, raising *best to the paid delay, unless the job
+// completes before the strike.
+func emit(f *delay.Piecewise, q, c float64, s dstate, prog float64, out []dstate, best *float64) []dstate {
 	if prog >= c-completionTol(c, prog+s.d) {
-		return // job finishes before this strike lands
+		return out // job finishes before this strike lands
 	}
 	d := f.Eval(prog)
 	paid := s.d + d
-	if paid > sh.best {
-		sh.best = paid
+	if paid > *best {
+		*best = paid
 	}
-	sh.out = append(sh.out, dstate{e: prog + q - d, d: paid})
+	return append(out, dstate{e: prog + q - d, d: paid})
 }
 
 // frontDominates reports whether a visited state with e' <= s.e carries

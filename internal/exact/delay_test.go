@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"fnpr/internal/delay"
@@ -13,7 +14,7 @@ import (
 )
 
 // TestDelayDifferential cross-checks the pruned engine against the naive
-// recursive oracle of internal/core on random piecewise-constant functions.
+// recursive oracle below on random piecewise-constant functions.
 // The two agree up to float summation order (the oracle right-associates
 // path sums, the engine accumulates left-to-right), hence the tolerance.
 func TestDelayDifferential(t *testing.T) {
@@ -36,9 +37,9 @@ func TestDelayDifferential(t *testing.T) {
 	}
 }
 
-// oracle is the naive branch-and-bound reference, reimplemented locally so
-// the package does not import internal/core (which the differential would
-// otherwise make cyclic once core grows an exact method).
+// oracle is the naive branch-and-bound reference: an exhaustive recursive
+// search over the same normalised strike scenarios, with no merging or
+// pruning.
 func oracle(t *testing.T, f *delay.Piecewise, q float64) float64 {
 	t.Helper()
 	c := f.Domain()
@@ -94,22 +95,40 @@ func TestDelayNaiveMatchesPruned(t *testing.T) {
 	}
 }
 
-// TestDelayParallelDeterminism asserts results are bit-identical for every
-// worker count — the canonical re-sort makes sharding invisible.
+// TestDelayParallelDeterminism asserts that explorations running
+// concurrently — one Explorer per goroutine, as the atlas campaign runs them
+// — are bit-identical to a serial run, including on reused Explorer slabs.
 func TestDelayParallelDeterminism(t *testing.T) {
 	r := synth.SubRand(99, 2, 0)
 	f := synth.DelayFunction(r, 120, 4.5, 9)
-	serial, err := Delay(nil, f, 5, Options{Workers: 1})
+	serial, err := Delay(nil, f, 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for workers := 2; workers <= 8; workers++ {
-		par, err := Delay(nil, f, 5, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if par != serial {
-			t.Fatalf("workers=%d: %+v != serial %+v", workers, par, serial)
+	const workers = 4
+	got := make([][]DelayResult, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ex := NewExplorer()
+			for rep := 0; rep < 3; rep++ {
+				res, err := ex.Delay(nil, f, 5, Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = append(got[w], res)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, runs := range got {
+		for rep, res := range runs {
+			if res != serial {
+				t.Fatalf("worker %d run %d: %+v != serial %+v", w, rep, res, serial)
+			}
 		}
 	}
 }
@@ -144,14 +163,14 @@ func TestDelayBudget(t *testing.T) {
 	}
 }
 
-// TestDelayGuard asserts guard cancellation propagates out of workers.
+// TestDelayGuard asserts guard cancellation aborts the exploration.
 func TestDelayGuard(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := guard.New(ctx)
 	r := synth.SubRand(5, 4, 0)
 	f := synth.DelayFunction(r, 60, 3, 6)
-	if _, err := Delay(g, f, 4, Options{Workers: 4}); !guard.Abortive(err) {
+	if _, err := Delay(g, f, 4, Options{}); !guard.Abortive(err) {
 		t.Fatalf("want abortive error, got %v", err)
 	}
 }

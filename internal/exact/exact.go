@@ -24,11 +24,11 @@
 //
 // Both engines run under guard step budgets with a typed state-space
 // failure (StateSpaceError, an ErrBudgetExceeded), reuse buffers across
-// runs through an Explorer (zero steady-state allocations), memoize whole
-// results content-addressed in an internal/memo cache (verify-on-use
-// canonical fingerprints), and expand frontiers in parallel over
-// deterministic contiguous shards so results are bit-identical for every
-// Workers value.
+// runs through an Explorer (zero steady-state allocations), and memoize
+// whole results content-addressed in an internal/memo cache (verify-on-use
+// canonical fingerprints). An exploration runs on one goroutine; callers
+// with many instances (the atlas campaign) parallelise across explorations,
+// one Explorer per worker.
 //
 // Metrics (catalogued in DESIGN.md §16): counters exact.runs, exact.states,
 // exact.merges, exact.prunes, exact.memo.hits, exact.memo.stores,
@@ -57,12 +57,6 @@ type Options struct {
 	// with a *StateSpaceError beyond it. Zero selects DefaultMaxStates;
 	// negative means unbounded.
 	MaxStates int
-
-	// Workers shards frontier expansion over this many goroutines;
-	// <= 1 runs serially. Shards are contiguous frontier blocks and the
-	// merged successor layer is canonically re-sorted, so results are
-	// bit-identical for every value.
-	Workers int
 
 	// Naive disables state merging, dominance pruning and the visited
 	// frontier — the brute-force enumeration the benchmarks compare
@@ -113,9 +107,9 @@ func (e *StateSpaceError) Error() string {
 // Unwrap makes errors.Is(err, guard.ErrBudgetExceeded) true.
 func (e *StateSpaceError) Unwrap() error { return guard.ErrBudgetExceeded }
 
-// completionTol mirrors the completion tolerance of package core's exact
-// oracle (same formula, so the two engines agree on which strikes are
-// execution-time-drift artifacts near the end of the job).
+// completionTol is the relative tolerance under which a strike at
+// progression e counts as landing after the job completes at c: it absorbs
+// the execution-time drift of summed float strikes near the end of the job.
 func completionTol(c, e float64) float64 {
 	return 1e-9 * (1 + math.Abs(c) + math.Abs(e))
 }
@@ -143,9 +137,9 @@ func appendBits(b []byte, v uint64) []byte {
 }
 
 // delayMemoKey builds the content address of a Delay result: the canonical
-// curve fingerprint, the Q bits and an engine tag. Options that only trade
-// wall-clock for cores (Workers) or change nothing but the search order
-// (Naive — results are identical when it completes) are excluded.
+// curve fingerprint, the Q bits and an engine tag. Naive is excluded: it
+// changes nothing but the search order, and results are identical when it
+// completes.
 func delayMemoKey(f delay.Function, q float64) (key uint64, verify string, ok bool) {
 	fp, err := delay.FingerprintOf(f)
 	if err != nil {

@@ -3,6 +3,7 @@ package exact
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"fnpr/internal/guard"
@@ -89,28 +90,39 @@ func TestSAGNaiveMatchesMerged(t *testing.T) {
 	}
 }
 
-// TestSAGParallelDeterminism asserts bit-identical results for every worker
-// count.
+// TestSAGParallelDeterminism asserts that schedule-graph explorations
+// running concurrently are bit-identical to a serial run.
 func TestSAGParallelDeterminism(t *testing.T) {
 	ts := randomNPSet(t, 33, 4)
 	ts[0].Jitter = 0.5
-	serial, err := ResponseTimes(nil, ts, Options{Workers: 1})
+	serial, err := ResponseTimes(nil, ts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for workers := 2; workers <= 8; workers++ {
-		par, err := ResponseTimes(nil, ts, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	const workers = 4
+	results := make([]*SAGResult, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			results[w], errs[w] = ResponseTimes(nil, ts, Options{})
+		}(w)
+	}
+	wg.Wait()
+	for w, par := range results {
+		if err := errs[w]; err != nil {
+			t.Fatalf("worker %d: %v", w, err)
 		}
 		if par.States != serial.States || par.Merges != serial.Merges ||
 			par.Prunes != serial.Prunes || par.PeakFrontier != serial.PeakFrontier {
-			t.Fatalf("workers=%d: counters diverged: %+v vs %+v", workers, par, serial)
+			t.Fatalf("worker %d: counters diverged: %+v vs %+v", w, par, serial)
 		}
 		for i := range serial.WCRT {
 			if par.WCRT[i] != serial.WCRT[i] || par.BCRT[i] != serial.BCRT[i] {
-				t.Fatalf("workers=%d task %d: (%g,%g) != (%g,%g)",
-					workers, i, par.WCRT[i], par.BCRT[i], serial.WCRT[i], serial.BCRT[i])
+				t.Fatalf("worker %d task %d: (%g,%g) != (%g,%g)",
+					w, i, par.WCRT[i], par.BCRT[i], serial.WCRT[i], serial.BCRT[i])
 			}
 		}
 	}

@@ -79,18 +79,18 @@ func TestFaultMatrix(t *testing.T) {
 		truncates bool
 	}{
 		{
-			name: "enospc-write-refused",
-			plan: fsfault.Plan{FailWrite: 4}, // record #3 never reaches disk
+			name:      "enospc-write-refused",
+			plan:      fsfault.Plan{FailWrite: 4}, // record #3 never reaches disk
 			appendErr: syscall.ENOSPC, survivors: 2, truncates: false,
 		},
 		{
-			name: "short-write-torn-tail",
-			plan: fsfault.Plan{ShortWrite: 4}, // record #3 half-persisted
+			name:      "short-write-torn-tail",
+			plan:      fsfault.Plan{ShortWrite: 4}, // record #3 half-persisted
 			appendErr: io.ErrShortWrite, survivors: 2, truncates: true,
 		},
 		{
-			name: "bit-flip-silent-corruption",
-			plan: fsfault.Plan{FlipBit: 4, FlipBitIndex: 40}, // record #3 corrupt on disk
+			name:      "bit-flip-silent-corruption",
+			plan:      fsfault.Plan{FlipBit: 4, FlipBitIndex: 40}, // record #3 corrupt on disk
 			appendErr: nil, survivors: 2, truncates: true,
 		},
 		{

@@ -110,14 +110,10 @@ func AnalysisHorizon(ts task.Set) (float64, error) {
 // Tasks with the earliest relative deadline get +Inf (no earlier deadline to
 // protect, so their own NPR length is unconstrained — they can only be
 // "blocked" by even-earlier deadlines, of which there are none shorter).
-func EDFBlockingTolerance(ts task.Set) ([]float64, error) {
-	return EDFBlockingToleranceCtx(nil, ts)
-}
-
-// EDFBlockingToleranceCtx is EDFBlockingTolerance under a guard scope: the
-// demand sweep charges one guard step per deadline checkpoint. A nil guard
-// means no limits.
-func EDFBlockingToleranceCtx(g *guard.Ctx, ts task.Set) ([]float64, error) {
+//
+// The demand sweep runs under the guard scope g (nil = no limits), charging
+// one guard step per deadline checkpoint.
+func EDFBlockingTolerance(g *guard.Ctx, ts task.Set) ([]float64, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
@@ -177,13 +173,10 @@ func RequestBound(ts task.Set, i int, t float64) float64 {
 // finitely many points where Wi changes (multiples of higher-priority
 // periods, plus Di itself). A negative tolerance means τi misses deadlines
 // even without blocking.
-func FPBlockingTolerance(ts task.Set) ([]float64, error) {
-	return FPBlockingToleranceCtx(nil, ts)
-}
-
-// FPBlockingToleranceCtx is FPBlockingTolerance under a guard scope: the
-// level-i sweep charges one guard step per scheduling point.
-func FPBlockingToleranceCtx(g *guard.Ctx, ts task.Set) ([]float64, error) {
+//
+// The level-i sweep runs under the guard scope g (nil = no limits), charging
+// one guard step per scheduling point.
+func FPBlockingTolerance(g *guard.Ctx, ts task.Set) ([]float64, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
@@ -271,9 +264,9 @@ func AssignQCtx(g *guard.Ctx, ts task.Set, p Policy) (task.Set, error) {
 	var err error
 	switch p {
 	case EDF:
-		tol, err = EDFBlockingToleranceCtx(g, ts)
+		tol, err = EDFBlockingTolerance(g, ts)
 	case FixedPriority:
-		tol, err = FPBlockingToleranceCtx(g, ts)
+		tol, err = FPBlockingTolerance(g, ts)
 	default:
 		return nil, guard.Invalidf("npr: unknown policy %v", p)
 	}
@@ -308,20 +301,16 @@ func AssignQCtx(g *guard.Ctx, ts task.Set, p Policy) (task.Set, error) {
 // ValidateQ checks that the Q values carried by the task set are admissible
 // under the given policy: every task's non-preemptive region fits within the
 // blocking tolerance of everything it can delay. This is the acceptance-side
-// counterpart of AssignQ for task sets whose Q was chosen externally.
-func ValidateQ(ts task.Set, p Policy) error {
-	return ValidateQCtx(nil, ts, p)
-}
-
-// ValidateQCtx is ValidateQ under a guard scope.
-func ValidateQCtx(g *guard.Ctx, ts task.Set, p Policy) error {
+// counterpart of AssignQ for task sets whose Q was chosen externally. The
+// tolerance sweeps run under the guard scope g (nil = no limits).
+func ValidateQ(g *guard.Ctx, ts task.Set, p Policy) error {
 	var tol []float64
 	var err error
 	switch p {
 	case EDF:
-		tol, err = EDFBlockingToleranceCtx(g, ts)
+		tol, err = EDFBlockingTolerance(g, ts)
 	case FixedPriority:
-		tol, err = FPBlockingToleranceCtx(g, ts)
+		tol, err = FPBlockingTolerance(g, ts)
 	default:
 		return guard.Invalidf("npr: unknown policy %v", p)
 	}

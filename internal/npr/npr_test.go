@@ -76,7 +76,7 @@ func TestAnalysisHorizonFullUtilizationIntegral(t *testing.T) {
 
 func TestEDFBlockingTolerance(t *testing.T) {
 	ts := implicitSet()
-	tol, err := EDFBlockingTolerance(ts)
+	tol, err := EDFBlockingTolerance(nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +95,10 @@ func TestEDFBlockingTolerance(t *testing.T) {
 }
 
 func TestEDFBlockingToleranceRejectsInvalid(t *testing.T) {
-	if _, err := EDFBlockingTolerance(task.Set{}); err == nil {
+	if _, err := EDFBlockingTolerance(nil, task.Set{}); err == nil {
 		t.Fatal("accepted empty set")
 	}
-	if _, err := EDFBlockingTolerance(task.Set{{Name: "", C: 1, T: 2}}); err == nil {
+	if _, err := EDFBlockingTolerance(nil, task.Set{{Name: "", C: 1, T: 2}}); err == nil {
 		t.Fatal("accepted invalid task")
 	}
 }
@@ -120,7 +120,7 @@ func TestRequestBound(t *testing.T) {
 func TestFPBlockingTolerance(t *testing.T) {
 	ts := implicitSet()
 	ts.AssignRateMonotonic()
-	tol, err := FPBlockingTolerance(ts)
+	tol, err := FPBlockingTolerance(nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFPBlockingToleranceUnschedulable(t *testing.T) {
 		{Name: "a", C: 3, T: 4, Prio: 0},
 		{Name: "b", C: 3, T: 8, D: 6, Prio: 1},
 	}
-	tol, err := FPBlockingTolerance(ts)
+	tol, err := FPBlockingTolerance(nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestAssignQFPSound(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		tol, err := FPBlockingTolerance(ts)
+		tol, err := FPBlockingTolerance(nil, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,28 +331,28 @@ func TestValidateQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateQ(qs, FixedPriority); err != nil {
+	if err := ValidateQ(nil, qs, FixedPriority); err != nil {
 		t.Fatalf("AssignQ output rejected: %v", err)
 	}
 	// Inflate one Q beyond tolerance.
 	bad := qs.Clone()
 	bad[2].Q = 100
-	if err := ValidateQ(bad, FixedPriority); err == nil {
+	if err := ValidateQ(nil, bad, FixedPriority); err == nil {
 		t.Fatal("oversized Q accepted under FP")
 	}
 	eqs, err := AssignQ(implicitSet(), EDF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateQ(eqs, EDF); err != nil {
+	if err := ValidateQ(nil, eqs, EDF); err != nil {
 		t.Fatalf("EDF AssignQ output rejected: %v", err)
 	}
 	bad2 := eqs.Clone()
 	bad2[2].Q = 100
-	if err := ValidateQ(bad2, EDF); err == nil {
+	if err := ValidateQ(nil, bad2, EDF); err == nil {
 		t.Fatal("oversized Q accepted under EDF")
 	}
-	if err := ValidateQ(implicitSet(), Policy(9)); err == nil {
+	if err := ValidateQ(nil, implicitSet(), Policy(9)); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
@@ -364,7 +364,7 @@ func TestDeadlineBudgetGuard(t *testing.T) {
 		{Name: "a", C: 0.9999999, T: 1},
 		{Name: "b", C: 0.00000005, T: 1e9},
 	}
-	if _, err := EDFBlockingTolerance(ts); err == nil {
+	if _, err := EDFBlockingTolerance(nil, ts); err == nil {
 		t.Fatal("accepted pathological horizon")
 	}
 }

@@ -1,14 +1,54 @@
-package npr
+package npr_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"fnpr/internal/npr"
+	"fnpr/internal/sched"
 	"fnpr/internal/task"
 )
 
+// The QPA-style processor-demand walk over npr.DemandBound runs on the EDF
+// path of sched.Analyze. These tests check its verdicts from outside the
+// sched package: with no delay functions and no NPR lengths the blocking term
+// is zero, so the verdict must be the plain EDF demand test dbf(t) <= t.
+
+// qpa is the EDF verdict of sched.Analyze on ts.
+func qpa(ts task.Set) (bool, error) {
+	res, err := sched.Analyze(nil, ts, sched.Options{Policy: sched.EDF})
+	if err != nil {
+		return false, err
+	}
+	return res.Schedulable, nil
+}
+
+// exhaustiveEDF checks dbf(t) <= t at every absolute deadline up to the
+// analysis horizon, the reference the QPA walk must agree with.
+func exhaustiveEDF(ts task.Set) (bool, error) {
+	if ts.Utilization() > 1 {
+		return false, nil
+	}
+	horizon, err := npr.AnalysisHorizon(ts)
+	if err != nil {
+		return false, err
+	}
+	for _, tk := range ts {
+		for d := tk.Deadline(); d <= horizon; d += tk.T {
+			if npr.DemandBound(ts, d) > d+1e-9 {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
+}
+
 func TestQPASchedulableSet(t *testing.T) {
-	ok, err := QPA(implicitSet())
+	ok, err := qpa(task.Set{
+		{Name: "a", C: 1, T: 4},
+		{Name: "b", C: 2, T: 8},
+		{Name: "c", C: 4, T: 16},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +62,7 @@ func TestQPAOverloadedSet(t *testing.T) {
 		{Name: "a", C: 3, T: 4},
 		{Name: "b", C: 2, T: 6},
 	}
-	ok, err := QPA(ts)
+	ok, err := qpa(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,14 +77,14 @@ func TestQPAConstrainedDeadlineMiss(t *testing.T) {
 		{Name: "a", C: 2, T: 10, D: 3},
 		{Name: "b", C: 2, T: 10, D: 3.5},
 	}
-	ok, err := QPA(ts)
+	ok, err := qpa(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Fatal("QPA accepted a set with infeasible constrained deadlines")
 	}
-	ref, err := EDFSchedulable(ts)
+	ref, err := exhaustiveEDF(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,24 +94,11 @@ func TestQPAConstrainedDeadlineMiss(t *testing.T) {
 }
 
 func TestQPAValidation(t *testing.T) {
-	if _, err := QPA(task.Set{}); err == nil {
+	if _, err := qpa(task.Set{}); err == nil {
 		t.Fatal("accepted empty set")
 	}
-	if _, err := EDFSchedulable(task.Set{{Name: "", C: 1, T: 2}}); err == nil {
-		t.Fatal("reference accepted invalid task")
-	}
-}
-
-func TestLastDeadlineBefore(t *testing.T) {
-	ts := task.Set{{Name: "a", C: 1, T: 10, D: 4}} // deadlines 4, 14, 24, ...
-	if got := lastDeadlineBefore(ts, 25); got != 24 {
-		t.Fatalf("lastDeadlineBefore(25) = %g, want 24", got)
-	}
-	if got := lastDeadlineBefore(ts, 24); got != 14 {
-		t.Fatalf("lastDeadlineBefore(24) = %g, want 14", got)
-	}
-	if got := lastDeadlineBefore(ts, 4); got != -1 {
-		t.Fatalf("lastDeadlineBefore(4) = %g, want -1", got)
+	if _, err := qpa(task.Set{{Name: "", C: 1, T: 2}}); err == nil {
+		t.Fatal("accepted invalid task")
 	}
 }
 
@@ -95,11 +122,11 @@ func TestQPAMatchesExhaustive(t *testing.T) {
 		if ts.Utilization() > 0.999 {
 			continue
 		}
-		ref, err := EDFSchedulable(ts)
+		ref, err := exhaustiveEDF(ts)
 		if err != nil {
-			continue // horizon budget tripped; QPA may still work but skip comparison
+			continue // horizon budget tripped; skip the comparison
 		}
-		got, err := QPA(ts)
+		got, err := qpa(ts)
 		if err != nil {
 			t.Fatalf("trial %d: QPA error: %v", trial, err)
 		}

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"fnpr/internal/core"
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
 	"fnpr/internal/memo"
@@ -34,17 +33,6 @@ func (p Policy) String() string {
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
 }
-
-// Solver re-exports the fixpoint solver selection shared with package core,
-// so sched callers need not import core just to pick one.
-type Solver = core.Solver
-
-// Solver values, aliased from core.
-const (
-	SolverAuto     = core.SolverAuto
-	SolverMonotone = core.SolverMonotone
-	SolverCutting  = core.SolverCutting
-)
 
 // Options configures Analyze.
 type Options struct {
@@ -81,12 +69,6 @@ type Options struct {
 	// count within the response time, iterated to a decreasing fixpoint.
 	// Requires FP policy, Algorithm1 method and a Delay slice.
 	Limited bool
-
-	// Solver selects the fixpoint strategy: SolverAuto (default) and
-	// SolverCutting accelerate fixpoints with cutting-plane jumps and the
-	// EDF demand test with the QPA-style walk, SolverMonotone forces the
-	// classic one-step iterations. Results are bit-identical either way.
-	Solver Solver
 
 	// Warm optionally seeds the FP fixpoint with previously computed
 	// response times (jitter-inclusive scale). Callers must guarantee
@@ -129,7 +111,18 @@ type Result struct {
 // returns a verdict only. A divergent delay bound is a Divergedf error for
 // the FP response-time paths (no finite response exists to report) and an
 // unschedulable verdict for EDF.
+//
+// Fixpoints run on the cutting-plane / QPA solvers of solver.go, which fall
+// back to the plain monotone iterations on numerical doubt (DESIGN.md §15).
 func Analyze(g *guard.Ctx, ts task.Set, opts Options) (*Result, error) {
+	return analyze(g, ts, opts, false)
+}
+
+// analyze is Analyze with the solver made explicit: monotone selects the
+// plain one-step iterations (every FP fixpoint step and every EDF deadline)
+// instead of the accelerated solvers. Only the tests pass true, for the
+// reference the accelerated solvers must match bit for bit.
+func analyze(g *guard.Ctx, ts task.Set, opts Options, monotone bool) (*Result, error) {
 	sc := opts.Obs
 	if sc == nil {
 		sc = g.Obs()
@@ -163,7 +156,7 @@ func Analyze(g *guard.Ctx, ts task.Set, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ok, err := edfSchedulable(g, sc, ts, opts, cp)
+		ok, err := edfSchedulable(g, sc, ts, cp, monotone)
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +172,7 @@ func Analyze(g *guard.Ctx, ts task.Set, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rts, err := responseTimes(g, sc, ts, gamma, nil, opts.Warm, opts.Solver)
+		rts, err := responseTimes(g, sc, ts, gamma, nil, opts.Warm, monotone)
 		if err != nil {
 			return nil, err
 		}
@@ -187,7 +180,7 @@ func Analyze(g *guard.Ctx, ts task.Set, opts Options) (*Result, error) {
 	}
 
 	if opts.Limited {
-		lr, err := limitedAnalysis(g, sc, ts, opts)
+		lr, err := limitedAnalysis(g, sc, ts, opts, monotone)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +193,7 @@ func Analyze(g *guard.Ctx, ts task.Set, opts Options) (*Result, error) {
 	}
 
 	if opts.Delay == nil {
-		rts, err := responseTimes(g, sc, ts, nil, nil, opts.Warm, opts.Solver)
+		rts, err := responseTimes(g, sc, ts, nil, nil, opts.Warm, monotone)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +204,7 @@ func Analyze(g *guard.Ctx, ts task.Set, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rts, err := fpResponseTimes(g, sc, ts, opts, cp)
+	rts, err := fpResponseTimes(g, sc, ts, opts.Warm, cp, monotone)
 	if err != nil {
 		return nil, err
 	}

@@ -1,15 +1,15 @@
 package sched
 
 import (
-	"fnpr/internal/core"
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
 	"fnpr/internal/task"
 )
 
-// Test-local shims over Analyze and the package internals, standing in for
-// the pre-Analyze entry points whose deprecation window closed. The
-// in-package suites were written against these names; the thin adapters
+// Test-local shims over the package internals, standing in for the
+// pre-Analyze entry points whose deprecation window closed. They run the
+// monotone reference solvers (monotone = true), as those entry points did.
+// The in-package suites were written against these names; the thin adapters
 // preserve that coverage verbatim while the exported surface stays
 // consolidated (tools/lintapi ignores _test.go files).
 
@@ -21,7 +21,7 @@ func ResponseTimesCtx(g *guard.Ctx, ts task.Set) ([]float64, error) {
 	if err := validateForRTA(ts); err != nil {
 		return nil, err
 	}
-	return responseTimes(g, g.Obs(), ts, nil, nil, nil, core.SolverMonotone)
+	return responseTimes(g, g.Obs(), ts, nil, nil, nil, true)
 }
 
 func ResponseTimesCRPD(ts task.Set, m CRPDMethod, p CRPDParams) ([]float64, error) {
@@ -36,7 +36,7 @@ func ResponseTimesCRPDCtx(g *guard.Ctx, ts task.Set, m CRPDMethod, p CRPDParams)
 	if err != nil {
 		return nil, err
 	}
-	return responseTimes(g, g.Obs(), ts, gamma, nil, nil, core.SolverMonotone)
+	return responseTimes(g, g.Obs(), ts, gamma, nil, nil, true)
 }
 
 func validateForRTA(ts task.Set) error {
@@ -63,7 +63,6 @@ func (a FNPRAnalysis) options() Options {
 		Method: a.Method,
 		Delay:  a.Delay,
 		Warm:   a.Warm,
-		Solver: core.SolverMonotone,
 	}
 }
 
@@ -88,7 +87,7 @@ func (a FNPRAnalysis) ResponseTimesFPCtx(g *guard.Ctx) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fpResponseTimes(g, g.Obs(), a.Tasks, a.options(), cp)
+	return fpResponseTimes(g, g.Obs(), a.Tasks, a.Warm, cp, true)
 }
 
 func (a FNPRAnalysis) ResponseTimesFPLimited() (*LimitedResult, error) {
@@ -96,7 +95,7 @@ func (a FNPRAnalysis) ResponseTimesFPLimited() (*LimitedResult, error) {
 }
 
 func (a FNPRAnalysis) ResponseTimesFPLimitedCtx(g *guard.Ctx) (*LimitedResult, error) {
-	return limitedAnalysis(g, g.Obs(), a.Tasks, a.options())
+	return limitedAnalysis(g, g.Obs(), a.Tasks, a.options(), true)
 }
 
 func (a FNPRAnalysis) SchedulableEDF() (bool, error) {
@@ -108,7 +107,7 @@ func (a FNPRAnalysis) SchedulableEDFCtx(g *guard.Ctx) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return edfSchedulable(g, g.Obs(), a.Tasks, a.options(), cp)
+	return edfSchedulable(g, g.Obs(), a.Tasks, cp, true)
 }
 
 func (a FNPRAnalysis) DelayMargin(maxScale, precision float64) (float64, error) {

@@ -34,7 +34,7 @@ type LimitedResult struct {
 // response exceeds its deadline the count is computed at the deadline (a job
 // that misses is not analysed beyond it), keeping the test sound for all
 // tasks it declares schedulable.
-func limitedAnalysis(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) (*LimitedResult, error) {
+func limitedAnalysis(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options, monotone bool) (*LimitedResult, error) {
 	n := len(ts)
 	if len(opts.Delay) != n {
 		return nil, guard.Invalidf("sched: %d delay functions for %d tasks", len(opts.Delay), n)
@@ -46,7 +46,6 @@ func limitedAnalysis(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) (*L
 		return core.Analyze(g, opts.Delay[i], ts[i].Q, core.Options{
 			Limited:        lim >= 0,
 			MaxPreemptions: lim,
-			Solver:         opts.Solver,
 			Obs:            sc,
 			Memo:           opts.Memo,
 		})
@@ -85,7 +84,7 @@ func limitedAnalysis(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) (*L
 		if err := g.Tick(); err != nil {
 			return nil, err
 		}
-		r, err := fpResponseTimes(g, sc, ts, opts, cp)
+		r, err := fpResponseTimes(g, sc, ts, opts.Warm, cp, monotone)
 		if err != nil {
 			return nil, err
 		}

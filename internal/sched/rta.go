@@ -138,12 +138,12 @@ func (m DelayMethod) String() string {
 // warm[i] <= task i's true response time; entries that are non-finite or
 // below the cold-start value are ignored (cold start is always sound).
 //
-// solver selects the fixpoint strategy: core.SolverMonotone iterates the
-// recurrence one step at a time (exactly the pre-solver behaviour), the
-// cutting solvers additionally jump to the shaved root of the linearized
-// recurrence between monotone steps — same fixpoints, far fewer iterations.
-// See solver.go for the cut construction and the fallback rules.
-func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int) float64, blocking func(i int) float64, warm []float64, solver core.Solver) ([]float64, error) {
+// Between monotone steps the solver jumps to the shaved root of the
+// linearized recurrence — same fixpoints, far fewer iterations; see solver.go
+// for the cut construction and the fallback rules. monotone disables the
+// jumps and the refutation, iterating the recurrence one step at a time: the
+// reference the tests compare against.
+func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int) float64, blocking func(i int) float64, warm []float64, monotone bool) ([]float64, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
@@ -187,7 +187,7 @@ func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int
 		// at certified monotone iterates, so it stays sound and can end
 		// the re-climb early); an overshoot fallback disables both, since
 		// it casts doubt on the relaxation itself.
-		jumps := solver != core.SolverMonotone && i > 0
+		jumps := !monotone && i > 0
 		refute := jumps
 		ok := false
 		for iter := 0; iter < maxRTAIterations; iter++ {
@@ -342,7 +342,7 @@ func effectiveWCETs(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) ([]f
 		if tk.Q <= 0 {
 			return nil, nil, guard.Invalidf("sched: task %s has no NPR length Q", tk.Name)
 		}
-		copts := core.Options{Solver: opts.Solver, Obs: sc, Memo: opts.Memo}
+		copts := core.Options{Obs: sc, Memo: opts.Memo}
 		switch opts.Method {
 		case Algorithm1:
 		case Equation4:
@@ -432,7 +432,7 @@ func fpBlocking(inflated task.Set, cp []float64) func(i int) float64 {
 // floating-NPR blocking term:
 //
 //	Ri = C'i + max_{k>i} min(Qk, C'k) + Σ_{j<i} ceil((Ri+Jj)/Tj) * C'j
-func fpResponseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options, cp []float64) ([]float64, error) {
+func fpResponseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, warm, cp []float64, monotone bool) ([]float64, error) {
 	inflated, err := inflate(ts, cp)
 	if err != nil {
 		return nil, err
@@ -448,5 +448,5 @@ func fpResponseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options, cp 
 			return rts, nil
 		}
 	}
-	return responseTimes(g, sc, inflated, nil, fpBlocking(inflated, cp), opts.Warm, opts.Solver)
+	return responseTimes(g, sc, inflated, nil, fpBlocking(inflated, cp), warm, monotone)
 }

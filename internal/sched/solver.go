@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"fnpr/internal/core"
 	"fnpr/internal/guard"
 	"fnpr/internal/npr"
 	"fnpr/internal/obs"
@@ -12,12 +11,11 @@ import (
 )
 
 // This file implements the cutting-plane / QPA fixpoint solvers behind
-// core.SolverAuto and core.SolverCutting (DESIGN.md §15): the response-time
-// recurrence is accelerated by jumping to the root of its linear relaxation,
-// and the EDF demand test by the QPA-style descending deadline walk. Both
-// produce bit-identical results to the monotone baselines — differentially
-// asserted on 10k random task sets in solver_test.go and fuzzed continuously
-// by FuzzSolverEquivalence.
+// Analyze (DESIGN.md §15): the response-time recurrence is accelerated by
+// jumping to the root of its linear relaxation, and the EDF demand test by
+// the QPA-style descending deadline walk. Both produce bit-identical results
+// to the monotone iterations — differentially asserted on 10k random task
+// sets in solver_test.go and fuzzed continuously by FuzzSolverEquivalence.
 
 // Cutting-plane safety margins (mirroring the constants in internal/core):
 // a jump target is the relaxation root shaved by max(cutRelShave·|root|,
@@ -130,11 +128,11 @@ func edfDeadlines(ts task.Set, horizon float64) (pts []float64, ok bool) {
 }
 
 // edfDemandTest checks dbf'(t) + max_{Dj > t} min(Qj, C'j) <= t at every
-// absolute deadline t up to the horizon, dispatching on the solver: the
-// monotone solver enumerates every deadline, the cutting solvers run the
-// QPA-style descending walk. Verdicts are identical (solver_test.go).
-func edfDemandTest(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64, horizon float64, solver core.Solver) (bool, error) {
-	if solver == core.SolverMonotone {
+// absolute deadline t up to the horizon with the QPA-style descending walk,
+// or, with monotone (the tests' reference), by enumerating every deadline.
+// Verdicts are identical (solver_test.go).
+func edfDemandTest(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64, horizon float64, monotone bool) (bool, error) {
+	if monotone {
 		return edfDemandEnum(g, sc, inflated, cp, horizon)
 	}
 	pts, ok := edfDeadlines(inflated, horizon)
@@ -145,8 +143,9 @@ func edfDemandTest(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64,
 	return edfDemandQPA(g, sc, inflated, cp, pts)
 }
 
-// edfDemandEnum is the monotone baseline: check every absolute deadline, one
-// guard step per deadline.
+// edfDemandEnum checks every absolute deadline, one guard step per deadline:
+// the reference walk, and the fallback when the deadline list is too long to
+// materialize.
 func edfDemandEnum(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64, horizon float64) (bool, error) {
 	solverIters := sc.Counter("sched.rta.solver.iterations")
 	for _, tk := range inflated {
@@ -234,7 +233,7 @@ func edfDemandQPA(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64, 
 // edfSchedulable runs the processor-demand test with effective WCETs and the
 // floating-NPR blocking term of Bertogna and Baruah. Divergent effective
 // WCETs and over-unit utilization are unschedulable, not errors.
-func edfSchedulable(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options, cp []float64) (bool, error) {
+func edfSchedulable(g *guard.Ctx, sc *obs.Scope, ts task.Set, cp []float64, monotone bool) (bool, error) {
 	inflated := ts.Clone()
 	for i := range inflated {
 		if math.IsInf(cp[i], 1) {
@@ -249,5 +248,5 @@ func edfSchedulable(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options, cp [
 	if err != nil {
 		return false, err
 	}
-	return edfDemandTest(g, sc, inflated, cp, horizon, opts.Solver)
+	return edfDemandTest(g, sc, inflated, cp, horizon, monotone)
 }

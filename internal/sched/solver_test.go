@@ -94,17 +94,14 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
-// checkSolverPair runs Analyze under the monotone and cutting solvers and
-// fails the test unless the outcomes are indistinguishable: identical errors
-// (by guard class) or bit-identical results.
+// checkSolverPair runs the analysis under the monotone reference and the
+// cutting solvers and fails the test unless the outcomes are
+// indistinguishable: identical errors (by guard class) or bit-identical
+// results.
 func checkSolverPair(t *testing.T, label string, ts task.Set, opts Options) {
 	t.Helper()
-	mono := opts
-	mono.Solver = SolverMonotone
-	cut := opts
-	cut.Solver = SolverCutting
-	mr, merr := Analyze(nil, ts, mono)
-	cr, cerr := Analyze(nil, ts, cut)
+	mr, merr := analyze(nil, ts, opts, true)
+	cr, cerr := analyze(nil, ts, opts, false)
 	if (merr == nil) != (cerr == nil) {
 		t.Fatalf("%s: monotone err=%v, cutting err=%v", label, merr, cerr)
 	}
@@ -143,7 +140,7 @@ func solverTrial(t *testing.T, ts task.Set, fns []delay.Function, trial int) {
 	// Warm seeds come from the no-delay envelope, the contract every caller
 	// of Options.Warm follows.
 	var seed []float64
-	if nd, err := Analyze(nil, ts, Options{Solver: SolverMonotone}); err == nil {
+	if nd, err := analyze(nil, ts, Options{}, true); err == nil {
 		seed = nd.Response
 	}
 	for _, m := range []DelayMethod{Algorithm1, Equation4} {
@@ -250,23 +247,19 @@ func TestSolverIterationReduction(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			nd, err := Analyze(nil, ts, Options{Solver: SolverMonotone})
+			nd, err := analyze(nil, ts, Options{}, true)
 			if err != nil {
 				continue
 			}
 			trials++
 			opts := Options{Delay: fns, Method: Algorithm1, Warm: nd.Response}
 			monoTotal += solverIterations(t, func(g *guard.Ctx) {
-				opts := opts
-				opts.Solver = SolverMonotone
-				if _, err := Analyze(g, ts, opts); err != nil && !errors.Is(err, guard.ErrDiverged) {
+				if _, err := analyze(g, ts, opts, true); err != nil && !errors.Is(err, guard.ErrDiverged) {
 					t.Fatal(err)
 				}
 			})
 			cutTotal += solverIterations(t, func(g *guard.Ctx) {
-				opts := opts
-				opts.Solver = SolverCutting
-				if _, err := Analyze(g, ts, opts); err != nil && !errors.Is(err, guard.ErrDiverged) {
+				if _, err := analyze(g, ts, opts, false); err != nil && !errors.Is(err, guard.ErrDiverged) {
 					t.Fatal(err)
 				}
 			})
@@ -284,8 +277,9 @@ func TestSolverIterationReduction(t *testing.T) {
 }
 
 // TestAnalyzeMatchesDeprecated: the consolidated entry point must reproduce
-// every deprecated wrapper bit for bit (the wrappers pin the monotone solver;
-// Analyze defaults to cutting — agreement here is the migration guarantee).
+// every deprecated wrapper bit for bit (the wrappers run the monotone
+// reference; Analyze runs the cutting solvers — agreement here is the
+// migration guarantee).
 func TestAnalyzeMatchesDeprecated(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		r := synth.SubRand(4177, 2, trial)

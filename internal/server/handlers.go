@@ -180,10 +180,6 @@ type analyzeRequest struct {
 	// Limited applies the preemption-count refinement (Algorithm 1 only).
 	Limited        bool `json:"limited,omitempty"`
 	MaxPreemptions int  `json:"max_preemptions,omitempty"`
-	// Solver is "auto" (default), "monotone" or "cutting"; results are
-	// bit-identical for every value (the solver only changes how many
-	// fixpoint iterations the bound costs).
-	Solver string `json:"solver,omitempty"`
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -212,11 +208,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, guard.Invalidf("server: unknown method %q (want algorithm1 or equation4)", req.Method))
 		return
 	}
-	solver, err := core.ParseSolver(req.Solver)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
 	fn, err := req.Delay.Build(req.C)
 	if err != nil {
 		s.fail(w, guard.Invalidf("server: %v", err))
@@ -234,7 +225,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	res, err := guard.Run(g, "analyze", func() (core.Result, error) {
 		return core.Analyze(g, fn, req.Q, core.Options{
 			Method: method, Limited: req.Limited, MaxPreemptions: req.MaxPreemptions,
-			Memo: s.memo, Solver: solver,
+			Memo: s.memo,
 		})
 	})
 	if err != nil {
@@ -267,9 +258,6 @@ type analyzeSetRequest struct {
 	// reused instead of recomputed, and the response reports the
 	// "recomputed"/"reused" split. Values are bit-identical either way.
 	Delta bool `json:"delta,omitempty"`
-	// Solver is "auto" (default), "monotone" or "cutting"; results are
-	// bit-identical for every value.
-	Solver string `json:"solver,omitempty"`
 }
 
 func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
@@ -297,18 +285,13 @@ func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, guard.Invalidf("server: delta mode requires the result cache (start with -cache)"))
 		return
 	}
-	solver, err := core.ParseSolver(req.Solver)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
 	g, cancel, err := s.reqGuard(r, s.cfg.AnalyzeBudget)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	defer cancel()
-	opts := eval.SweepOptions{Qs: qs, Obs: s.sc, Solver: solver}
+	opts := eval.SweepOptions{Qs: qs, Obs: s.sc}
 	if req.Delta {
 		opts.Memo = s.memo
 	}

@@ -140,6 +140,19 @@ func TestAnalyzeErrorMapping(t *testing.T) {
 			b["method"] = "magic"
 			return b
 		}(), 400, "invalid"},
+		// The fixpoint solver is no longer selectable: strict decoding
+		// refuses the field like any other unknown one.
+		{"solver-field-analyze", "/v1/analyze", func() any {
+			b := analyzeBody(15, 40)
+			b["solver"] = "monotone"
+			return b
+		}(), 400, "invalid"},
+		{"solver-field-analyzeset", "/v1/analyzeset", map[string]any{
+			"spec": map[string]any{"policy": "fp", "tasks": []any{
+				map[string]any{"name": "t", "c": 5, "t": 100, "q": 5},
+			}},
+			"solver": "cutting",
+		}, 400, "invalid"},
 		{"bad-timeout-param", "/v1/analyze?timeout=yesterday", analyzeBody(15, 40), 400, "invalid"},
 		{"budget-exhausted", "/v1/analyze?budget=2", analyzeBody(15, 10000), 422, "budget"},
 		{"deadline", "/v1/analyze?timeout=1ns", analyzeBody(15, 10000), 504, "canceled"},

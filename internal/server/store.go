@@ -43,11 +43,11 @@ const (
 // earlier fields are repeated on every transition so a single (latest)
 // record reconstructs the job.
 type jobRecord struct {
-	ID          string          `json:"id"`
-	Kind        string          `json:"kind"`
-	State       string          `json:"state"`
-	Fingerprint string          `json:"fp"`
-	IdemKey     string          `json:"idem,omitempty"`
+	ID          string `json:"id"`
+	Kind        string `json:"kind"`
+	State       string `json:"state"`
+	Fingerprint string `json:"fp"`
+	IdemKey     string `json:"idem,omitempty"`
 	// Params is the submission's wire-form request body; recovery rebuilds
 	// the campaign by re-decoding it exactly as the handler did.
 	Params json.RawMessage `json:"params,omitempty"`

@@ -85,8 +85,8 @@ type Result struct {
 	// ResponseTimes holds the FP delay-aware response times (nil under
 	// EDF).
 	ResponseTimes []float64
-	// EDFSchedulable holds the EDF test verdict (FP: from response
-	// times).
+	// Schedulable holds the verdict: the EDF demand test under EDF, every
+	// response time within its deadline under FP.
 	Schedulable bool
 }
 

@@ -32,13 +32,8 @@ import (
 // "pkgdir:Recv.Name" for methods, with pkgdir relative to the module root.
 // Do not add entries for new code; deprecate the old name instead.
 var allowlist = map[string]bool{
-	"internal/npr:AssignQCtx":              true,
-	"internal/npr:EDFBlockingToleranceCtx": true,
-	"internal/npr:EDFSchedulableCtx":       true,
-	"internal/npr:FPBlockingToleranceCtx":  true,
-	"internal/npr:QPACtx":                  true,
-	"internal/npr:ValidateQCtx":            true,
-	"internal/sim:RunCtx":                  true,
+	"internal/npr:AssignQCtx": true,
+	"internal/sim:RunCtx":     true,
 }
 
 var suffixes = []string{"Ctx", "Opts"}
