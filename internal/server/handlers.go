@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,6 +17,7 @@ import (
 	"fnpr/internal/guard"
 	"fnpr/internal/obs"
 	"fnpr/internal/spec"
+	"fnpr/internal/wire"
 )
 
 // routes builds the service mux. Method+pattern routing is Go 1.22
@@ -58,35 +58,46 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeJSON strictly decodes a request body; unknown fields are invalid
-// input (400), catching typoed parameters instead of silently defaulting.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return guard.Invalidf("server: decoding request body: %v", err)
-	}
-	return nil
-}
+// maxBody bounds a request body. A larger body is refused with 400, never
+// truncated.
+const maxBody = 1 << 20
 
-// readBody reads a bounded request body. Campaign handlers read the raw
-// bytes (rather than streaming into the decoder) because the submission body
-// is also the job's durable parameter record — recovery re-decodes the same
-// bytes through the same path.
+// readBody reads a request body, at most maxBody bytes, into a buffer sized
+// from Content-Length. Every POST handler decodes the raw bytes through its
+// wire field table; a campaign body is also the job's durable parameter
+// record, and recovery re-decodes the same bytes through the same function.
 func readBody(r *http.Request) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		return nil, guard.Invalidf("server: reading request body: %v", err)
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		// One byte over the body, so the read that meets EOF needs no growth.
+		size = min(r.ContentLength, maxBody) + 1
 	}
-	return data, nil
+	buf := make([]byte, 0, size)
+	body := io.LimitReader(r.Body, maxBody+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, guard.Invalidf("server: reading request body: %v", err)
+		}
+	}
+	if len(buf) > maxBody {
+		return nil, guard.Invalidf("server: request body exceeds the 1 MiB limit")
+	}
+	return buf, nil
 }
 
-// decodeStrict is decodeJSON over raw bytes, shared by the live handlers and
-// startup recovery.
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// decodeBody strictly decodes a request body through its field table:
+// unknown and repeated fields are invalid input (400), catching typoed
+// parameters instead of silently defaulting.
+func decodeBody[T any](body []byte, v *T, fields wire.Fields[T]) error {
+	if err := wire.Decode(body, v, fields); err != nil {
 		return guard.Invalidf("server: decoding request body: %v", err)
 	}
 	return nil
@@ -182,6 +193,15 @@ type analyzeRequest struct {
 	MaxPreemptions int  `json:"max_preemptions,omitempty"`
 }
 
+var analyzeFields = wire.Fields[analyzeRequest]{
+	{Name: "delay", Read: func(r *wire.Reader, v *analyzeRequest) { spec.ReadDelay(r, &v.Delay) }},
+	{Name: "c", Read: func(r *wire.Reader, v *analyzeRequest) { r.Float(&v.C) }},
+	{Name: "q", Read: func(r *wire.Reader, v *analyzeRequest) { r.Float(&v.Q) }},
+	{Name: "method", Read: func(r *wire.Reader, v *analyzeRequest) { r.String(&v.Method) }},
+	{Name: "limited", Read: func(r *wire.Reader, v *analyzeRequest) { r.Bool(&v.Limited) }},
+	{Name: "max_preemptions", Read: func(r *wire.Reader, v *analyzeRequest) { r.Int(&v.MaxPreemptions) }},
+}
+
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	release, err := s.admitAnalyze()
 	if err != nil {
@@ -189,8 +209,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	body, err := readBody(r)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
 	var req analyzeRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeBody(body, &req, analyzeFields); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -260,6 +285,12 @@ type analyzeSetRequest struct {
 	Delta bool `json:"delta,omitempty"`
 }
 
+var analyzeSetFields = wire.Fields[analyzeSetRequest]{
+	{Name: "spec", Read: func(r *wire.Reader, v *analyzeSetRequest) { spec.ReadFile(r, &v.Spec) }},
+	{Name: "qs", Read: func(r *wire.Reader, v *analyzeSetRequest) { r.Floats(&v.Qs) }},
+	{Name: "delta", Read: func(r *wire.Reader, v *analyzeSetRequest) { r.Bool(&v.Delta) }},
+}
+
 func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
 	release, err := s.admitAnalyze()
 	if err != nil {
@@ -267,8 +298,13 @@ func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	body, err := readBody(r)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
 	var req analyzeSetRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeBody(body, &req, analyzeSetFields); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -354,17 +390,37 @@ type acceptanceRequest struct {
 	Resume  bool   `json:"resume,omitempty"`
 }
 
-// acceptanceFromJSON decodes a submission body (live request or persisted
-// manifest record) into validated acceptance parameters, plus the journal
-// name and resume flag the body asked for.
-func (s *Server) acceptanceFromJSON(body []byte) (eval.AcceptanceParams, string, bool, error) {
+var acceptanceFields = wire.Fields[acceptanceRequest]{
+	{Name: "seed", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Int64(&v.Seed) }},
+	{Name: "sets_per_point", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Int(&v.SetsPerPoint) }},
+	{Name: "tasks", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Int(&v.Tasks) }},
+	{Name: "u_start", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Float(&v.UStart) }},
+	{Name: "u_end", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Float(&v.UEnd) }},
+	{Name: "u_step", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Float(&v.UStep) }},
+	{Name: "delay_scale", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Float(&v.DelayScale) }},
+	{Name: "q_fraction", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Float(&v.QFraction) }},
+	{Name: "workers", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Int(&v.Workers) }},
+	{Name: "journal", Read: func(r *wire.Reader, v *acceptanceRequest) { r.String(&v.Journal) }},
+	{Name: "resume", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Bool(&v.Resume) }},
+}
+
+// newAcceptanceRequest is the request a body decodes over: the
+// eval.DefaultAcceptanceParams values.
+func newAcceptanceRequest() acceptanceRequest {
 	d := eval.DefaultAcceptanceParams()
-	req := acceptanceRequest{
+	return acceptanceRequest{
 		Seed: d.Seed, SetsPerPoint: d.SetsPerPoint, Tasks: d.Tasks,
 		UStart: d.UStart, UEnd: d.UEnd, UStep: d.UStep,
 		DelayScale: d.DelayScale, QFraction: d.QFraction,
 	}
-	if err := decodeStrict(body, &req); err != nil {
+}
+
+// acceptanceFromJSON decodes a submission body (live request or persisted
+// manifest record) into validated acceptance parameters, plus the journal
+// name and resume flag the body asked for.
+func (s *Server) acceptanceFromJSON(body []byte) (eval.AcceptanceParams, string, bool, error) {
+	req := newAcceptanceRequest()
+	if err := decodeBody(body, &req, acceptanceFields); err != nil {
 		return eval.AcceptanceParams{}, "", false, err
 	}
 	p := eval.AcceptanceParams{
@@ -408,14 +464,28 @@ type monteCarloRequest struct {
 	Workers  int     `json:"workers,omitempty"`
 }
 
+var monteCarloFields = wire.Fields[monteCarloRequest]{
+	{Name: "seed", Read: func(r *wire.Reader, v *monteCarloRequest) { r.Int64(&v.Seed) }},
+	{Name: "trials", Read: func(r *wire.Reader, v *monteCarloRequest) { r.Int(&v.Trials) }},
+	{Name: "max_tasks", Read: func(r *wire.Reader, v *monteCarloRequest) { r.Int(&v.MaxTasks) }},
+	{Name: "horizon", Read: func(r *wire.Reader, v *monteCarloRequest) { r.Float(&v.Horizon) }},
+	{Name: "workers", Read: func(r *wire.Reader, v *monteCarloRequest) { r.Int(&v.Workers) }},
+}
+
+// newMonteCarloRequest is the request a body decodes over: the
+// eval.DefaultMonteCarloParams values.
+func newMonteCarloRequest() monteCarloRequest {
+	d := eval.DefaultMonteCarloParams()
+	return monteCarloRequest{
+		Seed: d.Seed, Trials: d.Trials, MaxTasks: d.MaxTasks, Horizon: d.Horizon,
+	}
+}
+
 // monteCarloFromJSON decodes a submission body (live request or persisted
 // manifest record) into validated Monte-Carlo parameters.
 func (s *Server) monteCarloFromJSON(body []byte) (eval.MonteCarloParams, error) {
-	d := eval.DefaultMonteCarloParams()
-	req := monteCarloRequest{
-		Seed: d.Seed, Trials: d.Trials, MaxTasks: d.MaxTasks, Horizon: d.Horizon,
-	}
-	if err := decodeStrict(body, &req); err != nil {
+	req := newMonteCarloRequest()
+	if err := decodeBody(body, &req, monteCarloFields); err != nil {
 		return eval.MonteCarloParams{}, err
 	}
 	p := eval.MonteCarloParams{
@@ -453,14 +523,27 @@ type atlasRequest struct {
 	Workers      int       `json:"workers,omitempty"`
 }
 
+var atlasFields = wire.Fields[atlasRequest]{
+	{Name: "seed", Read: func(r *wire.Reader, v *atlasRequest) { r.Int64(&v.Seed) }},
+	{Name: "qs", Read: func(r *wire.Reader, v *atlasRequest) { r.Floats(&v.Qs) }},
+	{Name: "funcs_per_cell", Read: func(r *wire.Reader, v *atlasRequest) { r.Int(&v.FuncsPerCell) }},
+	{Name: "c", Read: func(r *wire.Reader, v *atlasRequest) { r.Float(&v.C) }},
+	{Name: "max_states", Read: func(r *wire.Reader, v *atlasRequest) { r.Int(&v.MaxStates) }},
+	{Name: "workers", Read: func(r *wire.Reader, v *atlasRequest) { r.Int(&v.Workers) }},
+}
+
+// newAtlasRequest is the request a body decodes over: the
+// eval.DefaultAtlasParams values.
+func newAtlasRequest() atlasRequest {
+	d := eval.DefaultAtlasParams()
+	return atlasRequest{Seed: d.Seed, Qs: d.Qs, FuncsPerCell: d.FuncsPerCell, C: d.C}
+}
+
 // atlasFromJSON decodes a submission body (live request or persisted
 // manifest record) into validated atlas parameters.
 func (s *Server) atlasFromJSON(body []byte) (eval.AtlasParams, error) {
-	d := eval.DefaultAtlasParams()
-	req := atlasRequest{
-		Seed: d.Seed, Qs: d.Qs, FuncsPerCell: d.FuncsPerCell, C: d.C,
-	}
-	if err := decodeStrict(body, &req); err != nil {
+	req := newAtlasRequest()
+	if err := decodeBody(body, &req, atlasFields); err != nil {
 		return eval.AtlasParams{}, err
 	}
 	p := eval.AtlasParams{

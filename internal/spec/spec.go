@@ -14,6 +14,7 @@ import (
 	"fnpr/internal/delay"
 	"fnpr/internal/npr"
 	"fnpr/internal/task"
+	"fnpr/internal/wire"
 )
 
 // File is the root of a task-set specification.
@@ -63,6 +64,46 @@ type Delay struct {
 	Pieces int     `json:"pieces,omitempty"`
 }
 
+// The wire field tables decode File, Task and Delay in one pass (package
+// wire). They list every json-tagged field above; the JSON tags stay for
+// Save and for the encoding/json oracle of the decoder tests.
+var (
+	delayFields = wire.Fields[Delay]{
+		{Name: "kind", Read: func(r *wire.Reader, d *Delay) { r.String(&d.Kind) }},
+		{Name: "value", Read: func(r *wire.Reader, d *Delay) { r.Float(&d.Value) }},
+		{Name: "peak", Read: func(r *wire.Reader, d *Delay) { r.Float(&d.Peak) }},
+		{Name: "tail", Read: func(r *wire.Reader, d *Delay) { r.Float(&d.Tail) }},
+		{Name: "breakpoints", Read: func(r *wire.Reader, d *Delay) { r.Floats(&d.Breakpoints) }},
+		{Name: "values", Read: func(r *wire.Reader, d *Delay) { r.Floats(&d.Values) }},
+		{Name: "amp", Read: func(r *wire.Reader, d *Delay) { r.Float(&d.Amp) }},
+		{Name: "mu", Read: func(r *wire.Reader, d *Delay) { r.Float(&d.Mu) }},
+		{Name: "sigma2", Read: func(r *wire.Reader, d *Delay) { r.Float(&d.Sigma2) }},
+		{Name: "offset", Read: func(r *wire.Reader, d *Delay) { r.Float(&d.Offset) }},
+		{Name: "pieces", Read: func(r *wire.Reader, d *Delay) { r.Int(&d.Pieces) }},
+	}
+	taskFields = wire.Fields[Task]{
+		{Name: "name", Read: func(r *wire.Reader, t *Task) { r.String(&t.Name) }},
+		{Name: "c", Read: func(r *wire.Reader, t *Task) { r.Float(&t.C) }},
+		{Name: "t", Read: func(r *wire.Reader, t *Task) { r.Float(&t.T) }},
+		{Name: "d", Read: func(r *wire.Reader, t *Task) { r.Float(&t.D) }},
+		{Name: "q", Read: func(r *wire.Reader, t *Task) { r.Float(&t.Q) }},
+		{Name: "prio", Read: func(r *wire.Reader, t *Task) { r.Int(&t.Prio) }},
+		{Name: "jitter", Read: func(r *wire.Reader, t *Task) { r.Float(&t.Jitter) }},
+		{Name: "delay", Read: func(r *wire.Reader, t *Task) { ReadDelay(r, &t.Delay) }},
+	}
+	fileFields = wire.Fields[File]{
+		{Name: "policy", Read: func(r *wire.Reader, f *File) { r.String(&f.Policy) }},
+		{Name: "assign_q", Read: func(r *wire.Reader, f *File) { r.Bool(&f.AssignQ) }},
+		{Name: "tasks", Read: func(r *wire.Reader, f *File) { wire.Slice(r, &f.Tasks, taskFields.Read) }},
+	}
+)
+
+// ReadDelay reads a delay description into *d; null sets *d to nil.
+func ReadDelay(r *wire.Reader, d **Delay) { delayFields.ReadPtr(r, d) }
+
+// ReadFile reads a task-set specification into *f.
+func ReadFile(r *wire.Reader, f *File) { fileFields.Read(r, f) }
+
 // Problem is the decoded, validated analysis problem.
 type Problem struct {
 	Policy string
@@ -72,10 +113,12 @@ type Problem struct {
 
 // Load reads and decodes a specification.
 func Load(r io.Reader) (*Problem, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("spec: %w", err)
+	}
 	var f File
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
+	if err := wire.Decode(data, &f, fileFields); err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
 	return f.Build()
