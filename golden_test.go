@@ -183,3 +183,45 @@ func TestGoldenAtlas(t *testing.T) {
 		t.Fatalf("output drifted from %s\ngolden:\n%s\ngot:\n%s", golden, want, serial)
 	}
 }
+
+// TestGoldenMonteCarlo locks the report of `simulate -scenario montecarlo`
+// against a committed golden, running the campaign serially (-workers 1) and
+// on a four-worker pool and asserting the two are byte-identical. Every trial
+// draws its jobset from its own seeded sub-stream, so the golden also pins
+// the generator those sub-streams come from. Regenerate with
+// `go test . -run TestGoldenMonteCarlo -update` (the golden is written from
+// the serial run). Skipped with -short.
+func TestGoldenMonteCarlo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end CLI runs skipped in -short mode")
+	}
+	bin := buildCmd(t, t.TempDir(), "simulate")
+	run := func(workers string) string {
+		cmd := exec.Command(bin, "-scenario", "montecarlo", "-workers", workers)
+		var stdout, stderr strings.Builder
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("simulate -scenario montecarlo -workers %s: %v\nstderr: %s", workers, err, stderr.String())
+		}
+		return stdout.String()
+	}
+	serial := run("1")
+	parallel := run("4")
+	if serial != parallel {
+		t.Fatalf("-workers 4 changed the output bytes\nserial:\n%s\nparallel:\n%s", serial, parallel)
+	}
+	golden := filepath.Join("internal", "eval", "testdata", "simulate_montecarlo.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(serial), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (regenerate with -update): %v", err)
+	}
+	if string(want) != serial {
+		t.Fatalf("output drifted from %s\ngolden:\n%s\ngot:\n%s", golden, want, serial)
+	}
+}

@@ -24,7 +24,7 @@ import (
 // draw random task sets, and measure the fraction each analysis admits.
 type AcceptanceParams struct {
 	// Seed makes the experiment reproducible. Every (point, trial) shard
-	// derives its own RNG sub-stream from it (synth.SubRand), so the
+	// derives its own RNG sub-stream from it (synth.Stream.Sub), so the
 	// campaign's output is a pure function of the seed — never of the
 	// worker count or goroutine scheduling.
 	Seed int64
@@ -207,12 +207,12 @@ type acceptanceVerdict struct {
 // vector is pointwise smaller). Seeding is sound in that direction and keeps
 // every result bit-identical (see sched.Options.Warm); it only trims
 // fixpoint iterations.
-func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, trial int) (acceptanceVerdict, error) {
+func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, trial int, st *synth.Stream) (acceptanceVerdict, error) {
 	var v acceptanceVerdict
 	if err := g.Tick(); err != nil {
 		return v, err
 	}
-	r := synth.SubRand(p.Seed, point, trial)
+	r := st.Sub(p.Seed, point, trial)
 	ts, err := synth.TaskSet(r, synth.TaskSetParams{
 		N: p.Tasks, Utilization: u,
 		PeriodLo: 20, PeriodHi: 2000, RoundPeriod: true,
@@ -345,6 +345,7 @@ func Acceptance(g *guard.Ctx, p AcceptanceParams) (*textplot.Table, error) {
 	}
 
 	if workers == 1 {
+		st := new(synth.Stream)
 		done := 0
 		for pt, u := range pts {
 			if restored[pt] {
@@ -353,7 +354,7 @@ func Acceptance(g *guard.Ctx, p AcceptanceParams) (*textplot.Table, error) {
 			}
 			var admit [4]int
 			for tr := 0; tr < p.SetsPerPoint; tr++ {
-				v, err := acceptanceTrial(g, p, pt, u, tr)
+				v, err := acceptanceTrial(g, p, pt, u, tr, st)
 				if err != nil {
 					return nil, err
 				}
@@ -447,13 +448,14 @@ func (p AcceptanceParams) runSharded(g *guard.Ctx, sc *obs.Scope, pts []float64,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			st := new(synth.Stream) // per-worker shard stream
 			for idx := range jobs {
 				if aborted() {
 					continue
 				}
 				pt := idx / p.SetsPerPoint
 				tr := idx % p.SetsPerPoint
-				v, err := acceptanceTrial(g, p, pt, pts[pt], tr)
+				v, err := acceptanceTrial(g, p, pt, pts[pt], tr, st)
 				if err != nil {
 					abort(err)
 					continue

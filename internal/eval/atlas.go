@@ -125,15 +125,16 @@ type atlasCell struct {
 
 // atlasCellRun computes one cell: FuncsPerCell random functions of the
 // family, each measured exact vs Algorithm 1 vs Equation 4. The cell is a
-// pure function of (Seed, cell index); ex is the worker's pooled explorer.
-func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, ex *exact.Explorer, sc *obs.Scope) (atlasCell, error) {
+// pure function of (Seed, cell index); ex and st are the worker's pooled
+// explorer and shard stream.
+func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, ex *exact.Explorer, st *synth.Stream, sc *obs.Scope) (atlasCell, error) {
 	var cell atlasCell
 	q := p.Qs[qi]
 	for trial := 0; trial < p.FuncsPerCell; trial++ {
 		if err := g.Tick(); err != nil {
 			return cell, err
 		}
-		r := synth.SubRand(p.Seed, fam*len(p.Qs)+qi, trial)
+		r := st.Sub(p.Seed, fam*len(p.Qs)+qi, trial)
 		f, err := atlasFunction(r, atlasFamilies[fam], p.C, q)
 		if err != nil {
 			return cell, err
@@ -175,9 +176,9 @@ func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, ex *exact.Explor
 
 // Atlas runs the pessimism-atlas campaign: a (family × Q) grid of mean
 // exact delays and mean Algorithm 1 / Equation 4 pessimism gaps. Cells are
-// sharded over p.Workers goroutines, each owning one pooled exact.Explorer;
-// cells aggregate in grid order, so the table is bit-identical for every
-// worker count.
+// sharded over p.Workers goroutines, each owning one pooled exact.Explorer
+// and synth.Stream; cells aggregate in grid order, so the table is
+// bit-identical for every worker count.
 func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -197,9 +198,9 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 
 	cells := make([]atlasCell, cellsTotal)
 	if workers == 1 {
-		ex := exact.NewExplorer()
+		ex, st := exact.NewExplorer(), new(synth.Stream)
 		for i := range cells {
-			c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), ex, sc)
+			c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), ex, st, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -232,12 +233,12 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ex := exact.NewExplorer() // per-worker pooled explorer
+				ex, st := exact.NewExplorer(), new(synth.Stream) // per-worker pooled explorer and stream
 				for i := range jobs {
 					if aborted() {
 						continue
 					}
-					c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), ex, sc)
+					c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), ex, st, sc)
 					if err != nil {
 						abort(err)
 						continue

@@ -21,7 +21,7 @@ import (
 // every simulated job actually paid.
 type MonteCarloParams struct {
 	// Seed makes the campaign reproducible; each trial draws from its
-	// own sub-stream (synth.SubRand), so results are independent of the
+	// own sub-stream (synth.Stream.Sub), so results are independent of the
 	// worker count.
 	Seed int64
 	// Trials is the number of random jobsets to simulate.
@@ -92,12 +92,12 @@ type mcVerdict struct {
 // paid delay against its task's Algorithm 1 bound. The generator mirrors the
 // sim package's Theorem 1 integration test: peaked random delay functions
 // with Q > max delay so every bound converges.
-func monteCarloTrial(g *guard.Ctx, p MonteCarloParams, trial int, runner *sim.Runner) (mcVerdict, error) {
+func monteCarloTrial(g *guard.Ctx, p MonteCarloParams, trial int, runner *sim.Runner, st *synth.Stream) (mcVerdict, error) {
 	v := mcVerdict{minSlack: math.Inf(1)}
 	if err := g.Tick(); err != nil {
 		return v, err
 	}
-	r := synth.SubRand(p.Seed, 0, trial)
+	r := st.Sub(p.Seed, 0, trial)
 	n := 2 + r.Intn(p.MaxTasks-1)
 	ts := make(task.Set, 0, n)
 	fns := make([]delay.Function, 0, n)
@@ -157,8 +157,9 @@ func monteCarloTrial(g *guard.Ctx, p MonteCarloParams, trial int, runner *sim.Ru
 }
 
 // MonteCarlo runs the campaign. Trials are sharded over p.Workers
-// goroutines, each owning one pooled sim.Runner; verdicts are aggregated in
-// trial order, so the report is bit-identical for every worker count.
+// goroutines, each owning one pooled sim.Runner and synth.Stream; verdicts
+// are aggregated in trial order, so the report is bit-identical for every
+// worker count.
 func MonteCarlo(g *guard.Ctx, p MonteCarloParams) (*MonteCarloReport, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -182,9 +183,9 @@ func MonteCarlo(g *guard.Ctx, p MonteCarloParams) (*MonteCarloReport, error) {
 
 	verdicts := make([]mcVerdict, p.Trials)
 	if workers == 1 {
-		runner := sim.NewRunner()
+		runner, st := sim.NewRunner(), new(synth.Stream)
 		for tr := 0; tr < p.Trials; tr++ {
-			v, err := monteCarloTrial(g, p, tr, runner)
+			v, err := monteCarloTrial(g, p, tr, runner, st)
 			if err != nil {
 				return nil, err
 			}
@@ -219,12 +220,12 @@ func MonteCarlo(g *guard.Ctx, p MonteCarloParams) (*MonteCarloReport, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				runner := sim.NewRunner() // per-worker pooled simulator
+				runner, st := sim.NewRunner(), new(synth.Stream) // per-worker pooled simulator and stream
 				for tr := range jobs {
 					if aborted() {
 						continue
 					}
-					v, err := monteCarloTrial(g, p, tr, runner)
+					v, err := monteCarloTrial(g, p, tr, runner, st)
 					if err != nil {
 						abort(err)
 						continue

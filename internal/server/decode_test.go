@@ -167,6 +167,8 @@ var analyzeSeeds = []string{
 	`{"c":1e-400,"q":-1e400}`,
 	`{"delay":{"kind":"gaussian","sigma2":1,"pieces":1.0},"c":40,"q":15}`,
 	`{"delay":{"kind":"gaussian","sigma2":1,"pieces":1e3},"c":40,"q":15}`,
+	`{"delay":{"kind":"gaussian","amp":3,"mu":20,"sigma2":4,"pieces":4611686018427387904},"c":40,"q":15}`,
+	`{"delay":{"kind":"gaussian","amp":3,"mu":20,"sigma2":4,"pieces":20000000},"c":40,"q":15}`,
 	`{"max_preemptions":9223372036854775808}`,
 	`{"max_preemptions":-9223372036854775808}`,
 	`{"c":040,"q":15}`, `{"c":00}`, `{"c":-01}`,

@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"fnpr/internal/delay"
+	"fnpr/internal/guard"
 	"fnpr/internal/npr"
 	"fnpr/internal/task"
 	"fnpr/internal/wire"
@@ -56,7 +57,7 @@ type Delay struct {
 	Breakpoints []float64 `json:"breakpoints,omitempty"`
 	Values      []float64 `json:"values,omitempty"`
 	// Gaussian: Amp, Mu, Sigma2, Offset, sampled into Pieces pieces
-	// (default 1000).
+	// (default 1000, at most maxGaussianPieces).
 	Amp    float64 `json:"amp,omitempty"`
 	Mu     float64 `json:"mu,omitempty"`
 	Sigma2 float64 `json:"sigma2,omitempty"`
@@ -212,6 +213,12 @@ func (p *Problem) sortByPriority() {
 	}
 }
 
+// maxGaussianPieces caps the pieces a gaussian delay is sampled into. The
+// envelope allocates per piece before any analysis budget applies, so an
+// unchecked count lets a tiny body claim gigabytes. The cap is 32× the
+// largest serve-bulk curve and more pieces than a 1 MiB explicit body holds.
+const maxGaussianPieces = 1 << 18
+
 // Build materialises the delay description into a delay.Function over the
 // domain [0, c] (the owning task's execution time). A nil *Delay builds a nil
 // function, meaning "no preemption delay". The analysis service uses this
@@ -256,6 +263,9 @@ func (d *Delay) build(c float64) (delay.Function, error) {
 		n := d.Pieces
 		if n <= 0 {
 			n = 1000
+		}
+		if n > maxGaussianPieces {
+			return nil, guard.Invalidf("gaussian delay pieces %d, limit %d", n, maxGaussianPieces)
 		}
 		if d.Sigma2 <= 0 {
 			return nil, fmt.Errorf("gaussian delay needs sigma2 > 0, got %g", d.Sigma2)

@@ -1,8 +1,11 @@
 package spec
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"fnpr/internal/guard"
 )
 
 const sample = `{
@@ -171,5 +174,21 @@ func TestAssignQFromFile(t *testing.T) {
 	}
 	if p.Tasks[2].Q != 1.5 {
 		t.Fatalf("explicit Q overwritten: %g", p.Tasks[2].Q)
+	}
+}
+
+// TestGaussianPiecesLimit refuses gaussian piece counts above the cap as
+// invalid input before any allocation, and still builds one at the cap.
+func TestGaussianPiecesLimit(t *testing.T) {
+	for _, n := range []int{maxGaussianPieces + 1, 20000000, 1 << 62} {
+		d := &Delay{Kind: "gaussian", Amp: 3, Mu: 10, Sigma2: 4, Pieces: n}
+		_, err := d.Build(40)
+		if !errors.Is(err, guard.ErrInvalidInput) {
+			t.Errorf("pieces %d: err = %v, want guard.ErrInvalidInput", n, err)
+		}
+	}
+	d := &Delay{Kind: "gaussian", Amp: 3, Mu: 10, Sigma2: 4, Pieces: maxGaussianPieces}
+	if _, err := d.Build(40); err != nil {
+		t.Fatalf("pieces %d: %v", maxGaussianPieces, err)
 	}
 }
