@@ -147,11 +147,9 @@ func TestExitCodeContract(t *testing.T) {
 }
 
 // TestMetricsFlushOnSigterm pins the exit-path observability contract: a
-// journaled sweep under heavy fault injection (FNPR_CHAOS_PANIC_PROB keeps it
-// cycling through retry backoffs) killed by SIGTERM must still exit with the
-// resource code AND flush a parseable -metrics-out snapshot — the signal
-// lands mid-backoff or mid-analysis, and neither path may lose the metrics
-// file. Skipped with -short.
+// long journaled acceptance campaign killed by SIGTERM mid-analysis must
+// still exit with the resource code AND flush a parseable -metrics-out
+// snapshot. Skipped with -short.
 func TestMetricsFlushOnSigterm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end CLI runs skipped in -short mode")
@@ -162,11 +160,10 @@ func TestMetricsFlushOnSigterm(t *testing.T) {
 		t.Fatalf("building figures: %v\n%s", err, out)
 	}
 
-	journal := filepath.Join(tmp, "fig5.journal")
+	journal := filepath.Join(tmp, "acc.journal")
 	metrics := filepath.Join(tmp, "metrics.json")
-	cmd := exec.Command(bin, "-fig", "5", "-ascii=false",
+	cmd := exec.Command(bin, "-fig", "acceptance", "-sets", "5000", "-ascii=false",
 		"-workers", "1", "-journal", journal, "-metrics-out", metrics)
-	cmd.Env = append(os.Environ(), "FNPR_CHAOS_PANIC_PROB=0.7")
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
@@ -175,8 +172,8 @@ func TestMetricsFlushOnSigterm(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 
-	// Wait for the first checkpointed point — the run is then deep in its
-	// retry/backoff churn — and hit it with SIGTERM.
+	// Wait for the first checkpointed point — the run is then deep in the
+	// next point's trials — and hit it with SIGTERM.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if b, err := os.ReadFile(journal); err == nil && strings.Contains(string(b), "point:") {
@@ -209,7 +206,7 @@ func TestMetricsFlushOnSigterm(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
-		t.Fatalf("figures ignored SIGTERM (stuck in backoff?)\nstderr: %s", stderr.String())
+		t.Fatalf("figures ignored SIGTERM\nstderr: %s", stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "canceled") {
 		t.Fatalf("stderr missing cancellation notice:\n%s", stderr.String())

@@ -1,30 +1,28 @@
 // Package chaos is the deterministic fault injector the crash-safety test
-// suites drive: it wraps a delay.Function with faults that fire at precisely
-// chosen places in the analysis — panic at one grid point's Algorithm 1 walk,
-// panic in the Equation 4 fallback query, burn the shared step budget, cancel
-// the run after N queries — so every rung of the batch runtime's degradation
-// ladder (retry → fallback → quarantine → abort with journal intact) can be
-// exercised on purpose, repeatably.
+// suites of internal/eval and internal/server drive: it wraps a
+// delay.Function with faults that fire at precisely chosen places in the
+// analysis — panic at one grid point's Algorithm 1 walk, panic in the
+// Equation 4 fallback query, burn the shared step budget, cancel the run
+// after N queries — so every rung of the batch runtime's degradation ladder
+// (fallback → quarantine → abort with journal intact) can be exercised on
+// purpose, repeatably. Only tests import it.
 //
 // Targeting exploits two call-shape facts of internal/core:
 //
 //   - the Algorithm 1 walk for grid point Q issues its first
 //     FirstReachDescending query with a == Q, and progression strictly
 //     increases afterwards, so "a == Q" identifies exactly one grid point's
-//     primary analysis (and fires once per attempt);
+//     primary analysis (and fires once per analysis of that point);
 //   - only the Equation 4 fallback queries MaxOn(0, Domain()); the walk's
 //     windows all start at or after Q > 0, so that shape identifies the
 //     fallback.
 //
 // Counter-based faults are deterministic for a fixed query order (one
-// worker); the probabilistic mode draws from a seeded source and is
-// reproducible under the same ordering.
+// worker).
 package chaos
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"fnpr/internal/delay"
@@ -36,21 +34,12 @@ import (
 type Fault struct {
 	// PanicAtQ, when positive, panics inside the Algorithm 1 walk of the
 	// grid point whose protected window starts at this Q (see the package
-	// comment). Each attempt of that point re-triggers the fault.
+	// comment). Every analysis of that point triggers the fault.
 	PanicAtQ float64
-
-	// Heal, when positive, stops the PanicAtQ fault after it has fired
-	// this many times — the transient-then-healthy pattern a retry policy
-	// must absorb. Zero means the fault is permanent.
-	Heal int
 
 	// PanicFallback panics inside the Equation 4 fallback's full-domain
 	// MaxOn query, killing the degradation rung and forcing quarantine.
 	PanicFallback bool
-
-	// PanicProb injects a panic on each query with this probability,
-	// drawn from the injector's seeded source.
-	PanicProb float64
 
 	// Burn charges this many extra steps on Guard per query, burning the
 	// shared budget so the analysis trips guard.ErrBudgetExceeded
@@ -69,44 +58,18 @@ type Fault struct {
 	Cancel func()
 }
 
-// Injector owns the seeded randomness and the fault accounting shared by the
-// functions it wraps. Safe for concurrent use.
-type Injector struct {
-	mu    sync.Mutex
-	rng   *rand.Rand
-	fired atomic.Int64
-}
-
-// NewInjector returns an injector whose probabilistic faults draw from the
-// given seed.
-func NewInjector(seed int64) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Fired returns how many faults this injector's wrapped functions have
-// injected so far (panics thrown, cancels issued; budget burn is continuous
-// and not counted).
-func (in *Injector) Fired() int64 { return in.fired.Load() }
-
-func (in *Injector) chance(p float64) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.rng.Float64() < p
-}
-
 // Wrap returns f with the given faults injected around its queries. The
 // wrapper implements delay.Function and is safe for concurrent use.
-func (in *Injector) Wrap(f delay.Function, fault Fault) *Func {
-	return &Func{inner: f, fault: fault, in: in}
+func Wrap(f delay.Function, fault Fault) *Func {
+	return &Func{inner: f, fault: fault}
 }
 
-// Func is a fault-injecting delay.Function. See Injector.Wrap.
+// Func is a fault-injecting delay.Function. See Wrap.
 type Func struct {
 	inner   delay.Function
 	fault   Fault
-	in      *Injector
 	queries atomic.Int64
-	panics  atomic.Int64 // PanicAtQ trigger opportunities, for Heal accounting
+	fired   atomic.Int64
 }
 
 var _ delay.Function = (*Func)(nil)
@@ -115,8 +78,12 @@ var _ delay.Function = (*Func)(nil)
 // reached this function.
 func (c *Func) Queries() int64 { return c.queries.Load() }
 
-// hook runs the per-query faults: budget burn, delayed cancel, random panic.
-func (c *Func) hook(kind string) {
+// Fired returns how many faults this function has injected so far (panics
+// thrown, cancels issued; budget burn is continuous and not counted).
+func (c *Func) Fired() int64 { return c.fired.Load() }
+
+// hook runs the per-query faults: budget burn and delayed cancel.
+func (c *Func) hook() {
 	n := c.queries.Add(1)
 	if c.fault.Burn > 0 && c.fault.Guard != nil {
 		// The burn itself ignores the budget verdict: the analysis's own
@@ -125,12 +92,8 @@ func (c *Func) hook(kind string) {
 		_ = c.fault.Guard.TickN(c.fault.Burn)
 	}
 	if c.fault.CancelAfter > 0 && n == c.fault.CancelAfter && c.fault.Cancel != nil {
-		c.in.fired.Add(1)
+		c.fired.Add(1)
 		c.fault.Cancel()
-	}
-	if c.fault.PanicProb > 0 && c.in.chance(c.fault.PanicProb) {
-		c.in.fired.Add(1)
-		panic(fmt.Sprintf("chaos: random injected panic in %s (query %d)", kind, n))
 	}
 }
 
@@ -141,16 +104,16 @@ func (c *Func) Domain() float64 { return c.inner.Domain() }
 
 // Eval implements delay.Function.
 func (c *Func) Eval(t float64) float64 {
-	c.hook("Eval")
+	c.hook()
 	return c.inner.Eval(t)
 }
 
 // MaxOn implements delay.Function, injecting the fallback panic on the
 // Equation 4 query shape.
 func (c *Func) MaxOn(a, b float64) (tmax, fmax float64) {
-	c.hook("MaxOn")
+	c.hook()
 	if c.fault.PanicFallback && a == 0 && b == c.inner.Domain() {
-		c.in.fired.Add(1)
+		c.fired.Add(1)
 		panic(fmt.Sprintf("chaos: injected panic in Eq.4 fallback (MaxOn[0,%g])", b))
 	}
 	return c.inner.MaxOn(a, b)
@@ -159,13 +122,10 @@ func (c *Func) MaxOn(a, b float64) (tmax, fmax float64) {
 // FirstReachDescending implements delay.Function, injecting the targeted
 // grid-point panic on the first-window query shape.
 func (c *Func) FirstReachDescending(a, b, cc float64) (x float64, ok bool) {
-	c.hook("FirstReachDescending")
+	c.hook()
 	if c.fault.PanicAtQ > 0 && a == c.fault.PanicAtQ {
-		n := c.panics.Add(1)
-		if c.fault.Heal <= 0 || n <= int64(c.fault.Heal) {
-			c.in.fired.Add(1)
-			panic(fmt.Sprintf("chaos: injected panic at Q=%g (firing %d)", a, n))
-		}
+		c.fired.Add(1)
+		panic(fmt.Sprintf("chaos: injected panic at Q=%g", a))
 	}
 	return c.inner.FirstReachDescending(a, b, cc)
 }

@@ -195,7 +195,7 @@ func (l *Limits) observed() bool {
 func (l *Limits) SweepFlags() *Limits {
 	flag.StringVar(&l.Journal, "journal", "", "checkpoint journal file: completed grid points are appended so an aborted run can continue with -resume")
 	flag.BoolVar(&l.Resume, "resume", false, "resume from the -journal file, restoring the grid points it already holds")
-	flag.Int64Var(&l.Seed, "seed", 1, "random seed for synthetic task-set generation and retry jitter")
+	flag.Int64Var(&l.Seed, "seed", 1, "random seed for synthetic task-set generation")
 	flag.IntVar(&l.Workers, "workers", 0, "worker pool size for sweeps and campaigns (0 = GOMAXPROCS); results do not depend on it")
 	flag.StringVar(&l.Sync, "sync", "close", "journal sync policy: close (fsync on checkpoint/close), always (fsync every record), or N (fsync every Nth record)")
 	flag.BoolVar(&l.Cache, "cache", false, "memoize analysis results content-addressed by (function, Q, options); bit-identical, repeated sweeps become lookups")
@@ -262,14 +262,12 @@ func (l *Limits) Guard() *guard.Ctx {
 }
 
 // SweepOptions assembles the eval.SweepOptions the batch-runtime flags
-// describe: the seeded default retry policy, the journal and resume view from
-// OpenJournal, the result cache from OpenCache, and the guard's observability
-// scope. Callers fill Qs (and anything else sweep-specific) on the returned
-// value.
+// describe: the journal and resume view from OpenJournal, the result cache
+// from OpenCache, and the guard's observability scope. Callers fill Qs (and
+// anything else sweep-specific) on the returned value.
 func (l *Limits) SweepOptions(g *guard.Ctx, j *journal.Journal, resume map[string]json.RawMessage) eval.SweepOptions {
 	return eval.SweepOptions{
 		Workers: l.Workers,
-		Retry:   eval.DefaultSweepRetry(l.Seed),
 		Journal: j,
 		Resume:  resume,
 		Memo:    l.cache,

@@ -23,8 +23,8 @@ import (
 // ts[i].C (within 1e-9, the same tolerance internal/sched applies).
 //
 // The returned slice is indexed like ts; each curve's points are indexed
-// like opts.Qs. Every grid point walks the SweepOptions degradation ladder
-// (retry, Equation 4 fallback, quarantine), and task names key the
+// like opts.Qs. Every grid point walks the SweepPoint degradation ladder
+// (primary analysis, Equation 4 fallback, quarantine), and task names key the
 // checkpoint journal, so sets with duplicate names cannot be journaled
 // coherently. On abort the completed points are returned alongside a
 // *PartialError, exactly like QSweep.

@@ -8,21 +8,19 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"fnpr/internal/chaos"
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
 	"fnpr/internal/journal"
 	"fnpr/internal/obs"
-	"fnpr/internal/retry"
 )
 
 // The chaos suite drives the sweep's degradation ladder under every injected
-// fault mode: a transient fault is absorbed by retries, a permanent fault
-// degrades the point to Equation 4, a fault that also kills the fallback
-// quarantines the point, and sweep-fatal faults (budget burn, delayed cancel)
-// abort with the completed points preserved and the journal intact.
+// fault mode: a primary-analysis fault degrades the point to Equation 4, a
+// fault that also kills the fallback quarantines the point, and sweep-fatal
+// faults (budget burn, delayed cancel) abort with the completed points
+// preserved and the journal intact.
 
 func chaosBase(t *testing.T) *delay.Piecewise {
 	t.Helper()
@@ -33,46 +31,12 @@ func chaosBase(t *testing.T) *delay.Piecewise {
 	return f
 }
 
-// noSleepRetry grants extra attempts without wall-clock delays.
-func noSleepRetry(attempts int) retry.Policy {
-	return retry.Policy{MaxAttempts: attempts, Sleep: func(time.Duration) {}}
-}
-
-func TestChaosTransientFaultAbsorbedByRetry(t *testing.T) {
-	base := chaosBase(t)
-	in := chaos.NewInjector(1)
-	qs := []float64{15, 20, 25}
-	specs := []SweepSpec{{Name: "flaky", F: in.Wrap(base, chaos.Fault{PanicAtQ: 20, Heal: 1})}}
-	results, err := QSweep(nil, specs, SweepOptions{Qs: qs, Workers: 1, Retry: noSleepRetry(3)})
-	if err != nil {
-		t.Fatalf("QSweep: %v", err)
-	}
-	clean, err := QSweep(nil, []SweepSpec{{Name: "clean", F: base}}, SweepOptions{Qs: qs, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pt := range results[0].Points {
-		if pt.Degraded || pt.Quarantined {
-			t.Fatalf("Q=%g: transient fault degraded the point (%s)", pt.Q, pt.Code())
-		}
-		if pt.Value != clean[0].Points[i].Value {
-			t.Fatalf("Q=%g: value %g differs from clean %g", pt.Q, pt.Value, clean[0].Points[i].Value)
-		}
-	}
-	if got := results[0].Points[1].Attempts; got != 2 {
-		t.Fatalf("faulted point took %d attempts, want 2 (one panic, one retry)", got)
-	}
-	if in.Fired() != 1 {
-		t.Fatalf("injector fired %d faults, want 1", in.Fired())
-	}
-}
-
 func TestChaosPermanentFaultDegradesToEq4(t *testing.T) {
 	base := chaosBase(t)
-	in := chaos.NewInjector(1)
 	qs := []float64{15, 20, 25}
-	specs := []SweepSpec{{Name: "broken", F: in.Wrap(base, chaos.Fault{PanicAtQ: 20})}}
-	results, err := QSweep(nil, specs, SweepOptions{Qs: qs, Workers: 1, Retry: noSleepRetry(3)})
+	broken := chaos.Wrap(base, chaos.Fault{PanicAtQ: 20})
+	specs := []SweepSpec{{Name: "broken", F: broken}}
+	results, err := QSweep(nil, specs, SweepOptions{Qs: qs, Workers: 1})
 	if err != nil {
 		t.Fatalf("QSweep: %v", err)
 	}
@@ -83,11 +47,11 @@ func TestChaosPermanentFaultDegradesToEq4(t *testing.T) {
 	if pt.Code() != "degraded:panic" {
 		t.Fatalf("Code = %q, want degraded:panic", pt.Code())
 	}
-	if pt.Attempts != 3 {
-		t.Fatalf("attempts = %d, want the full retry budget of 3", pt.Attempts)
+	if pt.Attempts != 1 {
+		t.Fatalf("attempts = %d, want 1 (the analysis is never re-run)", pt.Attempts)
 	}
-	if in.Fired() != 3 {
-		t.Fatalf("injector fired %d faults, want one per attempt", in.Fired())
+	if broken.Fired() != 1 {
+		t.Fatalf("wrapper fired %d faults, want 1 (one primary analysis)", broken.Fired())
 	}
 	// The degraded value is the real Equation 4 bound.
 	fallback, err := QSweep(nil, []SweepSpec{{Name: "clean", F: base}}, SweepOptions{Qs: qs, Workers: 1})
@@ -107,15 +71,14 @@ func TestChaosPermanentFaultDegradesToEq4(t *testing.T) {
 
 func TestChaosFallbackFaultQuarantines(t *testing.T) {
 	base := chaosBase(t)
-	in := chaos.NewInjector(1)
 	qs := []float64{15, 20, 25}
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	j, _, err := journal.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []SweepSpec{{Name: "doomed", F: in.Wrap(base, chaos.Fault{PanicAtQ: 20, PanicFallback: true})}}
-	results, err := QSweep(nil, specs, SweepOptions{Qs: qs, Workers: 1, Retry: noSleepRetry(2), Journal: j})
+	specs := []SweepSpec{{Name: "doomed", F: chaos.Wrap(base, chaos.Fault{PanicAtQ: 20, PanicFallback: true})}}
+	results, err := QSweep(nil, specs, SweepOptions{Qs: qs, Workers: 1, Journal: j})
 	if err != nil {
 		t.Fatalf("QSweep: %v", err)
 	}
@@ -165,7 +128,6 @@ func TestChaosFallbackFaultQuarantines(t *testing.T) {
 
 func TestChaosBudgetBurnAbortsWithPartialResultsAndIntactJournal(t *testing.T) {
 	base := chaosBase(t)
-	in := chaos.NewInjector(1)
 	qs := []float64{15, 20, 25}
 	g := guard.New(context.Background()).WithBudget(100000)
 	path := filepath.Join(t.TempDir(), "sweep.journal")
@@ -175,7 +137,7 @@ func TestChaosBudgetBurnAbortsWithPartialResultsAndIntactJournal(t *testing.T) {
 	}
 	specs := []SweepSpec{
 		{Name: "clean", F: base},
-		{Name: "burner", F: in.Wrap(base, chaos.Fault{Burn: 200000, Guard: g})},
+		{Name: "burner", F: chaos.Wrap(base, chaos.Fault{Burn: 200000, Guard: g})},
 	}
 	results, err := QSweep(g, specs, SweepOptions{Qs: qs, Workers: 1, Journal: j})
 	j.Close()
@@ -218,14 +180,13 @@ func TestChaosBudgetBurnAbortsWithPartialResultsAndIntactJournal(t *testing.T) {
 
 func TestChaosDelayedCancelAbortsWithPartialResults(t *testing.T) {
 	base := chaosBase(t)
-	in := chaos.NewInjector(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	g := guard.New(ctx)
 	qs := []float64{15, 20, 25}
 	specs := []SweepSpec{
 		{Name: "clean", F: base},
-		{Name: "canceller", F: in.Wrap(base, chaos.Fault{CancelAfter: 1, Cancel: cancel})},
+		{Name: "canceller", F: chaos.Wrap(base, chaos.Fault{CancelAfter: 1, Cancel: cancel})},
 	}
 	_, err := QSweep(g, specs, SweepOptions{Qs: qs, Workers: 1})
 	if !errors.Is(err, guard.ErrCanceled) {
@@ -266,7 +227,6 @@ func TestSweepJournalResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	g := guard.New(ctx)
-	in := chaos.NewInjector(1)
 	j, recs, err := journal.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +237,7 @@ func TestSweepJournalResume(t *testing.T) {
 	// The cancel fires inside the first point's analysis; that point still
 	// completes (cancellation is polled at scope entry and every poll
 	// interval), and the next point's entry check aborts the sweep.
-	specs1 := []SweepSpec{{Name: "curve", F: in.Wrap(base, chaos.Fault{CancelAfter: 2, Cancel: cancel})}}
+	specs1 := []SweepSpec{{Name: "curve", F: chaos.Wrap(base, chaos.Fault{CancelAfter: 2, Cancel: cancel})}}
 	_, err = QSweep(g, specs1, SweepOptions{Qs: qs, Workers: 1, Journal: j})
 	j.Close()
 	if !errors.Is(err, guard.ErrCanceled) {
@@ -294,8 +254,8 @@ func TestSweepJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in2 := chaos.NewInjector(1)
-	specs2 := []SweepSpec{{Name: "curve", F: in2.Wrap(base, chaos.Fault{PanicAtQ: qs[0]})}}
+	armed := chaos.Wrap(base, chaos.Fault{PanicAtQ: qs[0]})
+	specs2 := []SweepSpec{{Name: "curve", F: armed}}
 	got, err := QSweep(nil, specs2, SweepOptions{Qs: qs,
 		Workers: 1, Journal: j2, Resume: journal.Latest(recs2),
 	})
@@ -303,7 +263,7 @@ func TestSweepJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
-	if in2.Fired() != 0 {
+	if armed.Fired() != 0 {
 		t.Fatal("resume recomputed a journaled point (armed fault fired)")
 	}
 	for i := range qs {
@@ -346,7 +306,7 @@ func TestSweepResumeRejectsForeignJournal(t *testing.T) {
 // TestChaosObservabilityInvariants attaches a TestRecorder to a sweep that
 // exercises every rung of the degradation ladder and asserts the metric and
 // event invariants of DESIGN.md §10: the ladder counters partition the grid,
-// the retry counter agrees with the PointRetried events, and a quarantined
+// a degraded point emits exactly one PointDegraded event, and a quarantined
 // point emits exactly one PointQuarantined event.
 func TestChaosObservabilityInvariants(t *testing.T) {
 	base := chaosBase(t)
@@ -354,12 +314,11 @@ func TestChaosObservabilityInvariants(t *testing.T) {
 	qs := []float64{15, 20, 25}
 	specs := []SweepSpec{
 		{Name: "clean", F: base},
-		{Name: "flaky", F: chaos.NewInjector(1).Wrap(base, chaos.Fault{PanicAtQ: 20, Heal: 1})},
-		{Name: "perma", F: chaos.NewInjector(1).Wrap(base, chaos.Fault{PanicAtQ: 15})},
-		{Name: "doomed", F: chaos.NewInjector(1).Wrap(base, chaos.Fault{PanicAtQ: 25, PanicFallback: true})},
+		{Name: "perma", F: chaos.Wrap(base, chaos.Fault{PanicAtQ: 15})},
+		{Name: "doomed", F: chaos.Wrap(base, chaos.Fault{PanicAtQ: 25, PanicFallback: true})},
 	}
 	results, err := QSweep(nil, specs, SweepOptions{
-		Qs: qs, Workers: 2, Retry: noSleepRetry(3), Obs: rec.Scope(),
+		Qs: qs, Workers: 2, Obs: rec.Scope(),
 	})
 	if err != nil {
 		t.Fatalf("QSweep: %v", err)
@@ -376,15 +335,6 @@ func TestChaosObservabilityInvariants(t *testing.T) {
 	}
 	if degraded != 1 || quarantined != 1 {
 		t.Fatalf("degraded=%d quarantined=%d, want exactly 1 each", degraded, quarantined)
-	}
-
-	// Retry accounting: flaky heals after 1 panic (1 retry); perma and doomed
-	// burn the full 3-attempt budget at their faulted point (2 retries each).
-	if got := rec.Counter("sweep.retries"); got != 5 {
-		t.Fatalf("sweep.retries = %d, want 5", got)
-	}
-	if got := rec.CountEvents(obs.PointRetried); got != 5 {
-		t.Fatalf("%d PointRetried events, want 5", got)
 	}
 
 	// Every grid point emits exactly one PointDone; the sweep brackets them

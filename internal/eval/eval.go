@@ -61,8 +61,7 @@ func DefaultQGrid() []float64 {
 // The Algorithm 1 curves are evaluated on the parallel guarded sweep pool
 // (QSweep) under the full crash-safe batch runtime: the guard's
 // cancellation, deadline and budget apply globally; the options attach a
-// per-point retry policy, a checkpoint journal and a resume view (see
-// SweepOptions). A grid point whose primary analysis fails degrades to the
+// checkpoint journal and a resume view (see SweepOptions). A grid point whose primary analysis fails degrades to the
 // Equation 4 bound, flagged in the table's Notes. On abort the error is a
 // *PartialError — the completed grid points are already checkpointed when a
 // journal is attached, so the same call with the journal's resume view

@@ -5,22 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"fnpr/internal/chaos"
 	"fnpr/internal/core"
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
 	"fnpr/internal/journal"
 	"fnpr/internal/memo"
 	"fnpr/internal/obs"
-	"fnpr/internal/retry"
 )
 
 // SweepSpec names one curve of a Q sweep: a preemption delay function whose
@@ -107,20 +102,13 @@ func ReasonOf(err error) Reason {
 	}
 }
 
-// ReasonCode maps an analysis error to its machine-readable class name.
-//
-// Deprecated: use ReasonOf(err).String().
-func ReasonCode(err error) string {
-	return ReasonOf(err).String()
-}
-
 // SweepPoint is one (Q, bound) sample, together with the full story of how it
 // was obtained — the degradation ladder every grid point walks down:
 //
-//  1. the primary Algorithm 1 analysis, retried per the sweep's backoff
-//     policy on transient failures (panics, per-point budget trips);
-//  2. the Equation 4 state-of-the-art fallback when the retries are
-//     exhausted (Degraded is set, Primary records the failure class);
+//  1. the primary Algorithm 1 analysis, run once: the analysis is a pure
+//     function of the curve and Q, so a failure would recur on a re-run;
+//  2. the Equation 4 state-of-the-art fallback when the primary analysis
+//     fails (Degraded is set, Primary records the failure class);
 //  3. quarantine when even the fallback fails (Quarantined is set, Value is
 //     NaN, Fallback records the second failure class).
 //
@@ -142,7 +130,9 @@ type SweepPoint struct {
 	Fallback Reason
 	// Note is the human-readable error chain behind Primary/Fallback.
 	Note string
-	// Attempts counts the primary-analysis attempts spent on this point.
+	// Attempts counts the primary-analysis attempts spent on this point:
+	// 1 for every computed point. Journals written when a point could be
+	// retried may hold larger counts; they restore as written.
 	Attempts int
 	// Done marks the point as completed (cleanly, degraded or
 	// quarantined). Points of an aborted sweep that were never reached
@@ -282,8 +272,7 @@ func (e *PartialError) Unwrap() error { return e.Err }
 // SweepOptions configures one Q sweep end to end: the grid, the worker pool,
 // the crash-safe batch runtime around it and the observability scope it
 // reports into. The zero value (plus a non-empty Qs grid) is a plain
-// in-memory sweep: GOMAXPROCS workers, a single attempt per point, no
-// checkpointing, no events.
+// in-memory sweep: GOMAXPROCS workers, no checkpointing, no events.
 type SweepOptions struct {
 	// Qs is the Q grid every spec is evaluated on. QSweep requires it
 	// non-empty; figure-level wrappers default it to DefaultQGrid().
@@ -291,15 +280,6 @@ type SweepOptions struct {
 
 	// Workers is the size of the goroutine pool; <= 0 selects GOMAXPROCS.
 	Workers int
-
-	// Retry is the backoff policy applied to each grid point's primary
-	// analysis before it degrades to the Equation 4 fallback. Transient
-	// failures (recovered panics, per-point budget trips) are retried;
-	// deterministic failures (invalid input, divergence) and sweep-fatal
-	// conditions (cancellation, global budget exhaustion) are not. The
-	// policy's Rand must be safe for concurrent use when Jitter > 0
-	// (wrap with retry.Locked). The zero policy means one attempt.
-	Retry retry.Policy
 
 	// Journal, when non-nil, receives one checkpoint record per completed
 	// grid point, so an aborted sweep can resume. The first record
@@ -322,9 +302,9 @@ type SweepOptions struct {
 	Memo *memo.Cache
 
 	// Obs is the observability scope the sweep reports into: progress
-	// events (SweepStarted, PointDone, PointRetried, PointDegraded,
-	// PointQuarantined, SweepResumed, SweepFinished), per-worker
-	// utilisation and the ladder-transition counters (DESIGN.md §10).
+	// events (SweepStarted, PointDone, PointDegraded, PointQuarantined,
+	// SweepResumed, SweepFinished), per-worker utilisation and the
+	// ladder-transition counters (DESIGN.md §10).
 	// When nil the guard's attached scope is used; a nil scope collects
 	// nothing and costs nothing beyond a few nil checks.
 	Obs *obs.Scope
@@ -337,20 +317,6 @@ func (o SweepOptions) scope(g *guard.Ctx) *obs.Scope {
 		return o.Obs
 	}
 	return g.Obs()
-}
-
-// DefaultSweepRetry is the retry policy the command-line tools use: three
-// attempts with 5ms–100ms exponentially-growing, jittered backoff. The seed
-// makes the jitter sequence (and nothing else) reproducible.
-func DefaultSweepRetry(seed int64) retry.Policy {
-	return retry.Policy{
-		MaxAttempts: 3,
-		MinDelay:    5 * time.Millisecond,
-		MaxDelay:    100 * time.Millisecond,
-		Growth:      2,
-		Jitter:      0.25,
-		Rand:        retry.Locked(rand.New(rand.NewSource(seed))),
-	}
 }
 
 // gridKey is the journal key of one grid point; gridMetaKey fingerprints the
@@ -372,9 +338,9 @@ type gridMeta struct {
 // cancellation, deadline and step budget are global to the sweep.
 //
 // Each grid point walks the degradation ladder documented on SweepPoint:
-// primary analysis with retries, Equation 4 fallback, quarantine — every
-// rung under its own panic-recovery scope (guard.Run), so a pathological
-// point never kills the sweep. Only caller aborts (guard.ErrCanceled) and
+// primary analysis, Equation 4 fallback, quarantine — every rung under its
+// own panic-recovery scope (guard.Run), so a pathological point never kills
+// the sweep. Only caller aborts (guard.ErrCanceled) and
 // exhaustion of the sweep's own global budget stop everything; then the
 // completed points are returned alongside a *PartialError describing the
 // abort — partial results are never discarded, and with a journal attached
@@ -402,11 +368,6 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 		}
 		names[i] = s.Name
 	}
-	// Surface a misconfigured retry policy before any worker starts
-	// (retry.Do would also catch it, but per-point, after work began).
-	if err := opts.Retry.Validate(); err != nil {
-		return nil, guard.Invalidf("eval: %v", err)
-	}
 	if err := checkGridMeta(opts, names, qs); err != nil {
 		return nil, err
 	}
@@ -427,11 +388,6 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 		indexed[i].F = delay.AutoIndex(indexed[i].F)
 	}
 	specs = indexed
-	// FNPR_CHAOS_PANIC_PROB (a doc-gated escape hatch)
-	// wraps every spec in the deterministic fault injector, forcing real
-	// retries and backoff sleeps — the seam the end-to-end crash-safety
-	// tests use to kill a binary mid-backoff. Unset in normal operation.
-	specs = chaosWrap(specs)
 
 	sc := opts.scope(g)
 	total := len(specs) * len(qs)
@@ -492,15 +448,6 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 		}
 		return errors.Is(err, guard.ErrBudgetExceeded) && g.Remaining() == 0
 	}
-	// settled classifies errors no retry can fix: sweep-fatal conditions,
-	// deterministic analysis outcomes (divergence) and rejected inputs.
-	// Only transient classes — recovered panics and per-point budget
-	// trips — are worth another attempt.
-	settled := func(err error) bool {
-		return fatal(err) ||
-			errors.Is(err, guard.ErrDiverged) ||
-			errors.Is(err, guard.ErrInvalidInput)
-	}
 	// checkpoint appends the completed point to the journal. A journal
 	// write failure is sweep-fatal: continuing would break the crash-
 	// safety contract the caller asked for.
@@ -523,14 +470,14 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 			sc.Counter("sweep.points.restored").Inc()
 		case pt.Quarantined:
 			sc.Counter("sweep.points.quarantined").Inc()
-			sc.Emit(obs.Event{Type: obs.PointQuarantined, Spec: results[jb.si].Name, Q: pt.Q, Attempt: pt.Attempts, Code: pt.Code(), Err: pt.Note})
+			sc.Emit(obs.Event{Type: obs.PointQuarantined, Spec: results[jb.si].Name, Q: pt.Q, Code: pt.Code(), Err: pt.Note})
 		case pt.Degraded:
 			sc.Counter("sweep.points.degraded").Inc()
-			sc.Emit(obs.Event{Type: obs.PointDegraded, Spec: results[jb.si].Name, Q: pt.Q, Attempt: pt.Attempts, Code: pt.Code(), Err: pt.Note})
+			sc.Emit(obs.Event{Type: obs.PointDegraded, Spec: results[jb.si].Name, Q: pt.Q, Code: pt.Code(), Err: pt.Note})
 		default:
 			sc.Counter("sweep.points.clean").Inc()
 		}
-		sc.Emit(obs.Event{Type: obs.PointDone, Spec: results[jb.si].Name, Q: pt.Q, Attempt: pt.Attempts, Code: pt.Code()})
+		sc.Emit(obs.Event{Type: obs.PointDone, Spec: results[jb.si].Name, Q: pt.Q, Code: pt.Code()})
 		if !restored {
 			checkpoint(jb, pt)
 		}
@@ -570,34 +517,15 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 					continue
 				}
 				label := fmt.Sprintf("%s at Q=%g", spec.Name, q)
-				pol := opts.Retry
-				if pol.Sleep == nil {
-					// Backoff sleeps observe the guard's cancellation
-					// channel: a SIGTERM arriving mid-backoff aborts the
-					// sweep promptly (and flushes metrics/journal) instead
-					// of sleeping through the signal.
-					pol.Sleep = guardSleep(g)
-				}
-				if timed {
-					pol.OnBackoff = func(n int, d time.Duration) {
-						sc.Counter("sweep.retries").Inc()
-						sc.Histogram("sweep.backoff_ns").Observe(d.Nanoseconds())
-						sc.Emit(obs.Event{Type: obs.PointRetried, Spec: spec.Name, Q: q, Attempt: n + 1})
-					}
-				}
-				var hints core.WalkHints
-				v, err := retry.Do(pol, settled, func(attempt int) (core.Result, error) {
-					pt.Attempts = attempt + 1
-					return guard.Run(g, label, func() (core.Result, error) {
-						hs := &hintSlots[jb.si]
-						hs.mu.Lock()
-						in := hs.pieces
-						hs.mu.Unlock()
-						// Fresh Out every attempt: the stored slice is only
-						// ever read (as a later walk's In), never appended to.
-						hints = core.WalkHints{In: in}
-						return core.Analyze(g, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo, Hints: &hints})
-					})
+				hs := &hintSlots[jb.si]
+				hs.mu.Lock()
+				// The stored slice is only ever read (as a later walk's
+				// In), never appended to.
+				hints := core.WalkHints{In: hs.pieces}
+				hs.mu.Unlock()
+				pt.Attempts = 1
+				v, err := guard.Run(g, label, func() (core.Result, error) {
+					return core.Analyze(g, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo, Hints: &hints})
 				})
 				if err == nil {
 					pt.Value = v.TotalDelay
@@ -608,7 +536,6 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 						} else {
 							sc.Counter("sweep.qshare.cold").Inc()
 						}
-						hs := &hintSlots[jb.si]
 						hs.mu.Lock()
 						hs.pieces = hints.Out
 						hs.mu.Unlock()
@@ -764,48 +691,6 @@ func equalFloats(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// guardSleep returns a sleep function bound to the guard's cancellation
-// channel: it wakes early when the scope is canceled, so backoff waits never
-// outlive a SIGINT/SIGTERM or a server drain. It returns nil (plain
-// time.Sleep) when the scope has no cancellation source.
-func guardSleep(g *guard.Ctx) func(time.Duration) {
-	done := g.Done()
-	if done == nil {
-		return nil
-	}
-	return func(d time.Duration) {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-done:
-		}
-	}
-}
-
-// chaosWrap applies the FNPR_CHAOS_PANIC_PROB fault-injection seam: when the
-// variable holds a probability in (0, 1], every spec is wrapped in a
-// deterministic chaos injector that panics inside analysis queries with that
-// probability, exercising the retry/backoff/degradation ladder in a real
-// binary. Anything unset, unparsable or non-positive is a no-op.
-func chaosWrap(specs []SweepSpec) []SweepSpec {
-	v := os.Getenv("FNPR_CHAOS_PANIC_PROB")
-	if v == "" {
-		return specs
-	}
-	p, err := strconv.ParseFloat(v, 64)
-	if err != nil || p <= 0 {
-		return specs
-	}
-	in := chaos.NewInjector(1)
-	wrapped := make([]SweepSpec, len(specs))
-	copy(wrapped, specs)
-	for i := range wrapped {
-		wrapped[i].F = in.Wrap(wrapped[i].F, chaos.Fault{PanicProb: p})
-	}
-	return wrapped
 }
 
 // Degraded collects the flagged points of a sweep as human-readable strings

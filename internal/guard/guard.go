@@ -214,9 +214,8 @@ func (g *Ctx) TickN(n int64) error {
 }
 
 // Done returns the cancellation channel of the scope's context, or nil (block
-// forever) when the scope has no cancellation source. Batch runtimes select on
-// it to make their backoff sleeps abort promptly on SIGINT/SIGTERM instead of
-// sleeping through the signal.
+// forever) when the scope has no cancellation source, for callers that wait
+// on cancellation in a select.
 func (g *Ctx) Done() <-chan struct{} {
 	if g == nil || g.ctx == nil {
 		return nil

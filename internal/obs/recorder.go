@@ -6,7 +6,7 @@ import "sync"
 // private Registry (isolated from the process-global one) plus a sink that
 // retains every emitted event. Pass Scope() wherever a *Scope is accepted,
 // run the code under test, then assert on Counter/Events/CountEvents — e.g.
-// the chaos suite asserts that exactly N retries fired and that a
+// the chaos suite asserts that exactly one point degraded and that a
 // quarantined point emitted exactly one PointQuarantined event.
 type TestRecorder struct {
 	reg   *Registry

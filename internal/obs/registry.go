@@ -3,7 +3,7 @@
 // with wall-clock timestamps and monotonic durations, and a structured
 // progress-event stream that sinks subscribe to. It is dependency-free
 // (standard library only) and sits below every analysis package: guard
-// carries a *Scope, so core, delay, retry, journal, eval and the commands
+// carries a *Scope, so core, delay, journal, eval and the commands
 // all report into one tree.
 //
 // Design constraints, in order:

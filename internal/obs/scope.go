@@ -11,10 +11,10 @@ type EventType string
 
 // The progress-event vocabulary: one SweepStarted / SweepFinished pair per
 // sweep, one SweepResumed when a resume view restored at least one point, and
-// per grid point the degradation-ladder transitions PointRetried (a primary
-// attempt failed and another follows), PointDegraded (primary exhausted,
-// Equation 4 fallback used), PointQuarantined (fallback failed too) and
-// PointDone (the point completed — cleanly, degraded or quarantined).
+// per grid point the degradation-ladder transitions PointDegraded (primary
+// analysis failed, Equation 4 fallback used), PointQuarantined (fallback
+// failed too) and PointDone (the point completed — cleanly, degraded or
+// quarantined).
 //
 // Empirical campaigns (sharded acceptance-ratio and Monte-Carlo runs) use
 // their own triple: one CampaignStarted / CampaignFinished pair per campaign
@@ -24,7 +24,6 @@ const (
 	SweepStarted     EventType = "SweepStarted"
 	SweepResumed     EventType = "SweepResumed"
 	PointDone        EventType = "PointDone"
-	PointRetried     EventType = "PointRetried"
 	PointDegraded    EventType = "PointDegraded"
 	PointQuarantined EventType = "PointQuarantined"
 	SweepFinished    EventType = "SweepFinished"
@@ -36,15 +35,14 @@ const (
 )
 
 // Event is one structured progress record. Fields beyond Type are populated
-// when meaningful: Spec/Q identify a grid point, Attempt counts primary
-// attempts spent so far, Code carries the machine-readable failure class,
+// when meaningful: Spec/Q identify a grid point, Code carries the
+// machine-readable failure class,
 // Completed/Total summarise sweep-level events, Restored counts resume hits,
 // and Err holds the human-readable error text.
 type Event struct {
 	Type      EventType `json:"type"`
 	Spec      string    `json:"spec,omitempty"`
 	Q         float64   `json:"q,omitempty"`
-	Attempt   int       `json:"attempt,omitempty"`
 	Code      string    `json:"code,omitempty"`
 	Completed int       `json:"completed,omitempty"`
 	Total     int       `json:"total,omitempty"`

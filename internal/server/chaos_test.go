@@ -20,27 +20,37 @@ import (
 // untouched.
 func TestChaosFaults(t *testing.T) {
 	var (
-		mu    sync.Mutex
-		fault chaos.Fault
+		mu      sync.Mutex
+		fault   chaos.Fault
+		wrapped []*chaos.Func
 	)
 	setFault := func(f chaos.Fault) {
 		mu.Lock()
 		fault = f
 		mu.Unlock()
 	}
-	in := chaos.NewInjector(1)
+	fired := func() (n int64) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, f := range wrapped {
+			n += f.Fired()
+		}
+		return n
+	}
 
 	reg := obs.NewRegistry()
 	_, base := newTestServer(t, func(c *Config) {
 		c.Registry = reg
 		c.WrapDelay = func(f delay.Function, g *guard.Ctx, cancel context.CancelFunc) delay.Function {
 			mu.Lock()
+			defer mu.Unlock()
 			fa := fault
-			mu.Unlock()
 			// Burn and delayed cancel target this request's own scope.
 			fa.Guard = g
 			fa.Cancel = cancel
-			return in.Wrap(f, fa)
+			cf := chaos.Wrap(f, fa)
+			wrapped = append(wrapped, cf)
+			return cf
 		}
 	})
 	healthz := func(when string) {
@@ -92,7 +102,7 @@ func TestChaosFaults(t *testing.T) {
 	if n := reg.Counter("server.panics_recovered").Value(); n != 1 {
 		t.Fatalf("server.panics_recovered moved to %d after the panic fault was cleared", n)
 	}
-	if in.Fired() < 2 {
-		t.Fatalf("injector fired %d faults, want >= 2 (panic + cancel)", in.Fired())
+	if n := fired(); n < 2 {
+		t.Fatalf("injector fired %d faults, want >= 2 (panic + cancel)", n)
 	}
 }
