@@ -13,7 +13,6 @@ package npr
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fnpr/internal/guard"
 	"fnpr/internal/task"
@@ -37,26 +36,26 @@ func DemandBound(ts task.Set, t float64) float64 {
 // near U = 1 can otherwise explode the candidate set.
 const maxDeadlinePoints = 2_000_000
 
-// deadlinesUpTo lists the distinct absolute deadlines k*T + D <= limit of
-// all tasks, sorted ascending. The list is truncated at maxDeadlinePoints
-// (callers treat analyses on a truncated list as failed via
-// checkDeadlineBudget).
-func deadlinesUpTo(ts task.Set, limit float64) []float64 {
-	set := make(map[float64]struct{})
-	for _, tk := range ts {
-		for d := tk.Deadline(); d <= limit; d += tk.T {
-			set[d] = struct{}{}
-			if len(set) > maxDeadlinePoints {
-				break
-			}
+// mergeNext is the point enumeration shared by both tolerance sweeps: each
+// cursor next[j] walks task j's progression next[j], next[j]+T_j, ...
+// (accumulated as next[j] += T_j), and mergeNext returns the smallest
+// pending value and advances every cursor holding it. Successive calls
+// therefore yield the union of the progressions in ascending order with
+// equal values merged, without materialising it. With no cursors it
+// returns +Inf.
+func mergeNext(ts task.Set, next []float64) float64 {
+	m := math.Inf(1)
+	for _, t := range next {
+		if t < m {
+			m = t
 		}
 	}
-	out := make([]float64, 0, len(set))
-	for d := range set {
-		out = append(out, d)
+	for j, t := range next {
+		if t == m {
+			next[j] += ts[j].T
+		}
 	}
-	sort.Float64s(out)
-	return out
+	return m
 }
 
 // checkDeadlineBudget reports whether the horizon fits the checkpoint cap.
@@ -127,27 +126,31 @@ func EDFBlockingTolerance(g *guard.Ctx, ts task.Set) ([]float64, error) {
 	if err := checkDeadlineBudget(ts, horizon); err != nil {
 		return nil, err
 	}
-	deadlines := deadlinesUpTo(ts, horizon)
-	slacks := make([]float64, len(deadlines))
-	for i, t := range deadlines {
+	// One cursor per task walks its absolute deadlines D_j + k·T_j; every
+	// checkpoint up to the horizon costs one guard step. βi is the minimum
+	// slack over the checkpoints below Di, so slack at or above the largest
+	// relative deadline is read by no task and is not computed.
+	out := make([]float64, len(ts))
+	next := make([]float64, len(ts))
+	var dmax float64
+	for i, tk := range ts {
+		out[i] = math.Inf(1)
+		next[i] = tk.Deadline()
+		dmax = math.Max(dmax, tk.Deadline())
+	}
+	for t := mergeNext(ts, next); t <= horizon; t = mergeNext(ts, next) {
 		if err := g.Tick(); err != nil {
 			return nil, err
 		}
-		slacks[i] = t - DemandBound(ts, t)
-	}
-	// Prefix minima: minSlackBelow[i] = min slack at deadlines < x.
-	out := make([]float64, len(ts))
-	for i, tk := range ts {
-		m := math.Inf(1)
-		for j, t := range deadlines {
-			if t >= tk.Deadline() {
-				break
-			}
-			if slacks[j] < m {
-				m = slacks[j]
+		if t >= dmax {
+			continue
+		}
+		slack := t - DemandBound(ts, t)
+		for i, tk := range ts {
+			if t < tk.Deadline() && slack < out[i] {
+				out[i] = slack
 			}
 		}
-		out[i] = m
 	}
 	return out, nil
 }
@@ -169,13 +172,17 @@ func RequestBound(ts task.Set, i int, t float64) float64 {
 //
 //	βi = max over t in (0, Di] of (t - Wi(t))
 //
-// where Wi is the level-i request bound and the maximum is taken over the
-// finitely many points where Wi changes (multiples of higher-priority
-// periods, plus Di itself). A negative tolerance means τi misses deadlines
-// even without blocking.
+// where Wi is the level-i request bound, evaluated at the scheduling points:
+// the multiples k·Tj < Di of the higher-priority periods, plus Di itself.
+// Without release jitter these are exactly the points where Wi steps, so
+// the maximum is exact. With jitter Wi steps at k·Tj − Jj instead, which
+// the enumeration does not visit, so the result is a conservative (lower)
+// tolerance for jittered sets. A negative tolerance means τi misses
+// deadlines even without blocking.
 //
-// The level-i sweep runs under the guard scope g (nil = no limits), charging
-// one guard step per scheduling point.
+// The points are merged from one cursor per higher-priority task (no point
+// list is built), and the level-i sweep runs under the guard scope g
+// (nil = no limits), charging one guard step per scheduling point.
 func FPBlockingTolerance(g *guard.Ctx, ts task.Set) ([]float64, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
@@ -184,37 +191,32 @@ func FPBlockingTolerance(g *guard.Ctx, ts task.Set) ([]float64, error) {
 		return nil, guard.Invalidf("npr: empty task set")
 	}
 	out := make([]float64, len(ts))
+	next := make([]float64, len(ts))
 	for i, tk := range ts {
-		points := schedulingPoints(ts, i, tk.Deadline())
+		limit := tk.Deadline()
+		hp := next[:i]
+		for j := range hp {
+			hp[j] = ts[j].T
+		}
 		best := math.Inf(-1)
-		for _, t := range points {
+		for {
+			t := mergeNext(ts, hp)
+			if t >= limit {
+				t = limit
+			}
 			if err := g.Tick(); err != nil {
 				return nil, err
 			}
 			if s := t - RequestBound(ts, i, t); s > best {
 				best = s
 			}
+			if t == limit {
+				break
+			}
 		}
 		out[i] = best
 	}
 	return out, nil
-}
-
-// schedulingPoints lists the candidate points for the level-i analysis:
-// all multiples of higher-priority periods up to limit, plus limit itself.
-func schedulingPoints(ts task.Set, i int, limit float64) []float64 {
-	set := map[float64]struct{}{limit: {}}
-	for j := 0; j < i; j++ {
-		for t := ts[j].T; t < limit; t += ts[j].T {
-			set[t] = struct{}{}
-		}
-	}
-	out := make([]float64, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Float64s(out)
-	return out
 }
 
 // Policy selects the scheduling policy Q is derived for.

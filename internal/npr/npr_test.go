@@ -277,7 +277,7 @@ func TestAssignQEDFSoundSlack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range deadlinesUpTo(qs, horizon) {
+		for _, d := range oracleDeadlines(qs, horizon) {
 			slack := d - DemandBound(qs, d)
 			var blocking float64
 			for _, tk := range qs {

@@ -53,6 +53,7 @@ func limitedAnalysis(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options, mon
 	// Initial C': the unlimited Algorithm 1 bound, or (for divergent
 	// bounds) the count-limited bound at the deadline — the refinement
 	// is precisely what makes such tasks analysable.
+	rel := newReleases(ts)
 	cp := make([]float64, n)
 	limits := make([]int, n)
 	for i, tk := range ts {
@@ -67,7 +68,7 @@ func limitedAnalysis(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options, mon
 		if tk.Q <= 0 {
 			return nil, guard.Invalidf("sched: task %s has no NPR length Q", tk.Name)
 		}
-		lim, err := countAt(ts, i, tk.Deadline())
+		lim, err := rel.countAt(i, tk.Deadline())
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +99,7 @@ func limitedAnalysis(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options, mon
 			if math.IsInf(horizon, 1) || horizon > tk.Deadline() {
 				horizon = tk.Deadline()
 			}
-			lim, err := countAt(ts, i, horizon)
+			lim, err := rel.countAt(i, horizon)
 			if err != nil {
 				return nil, err
 			}
@@ -122,13 +123,22 @@ func limitedAnalysis(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options, mon
 	return &LimitedResult{Response: rts, EffectiveC: cp, PreemptionLimit: limits}, nil
 }
 
+// releases holds the periods and release jitters of a priority-sorted set
+// side by side, so the preemption count of task i reads its higher-priority
+// prefix in place.
+type releases struct{ periods, jitters []float64 }
+
+func newReleases(ts task.Set) releases {
+	buf := make([]float64, 2*len(ts))
+	r := releases{periods: buf[:len(ts)], jitters: buf[len(ts):]}
+	for j, tk := range ts {
+		r.periods[j], r.jitters[j] = tk.T, tk.Jitter
+	}
+	return r
+}
+
 // countAt bounds task i's preemptions by the higher-priority releases within
 // the horizon.
-func countAt(ts task.Set, i int, horizon float64) (int, error) {
-	var periods, jitters []float64
-	for j := 0; j < i; j++ {
-		periods = append(periods, ts[j].T)
-		jitters = append(jitters, ts[j].Jitter)
-	}
-	return core.PreemptionCount(horizon, periods, jitters)
+func (r releases) countAt(i int, horizon float64) (int, error) {
+	return core.PreemptionCount(horizon, r.periods[:i], r.jitters[:i])
 }

@@ -161,3 +161,22 @@ func TestResponseTimesFPLimitedAdmitsMore(t *testing.T) {
 		t.Fatal("refined response times should be schedulable")
 	}
 }
+
+// TestCountAtAllocs pins the preemption count to the release buffers built
+// once per analysis: a count allocates nothing.
+func TestCountAtAllocs(t *testing.T) {
+	ts := task.Set{
+		{Name: "a", C: 1, T: 10, Jitter: 1},
+		{Name: "b", C: 2, T: 25},
+		{Name: "c", C: 5, T: 60},
+	}
+	rel := newReleases(ts)
+	allocs := testing.AllocsPerRun(100, func() {
+		if n, err := rel.countAt(2, 50); err != nil || n != 8 {
+			t.Fatalf("countAt = %d, %v; want 8", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("countAt: %v allocs/op, want 0", allocs)
+	}
+}

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"fnpr/internal/guard"
@@ -31,6 +33,9 @@ const (
 	cutSlopeCap = 0.999
 )
 
+// cutSegBuf is how many segments cutRoot keeps on the stack.
+const cutSegBuf = 16
+
 // cutRoot analyses the linear relaxation of task i's response-time
 // recurrence anchored at a:
 //
@@ -54,9 +59,14 @@ const (
 // conclude the monotone climb would only end past it, skipping the climb
 // entirely. At most one of found/unsat is set; both false means the
 // relaxation is inconclusive (e.g. a root hides in a slope-capped segment).
+//
+// The segments live in a stack buffer for up to cutSegBuf higher-priority
+// tasks and are ordered by a stable sort, so tied breakpoints keep task
+// order and the walk allocates nothing.
 func cutRoot(ts task.Set, gamma func(i, j int) float64, i int, base, a, limit float64) (root float64, found, unsat bool) {
 	type cutSeg struct{ bp, linD, slopeD float64 }
-	segs := make([]cutSeg, 0, i)
+	var buf [cutSegBuf]cutSeg
+	segs := buf[:0]
 	lin := base
 	slope := 0.0
 	for j := 0; j < i; j++ {
@@ -73,7 +83,7 @@ func cutRoot(ts task.Set, gamma func(i, j int) float64, i int, base, a, limit fl
 			slopeD: u / t,
 		})
 	}
-	sort.Slice(segs, func(x, y int) bool { return segs[x].bp < segs[y].bp })
+	slices.SortStableFunc(segs, func(x, y cutSeg) int { return cmp.Compare(x.bp, y.bp) })
 	margin := func(x float64) float64 {
 		return math.Max(cutRelShave*math.Abs(x), cutAbsShave)
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -54,6 +55,12 @@ func solverFixture(r *rand.Rand) (task.Set, []delay.Function, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, nil, err
 	}
+	fns, err := fixtureDelays(r, ts)
+	return ts, fns, err
+}
+
+// fixtureDelays draws the delay-function mix of solverFixture for ts.
+func fixtureDelays(r *rand.Rand, ts task.Set) ([]delay.Function, error) {
 	fns := make([]delay.Function, len(ts))
 	for i := 1; i < len(ts); i++ {
 		var peak float64
@@ -73,11 +80,34 @@ func solverFixture(r *rand.Rand) (task.Set, []delay.Function, error) {
 		}
 		fn, err := delay.NewFrontLoaded(peak, peak/5, ts[i].C)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fns[i] = fn
 	}
-	return ts, fns, nil
+	return fns, nil
+}
+
+// tiedFixture draws a set of 14 to 20 tasks whose periods come from a
+// small harmonic pool with repeats and no jitter, so many of cutRoot's
+// breakpoints n·Tj coincide. With more than 12 segments an unstable sort
+// would leave such ties in an arbitrary order; cutRoot's stable order must
+// give the monotone reference's responses bit for bit.
+func tiedFixture(r *rand.Rand) (task.Set, []delay.Function, error) {
+	n := 14 + r.Intn(7)
+	u := 0.5 + 0.45*r.Float64()
+	ts := make(task.Set, n)
+	for i := range ts {
+		period := 20 * float64(int(1)<<r.Intn(5))
+		c := math.Max(0.01, u/float64(n)*period*(0.5+r.Float64()))
+		ts[i] = task.Task{Name: fmt.Sprintf("t%d", i), C: c, T: period}
+		ts[i].Q = math.Max((0.2+0.4*r.Float64())*c, 0.05)
+	}
+	ts.AssignRateMonotonic()
+	if err := ts.Validate(); err != nil {
+		return nil, nil, err
+	}
+	fns, err := fixtureDelays(r, ts)
+	return ts, fns, err
 }
 
 // sameFloats reports exact elementwise equality (+Inf included; == handles
@@ -169,6 +199,38 @@ func TestSolverDifferential(t *testing.T) {
 			continue
 		}
 		solverTrial(t, ts, fns, trial)
+	}
+	reg := obs.NewRegistry()
+	g := guard.New(context.Background()).WithObs(obs.NewScope(reg))
+	for trial := 0; trial < trials/50; trial++ {
+		ts, fns, err := tiedFixture(synth.SubRand(1811, 1, trial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solverTrial(t, ts, fns, trial)
+		if _, err := analyze(g, ts, Options{Delay: fns, Method: Algorithm1}, false); err != nil && guard.Abortive(err) {
+			t.Fatal(err)
+		}
+	}
+	if reg.Counter("sched.rta.solver.cuts").Value() == 0 {
+		t.Fatal("no cut fired on the tied-breakpoint sets; they no longer exercise cutRoot's ordering")
+	}
+}
+
+// TestCutRootAllocs pins cutRoot's segment buffer on the stack: no
+// allocation for up to cutSegBuf higher-priority tasks.
+func TestCutRootAllocs(t *testing.T) {
+	ts, _, err := tiedFixture(synth.SubRand(1811, 2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := min(len(ts)-1, cutSegBuf)
+	gamma := func(i, j int) float64 { return 0.1 }
+	allocs := testing.AllocsPerRun(100, func() {
+		cutRoot(ts, gamma, i, ts[i].C, ts[i].C, ts[i].Deadline())
+	})
+	if allocs != 0 {
+		t.Fatalf("cutRoot with %d higher-priority tasks: %v allocs/op, want 0", i, allocs)
 	}
 }
 
