@@ -6,6 +6,7 @@
 GO ?= go
 BENCH_OUT ?= bench.out
 BENCH_JSON ?= BENCH_PR3.json
+SMOKE_JSON ?= bench_smoke.json
 
 .PHONY: build test check race vet lint-api bench bench-e2e-test bench-smoke bench-pr5 bench-pr8 bench-pr9 bench-pr10 bench-regress bench-regress-pr8 bench-regress-pr9 bench-regress-pr10 nfr figures
 
@@ -46,10 +47,12 @@ bench-e2e-test:
 
 # bench-smoke is the CI variant: one iteration of the kernel-comparison
 # benchmarks, failing if the JSON report cannot be produced. Numbers from a
-# single iteration are not meaningful; only the pipeline is under test.
+# single iteration are not meaningful; only the pipeline is under test, so
+# the report goes to the git-ignored $(SMOKE_JSON), never over the
+# checked-in baseline.
 bench-smoke:
 	$(GO) test . -run '^$$' -bench 'Figure5Sweep|IndexedKernel' -benchtime 1x -benchmem > $(BENCH_OUT)
-	$(GO) run ./cmd/benchjson -in $(BENCH_OUT) -out $(BENCH_JSON)
+	$(GO) run ./cmd/benchjson -in $(BENCH_OUT) -out $(SMOKE_JSON)
 
 # bench-pr5 captures the empirical campaign layer: the sharded acceptance
 # engine at several worker counts and the pooled-vs-unpooled simulator trial.
@@ -119,8 +122,8 @@ bench-regress-pr10:
 	$(GO) run ./tools/benchregress -baseline BENCH_PR10.json -current bench_pr10_current.json -tolerance 0.30
 
 # bench-regress is the CI tripwire: rerun the analysis-kernel benchmarks,
-# render a fresh report to bench_current.json (NOT the checked-in baseline
-# file, which bench-smoke overwrites) and compare, machine-speed normalised,
+# render a fresh report to bench_current.json (never the checked-in
+# baseline file) and compare, machine-speed normalised,
 # failing on any >30% relative ns/op regression. Missing benchmarks or
 # metrics are skipped, never fatal. The benchtime is a duration, not an
 # iteration count, so Go scales iterations per benchmark — the sub-µs

@@ -90,6 +90,13 @@ func (p AcceptanceParams) Validate() error {
 		return guard.Invalidf("eval: DelayScale %g, need >= 0", p.DelayScale)
 	case math.IsNaN(p.QFraction) || p.QFraction <= 0:
 		return guard.Invalidf("eval: QFraction %g, need > 0", p.QFraction)
+	case p.Tasks > maxTasks:
+		return guard.Invalidf("eval: Tasks %d exceeds the limit of %d", p.Tasks, maxTasks)
+	}
+	if n := len(p.points()); n > maxUtilPoints {
+		return guard.Invalidf("eval: utilization grid %g..%g by %g exceeds %d points", p.UStart, p.UEnd, p.UStep, maxUtilPoints)
+	} else if p.SetsPerPoint > maxTrials/n {
+		return guard.Invalidf("eval: %d points of %d sets exceed the limit of %d trials", n, p.SetsPerPoint, maxTrials)
 	}
 	return nil
 }
@@ -101,10 +108,15 @@ func (p AcceptanceParams) scope(g *guard.Ctx) *obs.Scope {
 	return g.Obs()
 }
 
-// points enumerates the utilization grid.
+// maxUtilPoints caps the utilization grid.
+const maxUtilPoints = 1000
+
+// points enumerates the utilization grid, stopping after maxUtilPoints+1
+// points: a step too small to advance u past its rounding would otherwise
+// never end it, and Validate rejects a grid that long.
 func (p AcceptanceParams) points() []float64 {
 	var pts []float64
-	for u := p.UStart; u <= p.UEnd+1e-9; u += p.UStep {
+	for u := p.UStart; u <= p.UEnd+1e-9 && len(pts) <= maxUtilPoints; u += p.UStep {
 		pts = append(pts, u)
 	}
 	return pts

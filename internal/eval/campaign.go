@@ -11,11 +11,11 @@ import (
 // Campaign is the job-shaped view of the package's long-running experiments,
 // used by callers that queue campaigns behind an admission-controlled worker
 // pool (the analysis service): validate up front, run under a guard scope,
-// return a JSON-marshalable result. Both campaign parameter types implement
-// it.
+// return a JSON-marshalable result. AcceptanceParams, MonteCarloParams and
+// AtlasParams implement it.
 type Campaign interface {
-	// Kind names the campaign ("acceptance", "montecarlo") for job metadata
-	// and metrics.
+	// Kind names the campaign ("acceptance", "montecarlo", "atlas") for job
+	// metadata and metrics.
 	Kind() string
 	// Validate rejects malformed parameters without running anything.
 	Validate() error
@@ -27,9 +27,22 @@ type Campaign interface {
 	// excluded: they never change the table.
 	Fingerprint() string
 	// Run executes the campaign under g and returns its result — the same
-	// value the direct entry point (Acceptance, MonteCarlo) returns.
+	// value the direct entry point (Acceptance, MonteCarlo, Atlas) returns.
 	Run(g *guard.Ctx) (any, error)
 }
+
+// Input bounds that keep a hostile campaign from exhausting memory before
+// its first guard tick.
+const (
+	// maxTasks caps the tasks per set (AcceptanceParams.Tasks,
+	// MonteCarloParams.MaxTasks): each trial allocates its task set whole.
+	// Every caller uses 10 or fewer.
+	maxTasks = 1024
+	// maxTrials caps a campaign's trials (acceptance points × sets per
+	// point, Monte Carlo trials): the verdict table is allocated up front,
+	// one entry per trial. The defaults run 2400 and 2000.
+	maxTrials = 1 << 22
+)
 
 // fingerprint hashes the canonical JSON of a campaign's identity parameters,
 // prefixed by its kind so equal parameter structs of different campaigns

@@ -54,8 +54,12 @@ func (p MonteCarloParams) Validate() error {
 	switch {
 	case p.Trials <= 0:
 		return guard.Invalidf("eval: Trials %d, need > 0", p.Trials)
+	case p.Trials > maxTrials:
+		return guard.Invalidf("eval: Trials %d exceeds the limit of %d", p.Trials, maxTrials)
 	case p.MaxTasks < 2:
 		return guard.Invalidf("eval: MaxTasks %d, need >= 2", p.MaxTasks)
+	case p.MaxTasks > maxTasks:
+		return guard.Invalidf("eval: MaxTasks %d exceeds the limit of %d", p.MaxTasks, maxTasks)
 	case math.IsNaN(p.Horizon) || math.IsInf(p.Horizon, 0) || p.Horizon <= 0:
 		return guard.Invalidf("eval: Horizon %g, need finite > 0", p.Horizon)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"testing"
+	"time"
 
 	"fnpr/internal/eval"
 )
@@ -40,6 +41,35 @@ func TestCampaignFingerprints(t *testing.T) {
 		_, _, job := doJSON(t, "GET", base+"/v1/jobs/"+v["id"].(string), nil)
 		if job["fingerprint"] != c.want {
 			t.Errorf("POST %s %s: fingerprint %v, want %s", c.kind, c.body, job["fingerprint"], c.want)
+		}
+	}
+}
+
+// hostileCampaigns are bodies that once passed validation and then
+// exhausted memory before the job's first guard tick, taking the whole
+// service down: a utilization step too small to advance u, task counts
+// whose first task set is gigabytes, and trial counts whose verdict table
+// is.
+var hostileCampaigns = []struct{ kind, body string }{
+	{"acceptance", `{"u_start":1,"u_end":2,"u_step":1e-300}`},
+	{"acceptance", `{"tasks":67108864}`},
+	{"montecarlo", `{"max_tasks":67108864}`},
+	{"acceptance", `{"sets_per_point":4000000000}`},
+	{"montecarlo", `{"trials":4000000000}`},
+}
+
+// TestHostileCampaignBodies requires each hostile body to be refused at
+// submission with a 400 invalid, in well under a second.
+func TestHostileCampaignBodies(t *testing.T) {
+	_, base := newTestServer(t, func(c *Config) { c.CampaignBudget = 1000; c.Workers = 1 })
+	for _, c := range hostileCampaigns {
+		start := time.Now()
+		st, v := postRaw(t, base+"/v1/campaign/"+c.kind, []byte(c.body))
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("POST %s %s: answered after %v", c.kind, c.body, took)
+		}
+		if st != http.StatusBadRequest || v["code"] != "invalid" {
+			t.Fatalf("POST %s %s: %d %v, want 400 invalid", c.kind, c.body, st, v)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"fnpr/internal/eval"
 	"fnpr/internal/spec"
 	"fnpr/internal/wire"
 )
@@ -19,7 +20,10 @@ import (
 // DisallowUnknownFields, the decoder they replaced, as an oracle: whatever
 // the oracle rejects they reject, whatever it accepts they decode to the
 // same value, and a key matching a field already set in the same object is
-// rejected where the oracle would merge.
+// rejected where the oracle would merge. The campaign field tables write
+// straight into eval's params types, which carry no JSON tags; their oracle
+// is the json-tagged request struct each campaign decoded into before, with
+// a conversion onto the params type.
 
 // oracleDecode decodes data into v as the service did before package wire.
 func oracleDecode(data []byte, v any) error {
@@ -28,13 +32,134 @@ func oracleDecode(data []byte, v any) error {
 	return dec.Decode(v)
 }
 
-// checkDecoder decodes data through fields and through the oracle, both
-// over a value made by fresh, and fails t where they disagree.
-func checkDecoder[T any](t *testing.T, data []byte, fresh func() T, fields wire.Fields[T]) {
+// decoder is a field table over T and its oracle: fresh makes the value the
+// table decodes over, oracle the value encoding/json decodes over, and conv
+// maps a decoded oracle value onto T.
+type decoder[O, T any] struct {
+	fresh  func() T
+	fields wire.Fields[T]
+	oracle func() O
+	conv   func(O) T
+}
+
+// selfOracle is the decoder of a table over a json-tagged T, starting from
+// T's zero value: T is its own oracle.
+func selfOracle[T any](fields wire.Fields[T]) decoder[T, T] {
+	zero := func() T { var v T; return v }
+	return decoder[T, T]{fresh: zero, fields: fields, oracle: zero, conv: func(v T) T { return v }}
+}
+
+var (
+	analyzeDecoder    = selfOracle(analyzeFields)
+	analyzeSetDecoder = selfOracle(analyzeSetFields)
+	acceptanceDecoder = decoder[acceptanceRequest, acceptanceBody]{
+		fresh:  func() acceptanceBody { return acceptanceBody{AcceptanceParams: eval.DefaultAcceptanceParams()} },
+		fields: acceptanceFields, oracle: newAcceptanceRequest, conv: acceptanceRequest.body,
+	}
+	monteCarloDecoder = decoder[monteCarloRequest, eval.MonteCarloParams]{
+		fresh:  eval.DefaultMonteCarloParams,
+		fields: monteCarloFields, oracle: newMonteCarloRequest, conv: monteCarloRequest.params,
+	}
+	atlasDecoder = decoder[atlasRequest, eval.AtlasParams]{
+		fresh:  eval.DefaultAtlasParams,
+		fields: atlasFields, oracle: newAtlasRequest, conv: atlasRequest.params,
+	}
+)
+
+// acceptanceRequest is the acceptance oracle: the json-tagged struct
+// acceptance bodies decoded into before the field table was declared over
+// eval.AcceptanceParams.
+type acceptanceRequest struct {
+	Seed         int64   `json:"seed"`
+	SetsPerPoint int     `json:"sets_per_point"`
+	Tasks        int     `json:"tasks"`
+	UStart       float64 `json:"u_start"`
+	UEnd         float64 `json:"u_end"`
+	UStep        float64 `json:"u_step"`
+	DelayScale   float64 `json:"delay_scale"`
+	QFraction    float64 `json:"q_fraction"`
+	Workers      int     `json:"workers,omitempty"`
+	Journal      string  `json:"journal,omitempty"`
+	Resume       bool    `json:"resume,omitempty"`
+}
+
+func newAcceptanceRequest() acceptanceRequest {
+	d := eval.DefaultAcceptanceParams()
+	return acceptanceRequest{
+		Seed: d.Seed, SetsPerPoint: d.SetsPerPoint, Tasks: d.Tasks,
+		UStart: d.UStart, UEnd: d.UEnd, UStep: d.UStep,
+		DelayScale: d.DelayScale, QFraction: d.QFraction,
+	}
+}
+
+func (q acceptanceRequest) body() acceptanceBody {
+	return acceptanceBody{
+		AcceptanceParams: eval.AcceptanceParams{
+			Seed: q.Seed, SetsPerPoint: q.SetsPerPoint, Tasks: q.Tasks,
+			UStart: q.UStart, UEnd: q.UEnd, UStep: q.UStep,
+			DelayScale: q.DelayScale, QFraction: q.QFraction, Workers: q.Workers,
+		},
+		journal: q.Journal, resume: q.Resume,
+	}
+}
+
+// monteCarloRequest is the Monte Carlo oracle.
+type monteCarloRequest struct {
+	Seed     int64   `json:"seed"`
+	Trials   int     `json:"trials"`
+	MaxTasks int     `json:"max_tasks"`
+	Horizon  float64 `json:"horizon"`
+	Workers  int     `json:"workers,omitempty"`
+}
+
+func newMonteCarloRequest() monteCarloRequest {
+	d := eval.DefaultMonteCarloParams()
+	return monteCarloRequest{Seed: d.Seed, Trials: d.Trials, MaxTasks: d.MaxTasks, Horizon: d.Horizon}
+}
+
+func (q monteCarloRequest) params() eval.MonteCarloParams {
+	return eval.MonteCarloParams{
+		Seed: q.Seed, Trials: q.Trials, MaxTasks: q.MaxTasks, Horizon: q.Horizon, Workers: q.Workers,
+	}
+}
+
+// atlasRequest is the pessimism-atlas oracle.
+type atlasRequest struct {
+	Seed         int64     `json:"seed"`
+	Qs           []float64 `json:"qs,omitempty"`
+	FuncsPerCell int       `json:"funcs_per_cell"`
+	C            float64   `json:"c"`
+	MaxStates    int       `json:"max_states,omitempty"`
+	Workers      int       `json:"workers,omitempty"`
+}
+
+func newAtlasRequest() atlasRequest {
+	d := eval.DefaultAtlasParams()
+	return atlasRequest{Seed: d.Seed, Qs: d.Qs, FuncsPerCell: d.FuncsPerCell, C: d.C}
+}
+
+func (q atlasRequest) params() eval.AtlasParams {
+	return eval.AtlasParams{
+		Seed: q.Seed, Qs: q.Qs, FuncsPerCell: q.FuncsPerCell, C: q.C,
+		MaxStates: q.MaxStates, Workers: q.Workers,
+	}
+}
+
+// same reports whether a and b are deeply equal and marshal to the same
+// JSON, which also tells -0 from 0.
+func same(a, b any) bool {
+	ab, _ := json.Marshal(a)
+	bb, _ := json.Marshal(b)
+	return bytes.Equal(ab, bb) && reflect.DeepEqual(a, b)
+}
+
+// checkDecoder decodes data through d's table and through its oracle and
+// fails t where they disagree.
+func checkDecoder[O, T any](t *testing.T, data []byte, d decoder[O, T]) {
 	t.Helper()
-	want, got := fresh(), fresh()
+	want, got := d.oracle(), d.fresh()
 	oracleErr := oracleDecode(data, &want)
-	err := decodeBody(data, &got, fields)
+	err := decodeBody(data, &got, d.fields)
 	switch {
 	case oracleErr != nil:
 		if err == nil {
@@ -46,12 +171,8 @@ func checkDecoder[T any](t *testing.T, data []byte, fresh func() T, fields wire.
 		}
 	case err != nil:
 		t.Fatalf("%q: oracle accepts, wire rejects: %v", data, err)
-	default:
-		wb, _ := json.Marshal(want)
-		gb, _ := json.Marshal(got)
-		if !bytes.Equal(wb, gb) {
-			t.Fatalf("%q: decoded\n%s\nwant\n%s", data, gb, wb)
-		}
+	case !same(d.conv(want), got):
+		t.Fatalf("%q: decoded\n%#v\nwant\n%#v", data, got, d.conv(want))
 	}
 }
 
@@ -215,6 +336,8 @@ var campaignSeeds = []string{
 	`{"seed":1.0}`, `{"seed":1e3}`, `{"seed":-0}`, `{"seed":01}`, `{"horizon":1e400}`, `{"horizon":-0}`,
 	`{"seed":9223372036854775807}`, `{"seed":9223372036854775808}`, `{"u_step":"0.1"}`, `{"resume":"true"}`,
 	`{"journal":"../x"}`, "{\"journal\":\"\xff\"}", `{"trials":2,"bogus":1}`,
+	hostileCampaigns[0].body, hostileCampaigns[1].body, hostileCampaigns[2].body,
+	hostileCampaigns[3].body, hostileCampaigns[4].body,
 }
 
 // addSeeds adds every body of every list to the fuzz corpus.
@@ -229,14 +352,14 @@ func addSeeds(f *testing.F, lists ...[]string) {
 func FuzzDecodeAnalyze(f *testing.F) {
 	addSeeds(f, commonSeeds, analyzeSeeds, []string{string(bulkAnalyzeBody(64))})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecoder(t, data, func() analyzeRequest { return analyzeRequest{} }, analyzeFields)
+		checkDecoder(t, data, analyzeDecoder)
 	})
 }
 
 func FuzzDecodeAnalyzeSet(f *testing.F) {
 	addSeeds(f, commonSeeds, analyzeSetSeeds, []string{string(bulkSetBody(16))})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecoder(t, data, func() analyzeSetRequest { return analyzeSetRequest{} }, analyzeSetFields)
+		checkDecoder(t, data, analyzeSetDecoder)
 	})
 }
 
@@ -244,9 +367,9 @@ func FuzzDecodeAnalyzeSet(f *testing.F) {
 func FuzzDecodeCampaign(f *testing.F) {
 	addSeeds(f, commonSeeds, campaignSeeds)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecoder(t, data, newAcceptanceRequest, acceptanceFields)
-		checkDecoder(t, data, newMonteCarloRequest, monteCarloFields)
-		checkDecoder(t, data, newAtlasRequest, atlasFields)
+		checkDecoder(t, data, acceptanceDecoder)
+		checkDecoder(t, data, monteCarloDecoder)
+		checkDecoder(t, data, atlasDecoder)
 	})
 }
 
@@ -284,42 +407,39 @@ func jsonName(f reflect.StructField) string {
 	return name
 }
 
-// checkFieldTable decodes {"<name>": sample} for every JSON member of T
-// through fields and through the oracle. Both must accept, agree, and
-// differ from the decoded {}: a field missing from the table, or reading
-// into the wrong field, fails.
-func checkFieldTable[T any](t *testing.T, fresh func() T, fields wire.Fields[T]) {
-	typ := reflect.TypeOf(fresh())
-	empty := fresh()
-	emptyJSON, _ := json.Marshal(empty)
-	if typ.NumField() != len(fields) {
-		t.Errorf("%s: %d fields, %d in the wire table", typ, typ.NumField(), len(fields))
+// checkFieldTable decodes {"<name>": sample} for every JSON member of the
+// oracle type through d's table and through the oracle. Both must accept,
+// agree, and differ from the decoded {}: a field missing from the table, or
+// reading into the wrong field, fails.
+func checkFieldTable[O, T any](t *testing.T, d decoder[O, T]) {
+	typ := reflect.TypeOf(d.oracle())
+	empty := d.fresh()
+	if typ.NumField() != len(d.fields) {
+		t.Errorf("%s: %d fields, %d in the wire table", typ, typ.NumField(), len(d.fields))
 	}
 	for i := 0; i < typ.NumField(); i++ {
 		name := jsonName(typ.Field(i))
 		body := []byte(fmt.Sprintf("{%q:%s}", name, sampleJSON(typ.Field(i).Type)))
-		want, got := fresh(), fresh()
+		want, got := d.oracle(), d.fresh()
 		if err := oracleDecode(body, &want); err != nil {
 			t.Fatalf("%s: oracle: %v", body, err)
 		}
-		if err := decodeBody(body, &got, fields); err != nil {
+		if err := decodeBody(body, &got, d.fields); err != nil {
 			t.Errorf("%s.%s: %v", typ, typ.Field(i).Name, err)
 			continue
 		}
-		wb, _ := json.Marshal(want)
-		gb, _ := json.Marshal(got)
-		if !bytes.Equal(wb, gb) || bytes.Equal(gb, emptyJSON) {
-			t.Errorf("%s: decoded %s, want %s", body, gb, wb)
+		if !same(d.conv(want), got) || same(got, empty) {
+			t.Errorf("%s: decoded %#v, want %#v", body, got, d.conv(want))
 		}
 	}
 }
 
 func TestWireFieldTables(t *testing.T) {
-	checkFieldTable(t, func() analyzeRequest { return analyzeRequest{} }, analyzeFields)
-	checkFieldTable(t, func() analyzeSetRequest { return analyzeSetRequest{} }, analyzeSetFields)
-	checkFieldTable(t, newAcceptanceRequest, acceptanceFields)
-	checkFieldTable(t, newMonteCarloRequest, monteCarloFields)
-	checkFieldTable(t, newAtlasRequest, atlasFields)
+	checkFieldTable(t, analyzeDecoder)
+	checkFieldTable(t, analyzeSetDecoder)
+	checkFieldTable(t, acceptanceDecoder)
+	checkFieldTable(t, monteCarloDecoder)
+	checkFieldTable(t, atlasDecoder)
 }
 
 // postRaw posts body to url as it stands and decodes the JSON answer.

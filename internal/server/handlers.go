@@ -29,9 +29,9 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.Handle("POST /v1/analyze", s.instrument("analyze", s.handleAnalyze))
 	mux.Handle("POST /v1/analyzeset", s.instrument("analyzeset", s.handleAnalyzeSet))
-	mux.Handle("POST /v1/campaign/acceptance", s.instrument("campaign", s.handleCampaignAcceptance))
-	mux.Handle("POST /v1/campaign/montecarlo", s.instrument("campaign", s.handleCampaignMonteCarlo))
-	mux.Handle("POST /v1/campaign/atlas", s.instrument("campaign", s.handleCampaignAtlas))
+	for kind := range campaigns {
+		mux.Handle("POST /v1/campaign/"+kind, s.instrument("campaign", s.handleCampaign(kind)))
+	}
 	mux.Handle("GET /v1/jobs", s.instrument("jobs", s.handleJobs))
 	mux.Handle("GET /v1/jobs/{id}", s.instrument("jobs", s.handleJob))
 	mux.Handle("/debug/", obs.DebugMux(s.cfg.Registry))
@@ -103,60 +103,38 @@ func decodeBody[T any](body []byte, v *T, fields wire.Fields[T]) error {
 	return nil
 }
 
-// reqGuard builds the per-request guard scope: the wall-clock deadline comes
-// from ?timeout= clamped by the server maximum, the step budget from
-// ?budget= clamped by the endpoint default (itself clamped by MaxBudget).
-// The cancel func must be deferred by the caller.
-func (s *Server) reqGuard(r *http.Request, defBudget int64) (*guard.Ctx, context.CancelFunc, error) {
-	timeout := s.cfg.MaxTimeout
-	if v := r.URL.Query().Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return nil, nil, guard.Invalidf("server: bad timeout %q (want a positive duration like 5s)", v)
-		}
-		if d < timeout {
-			timeout = d
-		}
-	}
-	budget := defBudget
-	if v := r.URL.Query().Get("budget"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n <= 0 {
-			return nil, nil, guard.Invalidf("server: bad budget %q (want a positive step count)", v)
-		}
-		if n < budget {
-			budget = n
-		}
-	}
-	ctx, cancel := context.WithCancel(r.Context())
-	g := guard.New(ctx).WithTimeout(timeout).WithBudget(budget).WithObs(s.sc)
-	return g, cancel, nil
-}
-
-// jobLimits derives a campaign job's wall-clock and budget limits from the
-// same query parameters, clamped by the campaign defaults.
-func (s *Server) jobLimits(r *http.Request) (time.Duration, int64, error) {
+// limits reads a request's ?timeout= and ?budget=: the wall-clock deadline
+// clamped by the server maximum, the step budget clamped by defBudget (the
+// endpoint default, itself clamped by MaxBudget).
+func (s *Server) limits(r *http.Request, defBudget int64) (time.Duration, int64, error) {
 	timeout := s.cfg.MaxTimeout
 	if v := r.URL.Query().Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			return 0, 0, guard.Invalidf("server: bad timeout %q (want a positive duration like 5s)", v)
 		}
-		if d < timeout {
-			timeout = d
-		}
+		timeout = min(timeout, d)
 	}
-	budget := s.cfg.CampaignBudget
+	budget := defBudget
 	if v := r.URL.Query().Get("budget"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || n <= 0 {
 			return 0, 0, guard.Invalidf("server: bad budget %q (want a positive step count)", v)
 		}
-		if n < budget {
-			budget = n
-		}
+		budget = min(budget, n)
 	}
 	return timeout, budget, nil
+}
+
+// reqGuard builds the per-request guard scope from the request's limits.
+// The cancel func must be deferred by the caller.
+func (s *Server) reqGuard(r *http.Request, defBudget int64) (*guard.Ctx, context.CancelFunc, error) {
+	timeout, budget, err := s.limits(r, defBudget)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx, cancel := context.WithCancel(r.Context())
+	return guard.New(ctx).WithTimeout(timeout).WithBudget(budget).WithObs(s.sc), cancel, nil
 }
 
 // admitAnalyze is the synchronous endpoints' admission check: draining or a
@@ -371,203 +349,137 @@ func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// acceptanceRequest is the wire form of an acceptance-campaign submission.
-// Omitted fields keep the eval.DefaultAcceptanceParams values.
-type acceptanceRequest struct {
-	Seed         int64   `json:"seed"`
-	SetsPerPoint int     `json:"sets_per_point"`
-	Tasks        int     `json:"tasks"`
-	UStart       float64 `json:"u_start"`
-	UEnd         float64 `json:"u_end"`
-	UStep        float64 `json:"u_step"`
-	DelayScale   float64 `json:"delay_scale"`
-	QFraction    float64 `json:"q_fraction"`
-	Workers      int     `json:"workers,omitempty"`
-	// Journal names a checkpoint journal inside the server's -journal-dir
-	// (a bare file name, no path separators); Resume restores the points it
-	// already holds. Requires the server to run with a journal directory.
-	Journal string `json:"journal,omitempty"`
-	Resume  bool   `json:"resume,omitempty"`
+// acceptanceBody is an acceptance submission: the campaign parameters, plus
+// the checkpoint journal it names inside the server's -journal-dir (a bare
+// file name, no path separators) and whether to resume the points that
+// journal already holds.
+type acceptanceBody struct {
+	eval.AcceptanceParams
+	journal string
+	resume  bool
 }
 
-var acceptanceFields = wire.Fields[acceptanceRequest]{
-	{Name: "seed", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Int64(&v.Seed) }},
-	{Name: "sets_per_point", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Int(&v.SetsPerPoint) }},
-	{Name: "tasks", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Int(&v.Tasks) }},
-	{Name: "u_start", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Float(&v.UStart) }},
-	{Name: "u_end", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Float(&v.UEnd) }},
-	{Name: "u_step", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Float(&v.UStep) }},
-	{Name: "delay_scale", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Float(&v.DelayScale) }},
-	{Name: "q_fraction", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Float(&v.QFraction) }},
-	{Name: "workers", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Int(&v.Workers) }},
-	{Name: "journal", Read: func(r *wire.Reader, v *acceptanceRequest) { r.String(&v.Journal) }},
-	{Name: "resume", Read: func(r *wire.Reader, v *acceptanceRequest) { r.Bool(&v.Resume) }},
+var acceptanceFields = wire.Fields[acceptanceBody]{
+	{Name: "seed", Read: func(r *wire.Reader, v *acceptanceBody) { r.Int64(&v.Seed) }},
+	{Name: "sets_per_point", Read: func(r *wire.Reader, v *acceptanceBody) { r.Int(&v.SetsPerPoint) }},
+	{Name: "tasks", Read: func(r *wire.Reader, v *acceptanceBody) { r.Int(&v.Tasks) }},
+	{Name: "u_start", Read: func(r *wire.Reader, v *acceptanceBody) { r.Float(&v.UStart) }},
+	{Name: "u_end", Read: func(r *wire.Reader, v *acceptanceBody) { r.Float(&v.UEnd) }},
+	{Name: "u_step", Read: func(r *wire.Reader, v *acceptanceBody) { r.Float(&v.UStep) }},
+	{Name: "delay_scale", Read: func(r *wire.Reader, v *acceptanceBody) { r.Float(&v.DelayScale) }},
+	{Name: "q_fraction", Read: func(r *wire.Reader, v *acceptanceBody) { r.Float(&v.QFraction) }},
+	{Name: "workers", Read: func(r *wire.Reader, v *acceptanceBody) { r.Int(&v.Workers) }},
+	{Name: "journal", Read: func(r *wire.Reader, v *acceptanceBody) { r.String(&v.journal) }},
+	{Name: "resume", Read: func(r *wire.Reader, v *acceptanceBody) { r.Bool(&v.resume) }},
 }
 
-// newAcceptanceRequest is the request a body decodes over: the
-// eval.DefaultAcceptanceParams values.
-func newAcceptanceRequest() acceptanceRequest {
-	d := eval.DefaultAcceptanceParams()
-	return acceptanceRequest{
-		Seed: d.Seed, SetsPerPoint: d.SetsPerPoint, Tasks: d.Tasks,
-		UStart: d.UStart, UEnd: d.UEnd, UStep: d.UStep,
-		DelayScale: d.DelayScale, QFraction: d.QFraction,
-	}
+var monteCarloFields = wire.Fields[eval.MonteCarloParams]{
+	{Name: "seed", Read: func(r *wire.Reader, v *eval.MonteCarloParams) { r.Int64(&v.Seed) }},
+	{Name: "trials", Read: func(r *wire.Reader, v *eval.MonteCarloParams) { r.Int(&v.Trials) }},
+	{Name: "max_tasks", Read: func(r *wire.Reader, v *eval.MonteCarloParams) { r.Int(&v.MaxTasks) }},
+	{Name: "horizon", Read: func(r *wire.Reader, v *eval.MonteCarloParams) { r.Float(&v.Horizon) }},
+	{Name: "workers", Read: func(r *wire.Reader, v *eval.MonteCarloParams) { r.Int(&v.Workers) }},
 }
 
-// acceptanceFromJSON decodes a submission body (live request or persisted
-// manifest record) into validated acceptance parameters, plus the journal
-// name and resume flag the body asked for.
-func (s *Server) acceptanceFromJSON(body []byte) (eval.AcceptanceParams, string, bool, error) {
-	req := newAcceptanceRequest()
-	if err := decodeBody(body, &req, acceptanceFields); err != nil {
-		return eval.AcceptanceParams{}, "", false, err
-	}
-	p := eval.AcceptanceParams{
-		Seed: req.Seed, SetsPerPoint: req.SetsPerPoint, Tasks: req.Tasks,
-		UStart: req.UStart, UEnd: req.UEnd, UStep: req.UStep,
-		DelayScale: req.DelayScale, QFraction: req.QFraction,
-		Workers: req.Workers, Obs: s.sc,
-	}
-	if err := p.Validate(); err != nil {
-		return eval.AcceptanceParams{}, "", false, err
-	}
-	return p, req.Journal, req.Resume, nil
+var atlasFields = wire.Fields[eval.AtlasParams]{
+	{Name: "seed", Read: func(r *wire.Reader, v *eval.AtlasParams) { r.Int64(&v.Seed) }},
+	{Name: "qs", Read: func(r *wire.Reader, v *eval.AtlasParams) { r.Floats(&v.Qs) }},
+	{Name: "funcs_per_cell", Read: func(r *wire.Reader, v *eval.AtlasParams) { r.Int(&v.FuncsPerCell) }},
+	{Name: "c", Read: func(r *wire.Reader, v *eval.AtlasParams) { r.Float(&v.C) }},
+	{Name: "max_states", Read: func(r *wire.Reader, v *eval.AtlasParams) { r.Int(&v.MaxStates) }},
+	{Name: "workers", Read: func(r *wire.Reader, v *eval.AtlasParams) { r.Int(&v.Workers) }},
 }
 
-func (s *Server) handleCampaignAcceptance(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	p, name, resume, err := s.acceptanceFromJSON(body)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	journalPath, err := s.journalPath(name, resume)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.submitCampaign(w, r, p, body, journalPath, resume)
+// decode strictly decodes a campaign submission body over its kind's eval
+// defaults and validates the result. journal and resume are what the body
+// asked for; only acceptance bodies can ask.
+type decode func(body []byte) (camp eval.Campaign, journal string, resume bool, err error)
+
+// campaigns is the one table of campaign kinds. The mux serves
+// POST /v1/campaign/<kind> from it and recovery rebuilds interrupted jobs
+// through it, so a live submission and its replay decode identically.
+var campaigns = map[string]decode{
+	"acceptance": func(body []byte) (eval.Campaign, string, bool, error) {
+		v := acceptanceBody{AcceptanceParams: eval.DefaultAcceptanceParams()}
+		if err := decodeBody(body, &v, acceptanceFields); err != nil {
+			return nil, "", false, err
+		}
+		return v.AcceptanceParams, v.journal, v.resume, v.Validate()
+	},
+	"montecarlo": decodeParams(eval.DefaultMonteCarloParams, monteCarloFields),
+	"atlas":      decodeParams(eval.DefaultAtlasParams, atlasFields),
 }
 
-// monteCarloRequest is the wire form of a Monte-Carlo campaign submission.
-// Omitted fields keep the eval.DefaultMonteCarloParams values.
-type monteCarloRequest struct {
-	Seed     int64   `json:"seed"`
-	Trials   int     `json:"trials"`
-	MaxTasks int     `json:"max_tasks"`
-	Horizon  float64 `json:"horizon"`
-	Workers  int     `json:"workers,omitempty"`
-}
-
-var monteCarloFields = wire.Fields[monteCarloRequest]{
-	{Name: "seed", Read: func(r *wire.Reader, v *monteCarloRequest) { r.Int64(&v.Seed) }},
-	{Name: "trials", Read: func(r *wire.Reader, v *monteCarloRequest) { r.Int(&v.Trials) }},
-	{Name: "max_tasks", Read: func(r *wire.Reader, v *monteCarloRequest) { r.Int(&v.MaxTasks) }},
-	{Name: "horizon", Read: func(r *wire.Reader, v *monteCarloRequest) { r.Float(&v.Horizon) }},
-	{Name: "workers", Read: func(r *wire.Reader, v *monteCarloRequest) { r.Int(&v.Workers) }},
-}
-
-// newMonteCarloRequest is the request a body decodes over: the
-// eval.DefaultMonteCarloParams values.
-func newMonteCarloRequest() monteCarloRequest {
-	d := eval.DefaultMonteCarloParams()
-	return monteCarloRequest{
-		Seed: d.Seed, Trials: d.Trials, MaxTasks: d.MaxTasks, Horizon: d.Horizon,
+// decodeParams is the decode of a kind whose body holds its parameters and
+// nothing else.
+func decodeParams[T eval.Campaign](defaults func() T, fields wire.Fields[T]) decode {
+	return func(body []byte) (eval.Campaign, string, bool, error) {
+		p := defaults()
+		if err := decodeBody(body, &p, fields); err != nil {
+			return nil, "", false, err
+		}
+		return p, "", false, p.Validate()
 	}
 }
 
-// monteCarloFromJSON decodes a submission body (live request or persisted
-// manifest record) into validated Monte-Carlo parameters.
-func (s *Server) monteCarloFromJSON(body []byte) (eval.MonteCarloParams, error) {
-	req := newMonteCarloRequest()
-	if err := decodeBody(body, &req, monteCarloFields); err != nil {
-		return eval.MonteCarloParams{}, err
+// handleCampaign serves POST /v1/campaign/<kind>: it decodes the body
+// through the kind's campaigns entry, builds the job, runs admission control
+// and answers 202 with the job's polling URL — or 429 immediately when the
+// queue refuses it. An Idempotency-Key header that matches a previous
+// submission with identical result-determining parameters answers 200 with
+// the existing job instead of starting a duplicate (deduplicated: true),
+// which is how clients safely retry a submit whose ack they never saw (crash
+// inside the ack window).
+func (s *Server) handleCampaign(kind string) http.HandlerFunc {
+	decode := campaigns[kind]
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := readBody(r)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		camp, name, resume, err := decode(body)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		journalPath, err := s.journalPath(name, resume)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		timeout, budget, err := s.limits(r, s.cfg.CampaignBudget)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		j := &job{
+			kind: camp.Kind(), camp: camp,
+			fingerprint: camp.Fingerprint(),
+			idemKey:     r.Header.Get("Idempotency-Key"),
+			params:      json.RawMessage(body),
+			journalPath: journalPath, resume: resume,
+			timeout: timeout, budget: budget,
+		}
+		if err := s.submit(j); err != nil {
+			s.fail(w, err)
+			return
+		}
+		if prev := j.existing; prev != nil {
+			writeJSON(w, http.StatusOK, map[string]any{
+				"id":           prev.id,
+				"kind":         prev.kind,
+				"status":       "/v1/jobs/" + prev.id,
+				"deduplicated": true,
+			})
+			return
+		}
+		writeJSON(w, http.StatusAccepted, map[string]any{
+			"id":     j.id,
+			"kind":   j.kind,
+			"status": "/v1/jobs/" + j.id,
+		})
 	}
-	p := eval.MonteCarloParams{
-		Seed: req.Seed, Trials: req.Trials, MaxTasks: req.MaxTasks,
-		Horizon: req.Horizon, Workers: req.Workers, Obs: s.sc,
-	}
-	if err := p.Validate(); err != nil {
-		return eval.MonteCarloParams{}, err
-	}
-	return p, nil
-}
-
-func (s *Server) handleCampaignMonteCarlo(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	p, err := s.monteCarloFromJSON(body)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.submitCampaign(w, r, p, body, "", false)
-}
-
-// atlasRequest is the wire form of a pessimism-atlas campaign submission.
-// Omitted fields keep the eval.DefaultAtlasParams values.
-type atlasRequest struct {
-	Seed         int64     `json:"seed"`
-	Qs           []float64 `json:"qs,omitempty"`
-	FuncsPerCell int       `json:"funcs_per_cell"`
-	C            float64   `json:"c"`
-	MaxStates    int       `json:"max_states,omitempty"`
-	Workers      int       `json:"workers,omitempty"`
-}
-
-var atlasFields = wire.Fields[atlasRequest]{
-	{Name: "seed", Read: func(r *wire.Reader, v *atlasRequest) { r.Int64(&v.Seed) }},
-	{Name: "qs", Read: func(r *wire.Reader, v *atlasRequest) { r.Floats(&v.Qs) }},
-	{Name: "funcs_per_cell", Read: func(r *wire.Reader, v *atlasRequest) { r.Int(&v.FuncsPerCell) }},
-	{Name: "c", Read: func(r *wire.Reader, v *atlasRequest) { r.Float(&v.C) }},
-	{Name: "max_states", Read: func(r *wire.Reader, v *atlasRequest) { r.Int(&v.MaxStates) }},
-	{Name: "workers", Read: func(r *wire.Reader, v *atlasRequest) { r.Int(&v.Workers) }},
-}
-
-// newAtlasRequest is the request a body decodes over: the
-// eval.DefaultAtlasParams values.
-func newAtlasRequest() atlasRequest {
-	d := eval.DefaultAtlasParams()
-	return atlasRequest{Seed: d.Seed, Qs: d.Qs, FuncsPerCell: d.FuncsPerCell, C: d.C}
-}
-
-// atlasFromJSON decodes a submission body (live request or persisted
-// manifest record) into validated atlas parameters.
-func (s *Server) atlasFromJSON(body []byte) (eval.AtlasParams, error) {
-	req := newAtlasRequest()
-	if err := decodeBody(body, &req, atlasFields); err != nil {
-		return eval.AtlasParams{}, err
-	}
-	p := eval.AtlasParams{
-		Seed: req.Seed, Qs: req.Qs, FuncsPerCell: req.FuncsPerCell, C: req.C,
-		MaxStates: req.MaxStates, Workers: req.Workers, Obs: s.sc,
-	}
-	if err := p.Validate(); err != nil {
-		return eval.AtlasParams{}, err
-	}
-	return p, nil
-}
-
-func (s *Server) handleCampaignAtlas(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	p, err := s.atlasFromJSON(body)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.submitCampaign(w, r, p, body, "", false)
 }
 
 // journalPath resolves and sanitizes a client-supplied journal name: a bare
@@ -588,46 +500,6 @@ func (s *Server) journalPath(name string, resume bool) (string, error) {
 		return "", guard.Invalidf("server: journal name %q must be a bare file name", name)
 	}
 	return filepath.Join(s.cfg.JournalDir, name), nil
-}
-
-// submitCampaign builds the job, runs admission control and answers 202 with
-// the job's polling URL — or 429 immediately when the queue refuses it. An
-// Idempotency-Key header that matches a previous submission with identical
-// result-determining parameters answers 200 with the existing job instead of
-// starting a duplicate (deduplicated: true), which is how clients safely
-// retry a submit whose ack they never saw (crash inside the ack window).
-func (s *Server) submitCampaign(w http.ResponseWriter, r *http.Request, camp eval.Campaign, body []byte, journalPath string, resume bool) {
-	timeout, budget, err := s.jobLimits(r)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	j := &job{
-		kind: camp.Kind(), camp: camp,
-		fingerprint: camp.Fingerprint(),
-		idemKey:     r.Header.Get("Idempotency-Key"),
-		params:      json.RawMessage(body),
-		journalPath: journalPath, resume: resume,
-		timeout: timeout, budget: budget,
-	}
-	if err := s.submit(j); err != nil {
-		s.fail(w, err)
-		return
-	}
-	if prev := j.existing; prev != nil {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"id":           prev.id,
-			"kind":         prev.kind,
-			"status":       "/v1/jobs/" + prev.id,
-			"deduplicated": true,
-		})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":     j.id,
-		"kind":   j.kind,
-		"status": "/v1/jobs/" + j.id,
-	})
 }
 
 // handleJobs lists every registered job (newest last) in summary form —

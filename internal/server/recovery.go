@@ -91,7 +91,7 @@ func (s *Server) jobFromRecord(r jobRecord) *job {
 		close(j.done)
 		return j
 	}
-	camp, err := s.rebuildCampaign(r.Kind, r.Params)
+	camp, err := rebuildCampaign(r.Kind, r.Params)
 	if err != nil {
 		j.state = jobFailed
 		j.finished = finished
@@ -137,21 +137,16 @@ func (s *Server) enqueueRecovered(jobs []*job) {
 	}
 }
 
-// rebuildCampaign re-decodes a persisted submission body into its campaign,
-// exactly as the original handler did (defaults, strict decoding,
-// validation). The journal/resume fields inside the body are ignored — the
-// manifest record's Journal path is authoritative for recovery.
-func (s *Server) rebuildCampaign(kind string, params json.RawMessage) (eval.Campaign, error) {
-	switch kind {
-	case "acceptance":
-		p, _, _, err := s.acceptanceFromJSON(params)
-		return p, err
-	case "montecarlo":
-		p, err := s.monteCarloFromJSON(params)
-		return p, err
-	case "atlas":
-		p, err := s.atlasFromJSON(params)
-		return p, err
+// rebuildCampaign re-decodes a persisted submission body through its kind's
+// entry in the campaigns table, exactly as the original submission was
+// decoded (defaults, strict decoding, validation). The journal/resume fields
+// inside the body are ignored — the manifest record's Journal path is
+// authoritative for recovery.
+func rebuildCampaign(kind string, params json.RawMessage) (eval.Campaign, error) {
+	decode, ok := campaigns[kind]
+	if !ok {
+		return nil, guard.Invalidf("server: unknown campaign kind %q in job store", kind)
 	}
-	return nil, guard.Invalidf("server: unknown campaign kind %q in job store", kind)
+	camp, _, _, err := decode(params)
+	return camp, err
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -105,53 +106,86 @@ func TestDurableReloadAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestDurableAutoResume is the interrupted-job contract: a job whose last
-// manifest record is non-terminal (the process died with it queued or
-// running) is rebuilt from its persisted parameters on startup, re-enqueued,
-// runs to completion, and produces exactly the result an uninterrupted
-// submission would — and the ID sequence continues past it.
+// recoveryBodies holds a small, fast submission body for every campaign
+// kind.
+var recoveryBodies = map[string]map[string]any{
+	"acceptance": {"sets_per_point": 5, "tasks": 3, "u_start": 0.5, "u_end": 0.6, "u_step": 0.1},
+	"montecarlo": mcBody(),
+	"atlas":      {"qs": []float64{4, 8}, "funcs_per_cell": 2, "c": 20},
+}
+
+// TestDurableAutoResume is the interrupted-job contract, for every kind in
+// the campaigns table: a job whose last manifest record is non-terminal (the
+// process died with it queued or running) is rebuilt from its persisted
+// parameters on startup, re-enqueued, runs to completion, and produces
+// exactly the result an uninterrupted submission would — and the ID
+// sequence continues past it. The acceptance job resumes from the
+// checkpoint journal a durable server assigns it.
 func TestDurableAutoResume(t *testing.T) {
-	// Reference result from an ordinary server.
-	_, refBase := newTestServer(t, nil)
-	_, _, rv := doJSON(t, "POST", refBase+"/v1/campaign/montecarlo", mcBody())
-	refJSON, _ := json.Marshal(waitJob(t, refBase, rv["id"].(string))["result"])
+	kinds := make([]string, 0, len(campaigns))
+	for kind := range campaigns {
+		kinds = append(kinds, kind)
+	}
+	sort.Strings(kinds)
+	for _, kind := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			body, ok := recoveryBodies[kind]
+			if !ok {
+				t.Fatalf("no recovery body for campaign kind %q", kind)
+			}
+			route := "/v1/campaign/" + kind
 
-	// Hand-craft the crash leftover: a manifest whose only job never reached
-	// a terminal state.
-	dir := t.TempDir()
-	params, _ := json.Marshal(mcBody())
-	st, _, err := openStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.record(jobRecord{
-		ID: "job-000007", Kind: "montecarlo", State: jobRunning,
-		Fingerprint: "whatever", Params: params,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+			// Reference result from an ordinary server.
+			_, refBase := newTestServer(t, nil)
+			_, _, rv := doJSON(t, "POST", refBase+route, body)
+			ref := waitJob(t, refBase, rv["id"].(string))
+			if ref["state"] != "done" {
+				t.Fatalf("reference job: %v", ref)
+			}
+			refJSON, _ := json.Marshal(ref["result"])
 
-	reg := obs.NewRegistry()
-	_, base := newTestServer(t, func(c *Config) { c.DataDir = dir; c.Registry = reg })
-	if n := reg.Counter("server.jobs.recovered").Value(); n != 1 {
-		t.Fatalf("server.jobs.recovered = %d, want 1", n)
-	}
-	got := waitJob(t, base, "job-000007")
-	if got["state"] != "done" || got["recovered"] != true {
-		t.Fatalf("auto-resumed job: %v", got)
-	}
-	gotJSON, _ := json.Marshal(got["result"])
-	if string(gotJSON) != string(refJSON) {
-		t.Fatalf("auto-resumed result differs\nref: %s\ngot: %s", refJSON, gotJSON)
-	}
+			// Hand-craft the crash leftover: a manifest whose only job never
+			// reached a terminal state.
+			dir := t.TempDir()
+			params, _ := json.Marshal(body)
+			st, _, err := openStore(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := jobRecord{
+				ID: "job-000007", Kind: kind, State: jobRunning,
+				Fingerprint: "whatever", Params: params,
+			}
+			if kind == "acceptance" {
+				rec.Journal = st.journalPath(rec.ID)
+			}
+			if err := st.record(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// New submissions continue the recovered ID sequence.
-	_, _, v := doJSON(t, "POST", base+"/v1/campaign/montecarlo", mcBody())
-	if v["id"] != "job-000008" {
-		t.Fatalf("post-recovery id %v, want job-000008", v["id"])
+			reg := obs.NewRegistry()
+			_, base := newTestServer(t, func(c *Config) { c.DataDir = dir; c.Registry = reg })
+			if n := reg.Counter("server.jobs.recovered").Value(); n != 1 {
+				t.Fatalf("server.jobs.recovered = %d, want 1", n)
+			}
+			got := waitJob(t, base, "job-000007")
+			if got["state"] != "done" || got["recovered"] != true {
+				t.Fatalf("auto-resumed job: %v", got)
+			}
+			gotJSON, _ := json.Marshal(got["result"])
+			if string(gotJSON) != string(refJSON) {
+				t.Fatalf("auto-resumed result differs\nref: %s\ngot: %s", refJSON, gotJSON)
+			}
+
+			// New submissions continue the recovered ID sequence.
+			_, _, v := doJSON(t, "POST", base+route, body)
+			if v["id"] != "job-000008" {
+				t.Fatalf("post-recovery id %v, want job-000008", v["id"])
+			}
+		})
 	}
 }
 
