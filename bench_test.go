@@ -882,8 +882,9 @@ func exactBenchFunctions(n int, c, q float64) []*delay.Piecewise {
 // BenchmarkExactDelay measures the exact worst-case cumulative-delay
 // exploration with and without interval merging + dominance pruning on the
 // same instances, with a reused (slab-pooled) Explorer. The states/op and
-// merges/op metrics quantify the reduction; the mode=naive vs mode=pruned
-// pair feeds the speedup table of BENCH_PR10.json.
+// merges/op metrics quantify the reduction; successors/op counts the
+// successors emitted, one per breakpoint and layer in mode=pruned; the
+// mode=naive vs mode=pruned pair feeds the speedup table of BENCH_PR10.json.
 func BenchmarkExactDelay(b *testing.B) {
 	fns := exactBenchFunctions(16, 40, 6)
 	for _, m := range []struct {
@@ -892,20 +893,22 @@ func BenchmarkExactDelay(b *testing.B) {
 	}{{"mode=naive", true}, {"mode=pruned", false}} {
 		b.Run(m.name, func(b *testing.B) {
 			ex := exact.NewExplorer()
-			var states, merges int
+			var states, successors, merges int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				states, merges = 0, 0
+				states, successors, merges = 0, 0, 0
 				for _, f := range fns {
 					res, err := ex.Delay(nil, f, 6, exact.Options{Naive: m.naive, MaxStates: -1})
 					if err != nil {
 						b.Fatal(err)
 					}
 					states += res.States
+					successors += res.Successors
 					merges += res.Merges
 				}
 			}
 			b.ReportMetric(float64(states), "states/op")
+			b.ReportMetric(float64(successors), "successors/op")
 			b.ReportMetric(float64(merges), "merges/op")
 		})
 	}

@@ -103,6 +103,10 @@ func (p *Piecewise) Pieces() int { return len(p.vs) }
 // Breakpoints returns a copy of the breakpoint slice.
 func (p *Piecewise) Breakpoints() []float64 { return append([]float64(nil), p.xs...) }
 
+// AppendBreakpoints appends the breakpoints to dst and returns the extended
+// slice: Breakpoints without the allocation when dst has room.
+func (p *Piecewise) AppendBreakpoints(dst []float64) []float64 { return append(dst, p.xs...) }
+
 // Values returns a copy of the per-piece values.
 func (p *Piecewise) Values() []float64 { return append([]float64(nil), p.vs...) }
 

@@ -3,26 +3,17 @@ package eval
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"fnpr/internal/core"
-	"fnpr/internal/delay"
 	"fnpr/internal/exact"
 	"fnpr/internal/guard"
 	"fnpr/internal/obs"
 	"fnpr/internal/synth"
 	"fnpr/internal/textplot"
 )
-
-// atlasFamilies names the synthetic delay-function families the pessimism
-// atlas sweeps — the shapes that separate the bounds: front-loaded curves
-// (Algorithm 1's point selection is nearly tight), back-loaded curves (the
-// worst adversary strikes late, where Algorithm 1 over-charges early
-// windows) and two-peak curves (the paper's motivating shape).
-var atlasFamilies = []string{"front", "back", "twopeak"}
 
 // AtlasParams configures the pessimism atlas: for every (family, Q) cell,
 // generate random delay functions, compute the exact worst-case cumulative
@@ -38,7 +29,8 @@ type AtlasParams struct {
 	FuncsPerCell int
 	// C is the victim WCET (every function's domain).
 	C float64
-	// MaxStates caps each exact exploration (0 = exact.DefaultMaxStates).
+	// MaxStates caps each exact exploration (0 = exact.DefaultMaxStates,
+	// negative = unbounded).
 	MaxStates int
 	// Workers sizes the worker pool over cells; <= 0 selects GOMAXPROCS.
 	// Each worker owns one pooled exact.Explorer; the table is
@@ -88,35 +80,6 @@ func (p AtlasParams) scope(g *guard.Ctx) *obs.Scope {
 	return g.Obs()
 }
 
-// atlasFunction draws one delay function of the given family: a
-// piecewise-constant curve over [0, c) whose maximum stays safely below q
-// (so every bound and the exact exploration converge), shaped so the
-// families stress the bounds differently.
-func atlasFunction(r *rand.Rand, fam string, c, q float64) (*delay.Piecewise, error) {
-	maxV := q * (0.35 + 0.4*r.Float64())
-	pieces := 3 + r.Intn(4)
-	xs := make([]float64, 0, pieces+1)
-	xs = append(xs, 0)
-	for i := 1; i < pieces; i++ {
-		xs = append(xs, c*(float64(i)+r.Float64()*0.6)/float64(pieces))
-	}
-	xs = append(xs, c)
-	vs := make([]float64, pieces)
-	for i := range vs {
-		frac := float64(i) / float64(pieces-1)
-		jitter := 0.75 + 0.25*r.Float64()
-		switch fam {
-		case "front":
-			vs[i] = maxV * (1 - frac*0.9) * jitter
-		case "back":
-			vs[i] = maxV * (0.1 + frac*0.9) * jitter
-		default: // twopeak: high ends, low middle
-			vs[i] = maxV * (0.15 + 0.85*math.Abs(2*frac-1)) * jitter
-		}
-	}
-	return delay.NewPiecewise(xs, vs)
-}
-
 // atlasCell is one (family, Q) grid point's aggregation.
 type atlasCell struct {
 	exact, alg1Gap, eq4Gap float64 // means over the cell's functions
@@ -135,13 +98,13 @@ func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, ex *exact.Explor
 			return cell, err
 		}
 		r := st.Sub(p.Seed, fam*len(p.Qs)+qi, trial)
-		f, err := atlasFunction(r, atlasFamilies[fam], p.C, q)
+		f, err := synth.AtlasFunction(r, synth.AtlasFamilies[fam], p.C, q)
 		if err != nil {
 			return cell, err
 		}
 		exRes, err := ex.Delay(g, f, q, exact.Options{MaxStates: p.MaxStates, Obs: sc})
 		if err != nil {
-			return cell, fmt.Errorf("eval: atlas %s Q=%g trial %d: %w", atlasFamilies[fam], q, trial, err)
+			return cell, fmt.Errorf("eval: atlas %s Q=%g trial %d: %w", synth.AtlasFamilies[fam], q, trial, err)
 		}
 		alg1, err := core.Analyze(g, f, q, core.Options{})
 		if err != nil {
@@ -158,7 +121,7 @@ func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, ex *exact.Explor
 		// The naive tree over the same instance expands the full candidate
 		// branching; its size is what merging/pruning collapsed. Depth is
 		// the explored layer count, branching at most 1 + |breakpoints|.
-		branch := 1 + len(f.Breakpoints())
+		branch := 2 + f.Pieces()
 		naive := 1
 		grow := 1
 		for d := 0; d < exRes.Depth && naive < 1<<30; d++ {
@@ -191,7 +154,7 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	sc := p.scope(g)
-	cellsTotal := len(atlasFamilies) * len(p.Qs)
+	cellsTotal := len(synth.AtlasFamilies) * len(p.Qs)
 	sc.Emit(obs.Event{Type: obs.CampaignStarted, Spec: "atlas", Total: cellsTotal})
 	sc.Gauge("campaign.workers").Set(float64(workers))
 	cellsDone := sc.Counter("campaign.trials")
@@ -269,10 +232,10 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 		X:      append([]float64(nil), p.Qs...),
 	}
 	totalStates, totalNaive := 0, 0
-	for fam := range atlasFamilies {
-		ex := textplot.Series{Name: atlasFamilies[fam] + "/exact"}
-		a1 := textplot.Series{Name: atlasFamilies[fam] + "/alg1-gap"}
-		e4 := textplot.Series{Name: atlasFamilies[fam] + "/eq4-gap"}
+	for fam := range synth.AtlasFamilies {
+		ex := textplot.Series{Name: synth.AtlasFamilies[fam] + "/exact"}
+		a1 := textplot.Series{Name: synth.AtlasFamilies[fam] + "/alg1-gap"}
+		e4 := textplot.Series{Name: synth.AtlasFamilies[fam] + "/eq4-gap"}
 		for qi := range p.Qs {
 			c := cells[fam*len(p.Qs)+qi]
 			ex.Y = append(ex.Y, c.exact)
@@ -298,22 +261,22 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 // family and Q, exact <= Algorithm 1 <= Equation 4 — both pessimism gaps
 // non-negative and Equation 4's at least Algorithm 1's.
 func AtlasChecks(tbl *textplot.Table) error {
-	if len(tbl.Series) != 3*len(atlasFamilies) {
+	if len(tbl.Series) != 3*len(synth.AtlasFamilies) {
 		return guard.Invalidf("eval: atlas table incomplete")
 	}
-	for fam := range atlasFamilies {
+	for fam := range synth.AtlasFamilies {
 		ex := tbl.Series[3*fam].Y
 		a1 := tbl.Series[3*fam+1].Y
 		e4 := tbl.Series[3*fam+2].Y
 		for i := range tbl.X {
 			if ex[i] < 0 {
-				return fmt.Errorf("eval: atlas %s: negative exact delay %g at Q=%g", atlasFamilies[fam], ex[i], tbl.X[i])
+				return fmt.Errorf("eval: atlas %s: negative exact delay %g at Q=%g", synth.AtlasFamilies[fam], ex[i], tbl.X[i])
 			}
 			if a1[i] < -1e-9 {
-				return fmt.Errorf("eval: atlas %s: Algorithm 1 below exact by %g at Q=%g — unsound", atlasFamilies[fam], -a1[i], tbl.X[i])
+				return fmt.Errorf("eval: atlas %s: Algorithm 1 below exact by %g at Q=%g — unsound", synth.AtlasFamilies[fam], -a1[i], tbl.X[i])
 			}
 			if e4[i] < a1[i]-1e-9 {
-				return fmt.Errorf("eval: atlas %s: Equation 4 gap %g below Algorithm 1 gap %g at Q=%g", atlasFamilies[fam], e4[i], a1[i], tbl.X[i])
+				return fmt.Errorf("eval: atlas %s: Equation 4 gap %g below Algorithm 1 gap %g at Q=%g", synth.AtlasFamilies[fam], e4[i], a1[i], tbl.X[i])
 			}
 		}
 	}

@@ -27,6 +27,11 @@ type DelayResult struct {
 	Depth int
 	// PeakFrontier is the widest per-layer frontier after merging.
 	PeakFrontier int
+	// Successors is the number of successor states emitted: one per
+	// expanded state for its earliest strike plus at most one per
+	// breakpoint and layer, each standing for every state that strikes
+	// there (Naive: one per expanded state and strike).
+	Successors int
 	// Cached reports a whole-result memo hit; the counters above are the
 	// original run's.
 	Cached bool
@@ -36,16 +41,25 @@ type DelayResult struct {
 // admissible next preemption strike, d the cumulative delay paid so far.
 type dstate struct{ e, d float64 }
 
+// succ is one emitted successor and the number n of expanded states it
+// stands for: all strike at the same breakpoint, and the emitted one paid
+// the most delay.
+type succ struct {
+	dstate
+	n int
+}
+
 // Explorer runs exact-delay explorations with reusable state slabs: the
 // frontier, successor and visited-frontier buffers survive across calls, so
 // steady-state explorations of same-sized instances allocate nothing (the
 // sim.Runner discipline). Not safe for concurrent use: give each goroutine
 // its own Explorer.
 type Explorer struct {
-	cur, next []dstate
-	front     []dstate // visited pareto frontier: e ascending, d ascending
-	starts    []float64
-	lastF     *delay.Piecewise // breakpoints cache key for starts
+	cur    []dstate
+	next   []succ
+	spare  []dstate // the naive successor layer; the frontier merge's scratch
+	front  []dstate // visited pareto frontier: e ascending, d ascending
+	starts []float64
 }
 
 // NewExplorer returns an Explorer with empty slabs; they grow to the
@@ -120,19 +134,13 @@ func (ex *Explorer) Delay(g *guard.Ctx, f *delay.Piecewise, q float64, opts Opti
 // within its piece keeps its charge and only relaxes the spacing of later
 // strikes, so some worst-case scenario has this shape (DESIGN.md §16.1).
 func (ex *Explorer) explore(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts Options) (DelayResult, error) {
-	if ex.lastF != f {
-		ex.starts = append(ex.starts[:0], f.Breakpoints()...)
-		ex.lastF = f
-	}
+	ex.starts = f.AppendBreakpoints(ex.starts[:0])
 	budget := opts.maxStates()
 	res := DelayResult{}
 	best := 0.0
 
 	ex.cur = append(ex.cur[:0], dstate{e: q, d: 0})
-	ex.front = ex.front[:0]
-	if !opts.Naive {
-		ex.front = append(ex.front, dstate{e: q, d: 0})
-	}
+	ex.front = append(ex.front[:0], dstate{e: q, d: 0})
 
 	for len(ex.cur) > 0 {
 		res.Depth++
@@ -142,141 +150,217 @@ func (ex *Explorer) explore(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts
 		if budget > 0 && res.States+len(ex.cur) > budget {
 			return DelayResult{}, &StateSpaceError{States: res.States + len(ex.cur), Limit: budget}
 		}
-		layerBest, expanded, err := ex.expandLayer(g, f, q, c)
+		expand := ex.expandStaircase
+		if opts.Naive {
+			expand = ex.expandFull
+		}
+		layerBest, err := expand(g, f, q, c)
 		if err != nil {
 			return DelayResult{}, err
 		}
-		res.States += expanded
+		res.States += len(ex.cur)
 		if layerBest > best {
 			best = layerBest
 		}
 		if opts.Naive {
-			ex.cur, ex.next = ex.next, ex.cur
+			res.Successors += len(ex.spare)
+			ex.cur, ex.spare = ex.spare, ex.cur
 			continue
 		}
-		// Canonicalise the successor layer: sort by (e asc, d desc) so one
-		// ascending sweep keeps exactly the pareto-undominated states.
-		slices.SortFunc(ex.next, func(a, b dstate) int {
-			switch {
-			case a.e != b.e:
-				if a.e < b.e {
-					return -1
-				}
-				return 1
-			case a.d != b.d:
-				if a.d > b.d {
-					return -1
-				}
-				return 1
-			default:
-				return 0
-			}
-		})
-		kept := ex.cur[:0] // reuse the consumed layer's slab
-		maxD := math.Inf(-1)
-		lastKeptE := math.Inf(-1)
-		for _, s := range ex.next {
-			if s.d <= maxD {
-				// Dominated within the layer by an earlier-or-equal e
-				// with at-least-equal d.
-				if s.e == lastKeptE {
-					res.Merges++
-				} else {
-					res.Prunes++
-				}
-				continue
-			}
-			if ex.frontDominates(s) {
-				res.Prunes++
-				continue
-			}
-			kept = append(kept, s)
-			maxD = s.d
-			lastKeptE = s.e
-			ex.frontInsert(s)
-		}
-		// kept lives on the consumed layer's slab; ex.next keeps its own
-		// slab and is reset by the next expandLayer, so the two frontiers
-		// never alias.
-		ex.cur = kept
+		res.Successors += len(ex.next)
+		ex.admit(&res)
 	}
 	res.Delay = best
 	return res, nil
 }
 
-// expandLayer expands every state of ex.cur into ex.next (reset first) and
-// returns the best paid delay seen plus the number of states expanded.
-// Successors are emitted in (state, candidate) order.
-func (ex *Explorer) expandLayer(g *guard.Ctx, f *delay.Piecewise, q, c float64) (best float64, expanded int, err error) {
-	out := ex.next[:0]
+// expandFull is the naive expansion: every state of ex.cur strikes at its
+// earliest admissible progression and at every later breakpoint, one
+// successor each, into ex.spare (reset first). It returns the best paid
+// delay seen.
+func (ex *Explorer) expandFull(g *guard.Ctx, f *delay.Piecewise, q, c float64) (best float64, err error) {
+	out := ex.spare[:0]
 	for _, s := range ex.cur {
 		if err := g.Tick(); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		expanded++
-		out = emit(f, q, c, s, s.e, out, &best)
+		if !completes(c, s.e, s.d) {
+			out = append(out, strike(f, q, s, s.e, &best))
+		}
 		for _, st := range ex.starts {
-			if st > s.e && st < c {
-				out = emit(f, q, c, s, st, out, &best)
+			if st > s.e && st < c && !completes(c, st, s.d) {
+				out = append(out, strike(f, q, s, st, &best))
 			}
 		}
 	}
-	ex.next = out
-	return best, expanded, nil
+	ex.spare = out
+	return best, nil
 }
 
-// emit charges a strike at progression prog from state s and appends the
-// successor to out, raising *best to the paid delay, unless the job
-// completes before the strike.
-func emit(f *delay.Piecewise, q, c float64, s dstate, prog float64, out []dstate, best *float64) []dstate {
-	if prog >= c-completionTol(c, prog+s.d) {
-		return out // job finishes before this strike lands
+// expandStaircase expands ex.cur, a staircase (e ascending, d strictly
+// ascending), into ex.next (reset first) and returns the best paid delay
+// seen. Every state strikes at its earliest admissible progression, one
+// successor each. A strike at breakpoint st from any state with e < st
+// lands at the same progression st + q − f(st), so only the one with the
+// most paid delay is emitted, standing for itself and every state below
+// it; the rest would be merged or pruned behind it. That is the last state
+// with e < st whose strike does not complete the job first: the completion
+// tolerance grows with d, so the walk down stops at the first that strikes.
+func (ex *Explorer) expandStaircase(g *guard.Ctx, f *delay.Piecewise, q, c float64) (best float64, err error) {
+	out := ex.next[:0]
+	for _, s := range ex.cur {
+		if err := g.Tick(); err != nil {
+			return 0, err
+		}
+		if !completes(c, s.e, s.d) {
+			out = append(out, succ{strike(f, q, s, s.e, &best), 1})
+		}
 	}
+	k := 0 // ex.cur[:k] are the states with e < st
+	for _, st := range ex.starts {
+		if st >= c {
+			break
+		}
+		for k < len(ex.cur) && ex.cur[k].e < st {
+			k++
+		}
+		i := k - 1
+		for i >= 0 && completes(c, st, ex.cur[i].d) {
+			i--
+		}
+		if i >= 0 {
+			out = append(out, succ{strike(f, q, ex.cur[i], st, &best), i + 1})
+		}
+	}
+	ex.next = out
+	return best, nil
+}
+
+// completes reports whether the job, having paid delay d, finishes before a
+// strike at progression prog lands.
+func completes(c, prog, d float64) bool {
+	return prog >= c-completionTol(c, prog+d)
+}
+
+// strike charges a strike at progression prog from state s, raises *best to
+// the paid delay and returns the successor state.
+func strike(f *delay.Piecewise, q float64, s dstate, prog float64, best *float64) dstate {
 	d := f.Eval(prog)
 	paid := s.d + d
 	if paid > *best {
 		*best = paid
 	}
-	return append(out, dstate{e: prog + q - d, d: paid})
+	return dstate{e: prog + q - d, d: paid}
 }
 
-// frontDominates reports whether a visited state with e' <= s.e carries
-// d' >= s.d. The frontier is kept sorted by e with d strictly increasing
-// (the running maximum of paid delay over all visited states up to each e),
-// so one binary search answers the query.
-func (ex *Explorer) frontDominates(s dstate) bool {
-	// Largest index with front[i].e <= s.e.
-	i, _ := slices.BinarySearchFunc(ex.front, s.e, func(st dstate, e float64) int {
-		if st.e <= e {
-			return -1
+// admit turns the successor layer ex.next into the next layer ex.cur: its
+// pareto-undominated states that no visited state dominates, in e order.
+// Every other successor counts as n merges (an equal-e state was kept) or n
+// prunes, and a kept successor's n-1 stand-ins count as merges.
+func (ex *Explorer) admit(res *DelayResult) {
+	// Sorted by (e asc, d desc), one ascending sweep keeps exactly the
+	// pareto-undominated states.
+	sortSweep(ex.next)
+	kept := ex.cur[:0] // reuse the consumed layer's slab
+	front := ex.front
+	fi := 0 // front[:fi] are the visited states with e <= s.e
+	maxD := math.Inf(-1)
+	lastKeptE := math.Inf(-1)
+	for _, s := range ex.next {
+		if s.d <= maxD {
+			// Dominated within the layer by an earlier-or-equal e with
+			// at-least-equal d.
+			if s.e == lastKeptE {
+				res.Merges += s.n
+			} else {
+				res.Prunes += s.n
+			}
+			continue
 		}
-		return 1
-	})
-	// i is the first index with front[i].e > s.e.
-	return i > 0 && ex.front[i-1].d >= s.d
-}
-
-// frontInsert records a kept state in the visited frontier, preserving the
-// e-ascending / d-strictly-increasing invariant: entries at or after the
-// insertion point with d <= s.d are absorbed (their running maximum is now
-// s.d).
-func (ex *Explorer) frontInsert(s dstate) {
-	i, _ := slices.BinarySearchFunc(ex.front, s.e, func(st dstate, e float64) int {
-		if st.e <= e {
-			return -1
+		// A visited state dominates s when it has e' <= s.e and d' >= s.d.
+		// States kept in this layer have d <= maxD < s.d, so the frontier as
+		// it stood when the layer began answers, read through a cursor
+		// that only moves forward as s.e ascends.
+		for fi < len(front) && front[fi].e <= s.e {
+			fi++
 		}
-		return 1
-	})
-	// frontDominates ran first, so front[i-1].d < s.d here. Drop the run of
-	// entries starting at i whose d <= s.d, then splice s in.
-	j := i
-	for j < len(ex.front) && ex.front[j].d <= s.d {
-		j++
+		if fi > 0 && front[fi-1].d >= s.d {
+			res.Prunes += s.n
+			continue
+		}
+		kept = append(kept, s.dstate)
+		res.Merges += s.n - 1
+		maxD = s.d
+		lastKeptE = s.e
 	}
-	if j == i {
-		ex.front = slices.Insert(ex.front, i, s)
+	ex.cur = kept
+	ex.mergeFront(kept)
+}
+
+// sortSweep sorts successors into sweep order. Layers are short and
+// emitted nearly in order (earliest strikes ascend within each piece,
+// breakpoint strikes mostly ascend with the breakpoint), so an insertion
+// sort does it in little more than one pass; longer layers go to the
+// library sort.
+func sortSweep(s []succ) {
+	if len(s) > 16 {
+		slices.SortFunc(s, sweepOrder)
 		return
 	}
-	ex.front[i] = s
-	ex.front = append(ex.front[:i+1], ex.front[j:]...)
+	for i := 1; i < len(s); i++ {
+		x := s[i]
+		j := i
+		for ; j > 0 && sweepsBefore(x, s[j-1]); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+	}
+}
+
+// sweepsBefore orders successors by e ascending, then d descending.
+func sweepsBefore(a, b succ) bool {
+	return a.e < b.e || (a.e == b.e && a.d > b.d)
+}
+
+// sweepOrder is sweepsBefore as a comparison for slices.SortFunc.
+func sweepOrder(a, b succ) int {
+	switch {
+	case sweepsBefore(a, b):
+		return -1
+	case sweepsBefore(b, a):
+		return 1
+	}
+	return 0
+}
+
+// mergeFront folds a layer's kept states (e and d strictly ascending) into
+// the visited frontier, keeping it sorted by e with d strictly increasing
+// (the running maximum of paid delay over all visited states up to each
+// e). Entries below kept[0].e stay as they are; the tail from there on is
+// merged with kept in e order, dropping every entry that does not raise
+// the running maximum.
+func (ex *Explorer) mergeFront(kept []dstate) {
+	if len(kept) == 0 {
+		return
+	}
+	front := ex.front
+	i := len(front)
+	for i > 0 && front[i-1].e >= kept[0].e {
+		i--
+	}
+	tail := append(ex.spare[:0], front[i:]...)
+	ex.spare = tail
+	front = front[:i]
+	for a, b := 0, 0; a < len(tail) || b < len(kept); {
+		var s dstate
+		if b == len(kept) || (a < len(tail) && tail[a].e <= kept[b].e) {
+			s, a = tail[a], a+1
+		} else {
+			s, b = kept[b], b+1
+		}
+		if n := len(front); n == 0 || front[n-1].d < s.d {
+			front = append(front, s)
+		}
+	}
+	ex.front = front
 }

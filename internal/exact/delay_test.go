@@ -217,16 +217,21 @@ func TestDelayValidation(t *testing.T) {
 
 // TestDelayZeroAlloc asserts the steady-state exploration on a reused
 // Explorer allocates nothing (the sim.Runner discipline) once the slabs
-// have grown to the instance size.
+// have grown to the instance size, also when every call brings a different
+// curve than the last.
 func TestDelayZeroAlloc(t *testing.T) {
 	r := synth.SubRand(3, 6, 0)
-	f := synth.DelayFunction(r, 60, 3, 8)
+	fs := []*delay.Piecewise{synth.DelayFunction(r, 60, 3, 8), synth.DelayFunction(r, 50, 3.5, 10)}
 	ex := NewExplorer()
-	if _, err := ex.Delay(nil, f, 4, Options{}); err != nil { // warm the slabs
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	for _, f := range fs { // warm the slabs
 		if _, err := ex.Delay(nil, f, 4, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		call++
+		if _, err := ex.Delay(nil, fs[call%2], 4, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

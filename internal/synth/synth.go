@@ -192,3 +192,39 @@ func DelayFunction(r *rand.Rand, c, maxV float64, pieces int) *delay.Piecewise {
 	}
 	return p
 }
+
+// AtlasFamilies names the delay-function families the pessimism atlas
+// sweeps — the shapes that separate the bounds: front-loaded curves
+// (Algorithm 1's point selection is nearly tight), back-loaded curves (the
+// worst adversary strikes late, where Algorithm 1 over-charges early
+// windows) and two-peak curves (the paper's motivating shape).
+var AtlasFamilies = []string{"front", "back", "twopeak"}
+
+// AtlasFunction draws one delay function of the given atlas family: a
+// piecewise-constant curve over [0, c) whose maximum stays safely below q
+// (so every bound and the exact exploration converge), shaped so the
+// families stress the bounds differently.
+func AtlasFunction(r *rand.Rand, fam string, c, q float64) (*delay.Piecewise, error) {
+	maxV := q * (0.35 + 0.4*r.Float64())
+	pieces := 3 + r.Intn(4)
+	xs := make([]float64, 0, pieces+1)
+	xs = append(xs, 0)
+	for i := 1; i < pieces; i++ {
+		xs = append(xs, c*(float64(i)+r.Float64()*0.6)/float64(pieces))
+	}
+	xs = append(xs, c)
+	vs := make([]float64, pieces)
+	for i := range vs {
+		frac := float64(i) / float64(pieces-1)
+		jitter := 0.75 + 0.25*r.Float64()
+		switch fam {
+		case "front":
+			vs[i] = maxV * (1 - frac*0.9) * jitter
+		case "back":
+			vs[i] = maxV * (0.1 + frac*0.9) * jitter
+		default: // twopeak: high ends, low middle
+			vs[i] = maxV * (0.15 + 0.85*math.Abs(2*frac-1)) * jitter
+		}
+	}
+	return delay.NewPiecewise(xs, vs)
+}
