@@ -92,19 +92,19 @@ type atlasCell struct {
 // explorer and shard stream.
 func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, ex *exact.Explorer, st *synth.Stream, sc *obs.Scope) (atlasCell, error) {
 	var cell atlasCell
-	q := p.Qs[qi]
+	name, q := synth.AtlasFamilies()[fam], p.Qs[qi]
 	for trial := 0; trial < p.FuncsPerCell; trial++ {
 		if err := g.Tick(); err != nil {
 			return cell, err
 		}
 		r := st.Sub(p.Seed, fam*len(p.Qs)+qi, trial)
-		f, err := synth.AtlasFunction(r, synth.AtlasFamilies[fam], p.C, q)
+		f, err := synth.AtlasFunction(r, name, p.C, q)
 		if err != nil {
 			return cell, err
 		}
 		exRes, err := ex.Delay(g, f, q, exact.Options{MaxStates: p.MaxStates, Obs: sc})
 		if err != nil {
-			return cell, fmt.Errorf("eval: atlas %s Q=%g trial %d: %w", synth.AtlasFamilies[fam], q, trial, err)
+			return cell, fmt.Errorf("eval: atlas %s Q=%g trial %d: %w", name, q, trial, err)
 		}
 		alg1, err := core.Analyze(g, f, q, core.Options{})
 		if err != nil {
@@ -154,7 +154,7 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	sc := p.scope(g)
-	cellsTotal := len(synth.AtlasFamilies) * len(p.Qs)
+	cellsTotal := len(synth.AtlasFamilies()) * len(p.Qs)
 	sc.Emit(obs.Event{Type: obs.CampaignStarted, Spec: "atlas", Total: cellsTotal})
 	sc.Gauge("campaign.workers").Set(float64(workers))
 	cellsDone := sc.Counter("campaign.trials")
@@ -232,10 +232,10 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 		X:      append([]float64(nil), p.Qs...),
 	}
 	totalStates, totalNaive := 0, 0
-	for fam := range synth.AtlasFamilies {
-		ex := textplot.Series{Name: synth.AtlasFamilies[fam] + "/exact"}
-		a1 := textplot.Series{Name: synth.AtlasFamilies[fam] + "/alg1-gap"}
-		e4 := textplot.Series{Name: synth.AtlasFamilies[fam] + "/eq4-gap"}
+	for fam, name := range synth.AtlasFamilies() {
+		ex := textplot.Series{Name: name + "/exact"}
+		a1 := textplot.Series{Name: name + "/alg1-gap"}
+		e4 := textplot.Series{Name: name + "/eq4-gap"}
 		for qi := range p.Qs {
 			c := cells[fam*len(p.Qs)+qi]
 			ex.Y = append(ex.Y, c.exact)
@@ -261,22 +261,22 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 // family and Q, exact <= Algorithm 1 <= Equation 4 — both pessimism gaps
 // non-negative and Equation 4's at least Algorithm 1's.
 func AtlasChecks(tbl *textplot.Table) error {
-	if len(tbl.Series) != 3*len(synth.AtlasFamilies) {
+	if len(tbl.Series) != 3*len(synth.AtlasFamilies()) {
 		return guard.Invalidf("eval: atlas table incomplete")
 	}
-	for fam := range synth.AtlasFamilies {
+	for fam, name := range synth.AtlasFamilies() {
 		ex := tbl.Series[3*fam].Y
 		a1 := tbl.Series[3*fam+1].Y
 		e4 := tbl.Series[3*fam+2].Y
 		for i := range tbl.X {
 			if ex[i] < 0 {
-				return fmt.Errorf("eval: atlas %s: negative exact delay %g at Q=%g", synth.AtlasFamilies[fam], ex[i], tbl.X[i])
+				return fmt.Errorf("eval: atlas %s: negative exact delay %g at Q=%g", name, ex[i], tbl.X[i])
 			}
 			if a1[i] < -1e-9 {
-				return fmt.Errorf("eval: atlas %s: Algorithm 1 below exact by %g at Q=%g — unsound", synth.AtlasFamilies[fam], -a1[i], tbl.X[i])
+				return fmt.Errorf("eval: atlas %s: Algorithm 1 below exact by %g at Q=%g — unsound", name, -a1[i], tbl.X[i])
 			}
 			if e4[i] < a1[i]-1e-9 {
-				return fmt.Errorf("eval: atlas %s: Equation 4 gap %g below Algorithm 1 gap %g at Q=%g", synth.AtlasFamilies[fam], e4[i], a1[i], tbl.X[i])
+				return fmt.Errorf("eval: atlas %s: Equation 4 gap %g below Algorithm 1 gap %g at Q=%g", name, e4[i], a1[i], tbl.X[i])
 			}
 		}
 	}

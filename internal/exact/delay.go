@@ -27,10 +27,11 @@ type DelayResult struct {
 	Depth int
 	// PeakFrontier is the widest per-layer frontier after merging.
 	PeakFrontier int
-	// Successors is the number of successor states emitted: one per
-	// expanded state for its earliest strike plus at most one per
-	// breakpoint and layer, each standing for every state that strikes
-	// there (Naive: one per expanded state and strike).
+	// Successors is the number of successor states emitted: at most one
+	// per expanded state for its earliest strike, plus at most one per
+	// breakpoint and layer standing for every state that strikes there
+	// (Naive: at most one per expanded state and strike). A strike that
+	// would land after the job completes emits nothing.
 	Successors int
 	// Cached reports a whole-result memo hit; the counters above are the
 	// original run's.
@@ -260,7 +261,7 @@ func strike(f *delay.Piecewise, q float64, s dstate, prog float64, best *float64
 func (ex *Explorer) admit(res *DelayResult) {
 	// Sorted by (e asc, d desc), one ascending sweep keeps exactly the
 	// pareto-undominated states.
-	sortSweep(ex.next)
+	slices.SortFunc(ex.next, sweepOrder)
 	kept := ex.cur[:0] // reuse the consumed layer's slab
 	front := ex.front
 	fi := 0 // front[:fi] are the visited states with e <= s.e
@@ -297,37 +298,12 @@ func (ex *Explorer) admit(res *DelayResult) {
 	ex.mergeFront(kept)
 }
 
-// sortSweep sorts successors into sweep order. Layers are short and
-// emitted nearly in order (earliest strikes ascend within each piece,
-// breakpoint strikes mostly ascend with the breakpoint), so an insertion
-// sort does it in little more than one pass; longer layers go to the
-// library sort.
-func sortSweep(s []succ) {
-	if len(s) > 16 {
-		slices.SortFunc(s, sweepOrder)
-		return
-	}
-	for i := 1; i < len(s); i++ {
-		x := s[i]
-		j := i
-		for ; j > 0 && sweepsBefore(x, s[j-1]); j-- {
-			s[j] = s[j-1]
-		}
-		s[j] = x
-	}
-}
-
-// sweepsBefore orders successors by e ascending, then d descending.
-func sweepsBefore(a, b succ) bool {
-	return a.e < b.e || (a.e == b.e && a.d > b.d)
-}
-
-// sweepOrder is sweepsBefore as a comparison for slices.SortFunc.
+// sweepOrder orders successors by e ascending, then d descending.
 func sweepOrder(a, b succ) int {
 	switch {
-	case sweepsBefore(a, b):
+	case a.e < b.e || (a.e == b.e && a.d > b.d):
 		return -1
-	case sweepsBefore(b, a):
+	case b.e < a.e || (a.e == b.e && b.d > a.d):
 		return 1
 	}
 	return 0

@@ -214,7 +214,7 @@ func sameErr(a, b error) bool {
 func TestDelayMatchesFullExpansion(t *testing.T) {
 	ex := NewExplorer()
 	st := new(synth.Stream)
-	for fam, name := range synth.AtlasFamilies {
+	for fam, name := range synth.AtlasFamilies() {
 		for qi, q := range []float64{4, 6, 8, 12, 16, 24, 32} {
 			for trial := 0; trial < 40; trial++ {
 				f, err := synth.AtlasFunction(st.Sub(19, fam*7+qi, trial), name, 80, q)

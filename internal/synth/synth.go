@@ -194,11 +194,12 @@ func DelayFunction(r *rand.Rand, c, maxV float64, pieces int) *delay.Piecewise {
 }
 
 // AtlasFamilies names the delay-function families the pessimism atlas
-// sweeps — the shapes that separate the bounds: front-loaded curves
-// (Algorithm 1's point selection is nearly tight), back-loaded curves (the
-// worst adversary strikes late, where Algorithm 1 over-charges early
-// windows) and two-peak curves (the paper's motivating shape).
-var AtlasFamilies = []string{"front", "back", "twopeak"}
+// sweeps, in cell order — the shapes that separate the bounds: front-loaded
+// curves (Algorithm 1's point selection is nearly tight), back-loaded
+// curves (the worst adversary strikes late, where Algorithm 1 over-charges
+// early windows) and two-peak curves (the paper's motivating shape). The
+// order seeds the atlas cells, so it is returned by value.
+func AtlasFamilies() [3]string { return [3]string{"front", "back", "twopeak"} }
 
 // AtlasFunction draws one delay function of the given atlas family: a
 // piecewise-constant curve over [0, c) whose maximum stays safely below q
