@@ -92,7 +92,7 @@ func BenchmarkFigure4Functions(b *testing.B) {
 //     Figure 4-derived functions resampled at n pieces, scan kernel vs
 //     indexed kernel with the index prebuilt (its amortized regime). This
 //     isolates the query-kernel cost from pool and harness overhead; the
-//     scan/indexed pairs feed the speedup table of BENCH_PR3.json.
+//     scan/indexed pairs are rows of testdata/bench.golden.
 func BenchmarkFigure5Sweep(b *testing.B) {
 	for _, variant := range []struct {
 		name   string
@@ -288,7 +288,7 @@ func BenchmarkSimulatorFNPR(b *testing.B) {
 	for _, mode := range []sim.Mode{sim.FullyPreemptive, sim.FloatingNPR, sim.NonPreemptive} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
+				if _, err := sim.Run(nil, sim.Config{
 					Tasks: ts, Policy: sim.FixedPriority, Mode: mode,
 					Horizon: 5000, Delay: fns,
 				}); err != nil {
@@ -350,8 +350,8 @@ func BenchmarkDelayAwareRTA(b *testing.B) {
 // bound stays cheap and the fixpoint engine dominates). The sets are
 // warm-started from the no-delay response times, exactly like the analysis
 // pipelines. The rta-iters/op metric is the engine-evaluation count per
-// analysis pass (sched.rta.solver.iterations). The solver=cutting names
-// match the rows make bench-regress-pr9 judges in BENCH_PR9.json.
+// analysis pass (sched.rta.solver.iterations), gated exactly by make
+// bench-gate against testdata/bench.golden.
 func BenchmarkRTASolver(b *testing.B) {
 	const sets = 10
 	type fixture struct {
@@ -484,7 +484,8 @@ func BenchmarkAcceptanceExperiment(b *testing.B) {
 // at several worker-pool sizes on a reduced grid. The output table is
 // bit-identical across the sub-benchmarks (the campaign's determinism
 // contract), so the series isolates pure scheduling overhead/speedup; the
-// workers=1/workers=8 pair feeds the speedup table of BENCH_PR5.json.
+// workers=1 row is gated in testdata/bench.golden; the workers>1 rows are
+// not, because their ns/op depends on the core count.
 // Wall-clock gains track the machine's core count — on a single-core runner
 // the sub-benchmarks coincide.
 func BenchmarkAcceptanceCampaign(b *testing.B) {
@@ -511,8 +512,8 @@ func BenchmarkAcceptanceCampaign(b *testing.B) {
 
 // BenchmarkSimTrial measures one Monte-Carlo simulation trial, fresh
 // simulator per run (mode=unpooled, the package-level sim.Run) vs a reused
-// sim.Runner (mode=pooled, the campaign configuration). The pair feeds the
-// allocs/op reduction table of BENCH_PR5.json.
+// sim.Runner (mode=pooled, the campaign configuration). testdata/bench.golden
+// gates both rows' allocs/op.
 func BenchmarkSimTrial(b *testing.B) {
 	ts := task.Set{
 		{Name: "fast", C: 1, T: 7, Q: 1},
@@ -528,14 +529,20 @@ func BenchmarkSimTrial(b *testing.B) {
 	b.Run("mode=unpooled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(cfg); err != nil {
+			if _, err := sim.Run(nil, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("mode=pooled", func(b *testing.B) {
 		runner := sim.NewRunner()
+		// An untimed run grows the runner's buffers, so allocs/op reads the
+		// reused runner's steady state.
+		if _, err := runner.Run(nil, cfg); err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := runner.Run(nil, cfg); err != nil {
 				b.Fatal(err)
@@ -721,8 +728,8 @@ func BenchmarkEnvelopeResolution(b *testing.B) {
 // uncached reference, cache=cold populates a fresh cache every iteration
 // (the per-sweep overhead of memoization), and cache=warm repeats the sweep
 // against a prepopulated cache so every query is answered by lookup. The
-// cache=cold/cache=warm pair feeds the speedup table of BENCH_PR8.json —
-// the repeated-sweep payoff the -cache flag buys.
+// cache=cold/cache=warm pair is the repeated-sweep payoff the -cache flag
+// buys; all three rows are in testdata/bench.golden.
 func BenchmarkMemoSweep(b *testing.B) {
 	const n = 4096
 	byName, err := delay.CalibratedParams().BenchmarksAt(n)
@@ -776,8 +783,8 @@ func BenchmarkMemoSweep(b *testing.B) {
 // by the previous run, so only the edited task's 10 terms recompute. Each
 // iteration uses a distinct mutant so the edited column can never self-cache
 // across iterations. The recomputed_frac metric (recomputed terms / total
-// terms, <0.5 required) and the mode=full/mode=incremental speedup feed
-// BENCH_PR8.json.
+// terms, <0.5 required) is gated exactly in testdata/bench.golden beside
+// both modes' ns/op and allocs/op.
 func BenchmarkAnalyzeSetEdit(b *testing.B) {
 	const nTasks = 8
 	r := rand.New(rand.NewSource(20260808))
@@ -883,8 +890,8 @@ func exactBenchFunctions(n int, c, q float64) []*delay.Piecewise {
 // exploration with and without interval merging + dominance pruning on the
 // same instances, with a reused (slab-pooled) Explorer. The states/op and
 // merges/op metrics quantify the reduction; successors/op counts the
-// successors emitted, one per breakpoint and layer in mode=pruned; the
-// mode=naive vs mode=pruned pair feeds the speedup table of BENCH_PR10.json.
+// successors emitted, one per breakpoint and layer in mode=pruned.
+// testdata/bench.golden gates all three counters exactly.
 func BenchmarkExactDelay(b *testing.B) {
 	fns := exactBenchFunctions(16, 40, 6)
 	for _, m := range []struct {
@@ -894,8 +901,7 @@ func BenchmarkExactDelay(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			ex := exact.NewExplorer()
 			var states, successors, merges int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			pass := func() {
 				states, successors, merges = 0, 0, 0
 				for _, f := range fns {
 					res, err := ex.Delay(nil, f, 6, exact.Options{Naive: m.naive, MaxStates: -1})
@@ -906,6 +912,14 @@ func BenchmarkExactDelay(b *testing.B) {
 					successors += res.Successors
 					merges += res.Merges
 				}
+			}
+			// An untimed pass grows the explorer's slabs, so allocs/op reads
+			// the reused explorer's steady state, not its first growth
+			// divided by b.N.
+			pass()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
 			}
 			b.ReportMetric(float64(states), "states/op")
 			b.ReportMetric(float64(successors), "successors/op")
@@ -934,8 +948,8 @@ func exactBenchSet(n int) task.Set {
 
 // BenchmarkExactSAG measures the schedule-graph response-time exploration
 // with and without state merging on the same jittered task set. states/op
-// counts expanded states over the hyperperiod; the mode=naive vs
-// mode=pruned pair feeds BENCH_PR10.json.
+// counts expanded states over the hyperperiod; testdata/bench.golden gates
+// it exactly for both modes.
 func BenchmarkExactSAG(b *testing.B) {
 	ts := exactBenchSet(5)
 	for _, m := range []struct {
@@ -961,7 +975,7 @@ func BenchmarkExactSAG(b *testing.B) {
 // BenchmarkExactMemo measures the content-addressed memoization of exact
 // explorations: cache=cold pays one full exploration per function into a
 // fresh cache, cache=warm answers every query by fingerprint lookup
-// (verify-on-use). The pair feeds BENCH_PR10.json.
+// (verify-on-use). Both rows are in testdata/bench.golden.
 func BenchmarkExactMemo(b *testing.B) {
 	fns := exactBenchFunctions(16, 40, 6)
 	b.Run("cache=cold", func(b *testing.B) {

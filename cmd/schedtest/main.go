@@ -190,7 +190,7 @@ func runSimulation(g *guard.Ctx, p *spec.Problem, horizon float64) {
 	if p.Policy == "edf" {
 		policy = sim.EDF
 	}
-	res, err := sim.RunCtx(g, sim.Config{
+	res, err := sim.Run(g, sim.Config{
 		Tasks: p.Tasks, Policy: policy, Mode: sim.FloatingNPR,
 		Horizon: horizon, Delay: p.Delay,
 	})

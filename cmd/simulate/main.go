@@ -100,7 +100,7 @@ func basic(g *guard.Ctx, events bool, svgPath string) error {
 	}
 	fns := []delay.Function{nil, mid, lo}
 	for _, mode := range []sim.Mode{sim.FullyPreemptive, sim.FloatingNPR, sim.NonPreemptive} {
-		res, err := sim.RunCtx(g, sim.Config{
+		res, err := sim.Run(g, sim.Config{
 			Tasks: ts, Policy: sim.FixedPriority, Mode: mode,
 			Horizon: 120, Delay: fns,
 		})
@@ -180,7 +180,7 @@ func bounds(g *guard.Ctx, limits *cli.Limits) error {
 			}
 			continue
 		}
-		res, err := sim.RunCtx(g, sim.Config{
+		res, err := sim.Run(g, sim.Config{
 			Tasks: ts, Policy: sim.FixedPriority, Mode: sim.FloatingNPR,
 			Horizon: 3000, Delay: fns,
 		})
@@ -297,7 +297,7 @@ func exactScenario(g *guard.Ctx, limits *cli.Limits) error {
 		if !ok {
 			return fmt.Errorf("simulate: demo set has no rational hyperperiod")
 		}
-		res, err := sim.RunCtx(g, sim.Config{
+		res, err := sim.Run(g, sim.Config{
 			Tasks: inflated, Policy: sim.FixedPriority, Mode: sim.NonPreemptive,
 			Horizon: hp,
 		})
@@ -354,7 +354,7 @@ func stats(g *guard.Ctx, seed int64) error {
 		Horizon: 30000, Delay: fns,
 	}
 	cfg.Releases = sim.SporadicReleases(r, cfg, 0.4)
-	res, err := sim.RunCtx(g, cfg)
+	res, err := sim.Run(g, cfg)
 	if err != nil {
 		return err
 	}
@@ -391,7 +391,7 @@ func edf(g *guard.Ctx, events bool) error {
 		return err
 	}
 	fns := []delay.Function{nil, b, c}
-	res, err := sim.RunCtx(g, sim.Config{
+	res, err := sim.Run(g, sim.Config{
 		Tasks: qs, Policy: sim.EDF, Mode: sim.FloatingNPR,
 		Horizon: 400, Delay: fns,
 	})

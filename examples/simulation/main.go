@@ -38,7 +38,7 @@ func main() {
 	}
 	fns := []delay.Function{nil, delay.Constant(0.3, 4), f}
 
-	res, err := sim.Run(sim.Config{
+	res, err := sim.Run(nil, sim.Config{
 		Tasks: ts, Policy: sim.FixedPriority, Mode: sim.FloatingNPR,
 		Horizon: 6000, Delay: fns,
 	})
@@ -71,7 +71,7 @@ func main() {
 
 	fmt.Println("\npreemption counts by mode:")
 	for _, mode := range []sim.Mode{sim.FullyPreemptive, sim.FloatingNPR, sim.NonPreemptive} {
-		r, err := sim.Run(sim.Config{
+		r, err := sim.Run(nil, sim.Config{
 			Tasks: ts, Policy: sim.FixedPriority, Mode: mode,
 			Horizon: 6000, Delay: fns,
 		})

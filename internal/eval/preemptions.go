@@ -66,7 +66,7 @@ func Preemptions(p PreemptionParams) (*textplot.Table, error) {
 	}
 	run := func(mode sim.Mode, q float64) (perJobPreempt, perJobDelay float64, err error) {
 		ts, fns := preemptionWorkload(q)
-		res, err := sim.Run(sim.Config{
+		res, err := sim.Run(nil, sim.Config{
 			Tasks: ts, Policy: sim.FixedPriority, Mode: mode,
 			Horizon: p.Horizon, Delay: fns,
 		})

@@ -80,7 +80,7 @@ func Tightness(g *guard.Ctx, p TightnessParams) (*textplot.Table, error) {
 			{Name: "victim", C: 30, T: 120, Q: q, Prio: 2},
 		}
 		fns := []delay.Function{nil, helper, f}
-		res, err := sim.RunCtx(g, sim.Config{
+		res, err := sim.Run(g, sim.Config{
 			Tasks: ts, Policy: sim.FixedPriority, Mode: sim.FloatingNPR,
 			Horizon: p.Horizon, Delay: fns,
 		})

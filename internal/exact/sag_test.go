@@ -139,7 +139,7 @@ func TestSAGSimCrossCheck(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		h, _ := ts.Hyperperiod()
-		simRes, err := sim.RunCtx(nil, sim.Config{
+		simRes, err := sim.Run(nil, sim.Config{
 			Tasks: ts, Policy: sim.FixedPriority, Mode: sim.NonPreemptive,
 			Horizon: h,
 		})

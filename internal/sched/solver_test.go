@@ -265,8 +265,8 @@ func solverIterations(t *testing.T, fn func(g *guard.Ctx)) int64 {
 // workload: wide log-uniform period ranges give the low-priority tasks long
 // monotone climbs (one release boundary per step), which is where the
 // cutting jumps and the no-fixpoint refutation pay off. The same classes
-// drive BenchmarkRTASolver, so BENCH_PR9.json records the claim this test
-// pins.
+// drive BenchmarkRTASolver, whose rta-iters/op testdata/bench.golden
+// gates exactly.
 var solverLoadParams = []synth.TaskSetParams{
 	{N: 10, Utilization: 0.55, PeriodLo: 10, PeriodHi: 10_000, RoundPeriod: true, QFraction: 0.9, MinQ: 0.1},
 	{N: 12, Utilization: 0.55, PeriodLo: 10, PeriodHi: 50_000, RoundPeriod: true, QFraction: 0.9, MinQ: 0.1},
@@ -298,7 +298,7 @@ func solverLoadFixture(r *rand.Rand, p synth.TaskSetParams) (task.Set, []delay.F
 // TestSolverIterationReduction pins the acceleration claim the benchmarks
 // report: against the warm-started monotone baseline, the cutting solver
 // needs at least 25% fewer engine iterations in aggregate over the
-// solverLoadParams populations (the workload BENCH_PR9.json records).
+// solverLoadParams populations (the workload BenchmarkRTASolver measures).
 func TestSolverIterationReduction(t *testing.T) {
 	var monoTotal, cutTotal int64
 	trials := 0

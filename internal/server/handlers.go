@@ -20,22 +20,32 @@ import (
 	"fnpr/internal/wire"
 )
 
-// routes builds the service mux. Method+pattern routing is Go 1.22
-// ServeMux; the debug tree (expvar + pprof) is the same mux the -debug-addr
-// flag serves stand-alone.
+// routes builds the service mux from handlers. Method+pattern routing is
+// Go 1.22 ServeMux.
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.Handle("POST /v1/analyze", s.instrument("analyze", s.handleAnalyze))
-	mux.Handle("POST /v1/analyzeset", s.instrument("analyzeset", s.handleAnalyzeSet))
-	for kind := range campaigns {
-		mux.Handle("POST /v1/campaign/"+kind, s.instrument("campaign", s.handleCampaign(kind)))
+	for pattern, h := range s.handlers() {
+		mux.Handle(pattern, h)
 	}
-	mux.Handle("GET /v1/jobs", s.instrument("jobs", s.handleJobs))
-	mux.Handle("GET /v1/jobs/{id}", s.instrument("jobs", s.handleJob))
-	mux.Handle("/debug/", obs.DebugMux(s.cfg.Registry))
 	return mux
+}
+
+// handlers maps every route pattern to its handler. The debug tree (expvar
+// + pprof) is the same mux the -debug-addr flag serves stand-alone.
+func (s *Server) handlers() map[string]http.Handler {
+	hs := map[string]http.Handler{
+		"GET /healthz":        http.HandlerFunc(s.handleHealthz),
+		"GET /readyz":         http.HandlerFunc(s.handleReadyz),
+		"POST /v1/analyze":    s.instrument("analyze", s.handleAnalyze),
+		"POST /v1/analyzeset": s.instrument("analyzeset", s.handleAnalyzeSet),
+		"GET /v1/jobs":        s.instrument("jobs", s.handleJobs),
+		"GET /v1/jobs/{id}":   s.instrument("jobs", s.handleJob),
+		"/debug/":             obs.DebugMux(s.cfg.Registry),
+	}
+	for kind := range campaigns {
+		hs["POST /v1/campaign/"+kind] = s.instrument("campaign", s.handleCampaign(kind))
+	}
+	return hs
 }
 
 // handleHealthz is liveness: the process is up and serving. It stays 200

@@ -15,7 +15,7 @@ func ExampleRun() {
 		{Name: "hi", C: 2, T: 10, Q: 1, Prio: 0},
 		{Name: "lo", C: 12, T: 40, Q: 3, Prio: 1},
 	}
-	res, _ := sim.Run(sim.Config{
+	res, _ := sim.Run(nil, sim.Config{
 		Tasks:   ts,
 		Policy:  sim.FixedPriority,
 		Mode:    sim.FloatingNPR,

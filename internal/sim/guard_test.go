@@ -36,7 +36,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 		}
 		cancel()
 	})
-	res, err := RunCtx(g, guardedConfig())
+	res, err := Run(g, guardedConfig())
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("mid-run cancel: got %v, want ErrCanceled", err)
 	}
@@ -52,7 +52,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 // the simulation with ErrBudgetExceeded.
 func TestRunCtxBudget(t *testing.T) {
 	g := guard.New(context.Background()).WithBudget(100)
-	_, err := RunCtx(g, guardedConfig())
+	_, err := Run(g, guardedConfig())
 	if !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Fatalf("budget 100: got %v, want ErrBudgetExceeded", err)
 	}

@@ -56,7 +56,7 @@ func TestAlgorithm1BoundsSimulatedDelay(t *testing.T) {
 		if trial%2 == 1 {
 			policy = EDF
 		}
-		res, err := Run(Config{
+		res, err := Run(nil, Config{
 			Tasks: ts, Policy: policy, Mode: FloatingNPR,
 			Horizon: 2000, Delay: fns,
 		})
@@ -88,7 +88,7 @@ func TestSimulatedPreemptionCountMatchesTraceEvents(t *testing.T) {
 		{Name: "h", C: 1, T: 6, Q: 1, Prio: 0},
 		{Name: "lo", C: 17, T: 60, Q: 3, Prio: 1},
 	}
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: FloatingNPR, Horizon: 600})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FloatingNPR, Horizon: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestObservedResponseWithinAnalysis(t *testing.T) {
 		{Name: "lo", C: 10, T: 50, Q: 4, Prio: 1},
 	}
 	fns := []delay.Function{nil, delay.Constant(1, 10)}
-	res, err := Run(Config{
+	res, err := Run(nil, Config{
 		Tasks: ts, Policy: FixedPriority, Mode: FloatingNPR,
 		Horizon: 1000, Delay: fns,
 	})
@@ -164,7 +164,7 @@ func TestEDFAnalysisAdmitsImplySimulationMeetsDeadlines(t *testing.T) {
 			continue
 		}
 		admitted++
-		res, err := Run(Config{
+		res, err := Run(nil, Config{
 			Tasks: ts, Policy: EDF, Mode: FloatingNPR,
 			Horizon: 3000, Delay: fns,
 		})

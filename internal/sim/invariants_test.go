@@ -17,7 +17,7 @@ func TestCheckInvariantsOnCleanRuns(t *testing.T) {
 	fns := []delay.Function{nil, delay.Constant(0.2, 3), delay.Constant(0.8, 15)}
 	for _, policy := range []Policy{FixedPriority, EDF} {
 		for _, mode := range []Mode{FullyPreemptive, FloatingNPR, NonPreemptive} {
-			res, err := Run(Config{
+			res, err := Run(nil, Config{
 				Tasks: ts, Policy: policy, Mode: mode,
 				Horizon: 700, Delay: fns,
 			})
@@ -45,7 +45,7 @@ func TestCheckInvariantsRandomized(t *testing.T) {
 			})
 		}
 		rel := SporadicReleases(r, Config{Tasks: ts, Horizon: 1500}, 0.5)
-		res, err := Run(Config{
+		res, err := Run(nil, Config{
 			Tasks: ts, Policy: FixedPriority, Mode: FloatingNPR,
 			Horizon: 1500, Releases: rel,
 		})
@@ -60,7 +60,7 @@ func TestCheckInvariantsRandomized(t *testing.T) {
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	ts := task.Set{{Name: "a", C: 2, T: 10, Prio: 0}}
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 30})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

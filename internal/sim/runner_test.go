@@ -106,7 +106,7 @@ func TestRunnerMatchesRun(t *testing.T) {
 	runner := NewRunner()
 	for trial := 0; trial < 60; trial++ {
 		cfg := randomConfig(t, r)
-		want, err := Run(cfg)
+		want, err := Run(nil, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: fresh run: %v", trial, err)
 		}
@@ -127,7 +127,7 @@ func TestRunnerRecoversFromError(t *testing.T) {
 	if _, err := runner.Run(nil, Config{Tasks: good.Tasks, Horizon: -1}); err == nil {
 		t.Fatal("accepted negative horizon")
 	}
-	want, err := Run(good)
+	want, err := Run(nil, good)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,15 +245,10 @@ func (j *job) remainingWall() float64 {
 
 const timeEps = 1e-9
 
-// Run executes the simulation.
-func Run(cfg Config) (*Result, error) {
-	return RunCtx(nil, cfg)
-}
-
-// RunCtx is Run under a guard scope: the event loop charges one guard step
-// per simulated event, so long horizons can be canceled, time-bounded and
-// budget-bounded. A nil guard means no limits.
-func RunCtx(g *guard.Ctx, cfg Config) (*Result, error) {
+// Run executes the simulation under a guard scope: the event loop charges
+// one guard step per simulated event, so long horizons can be canceled,
+// time-bounded and budget-bounded. A nil guard means no limits.
+func Run(g *guard.Ctx, cfg Config) (*Result, error) {
 	return NewRunner().Run(g, cfg)
 }
 
@@ -308,8 +303,8 @@ func validateConfig(cfg Config) (float64, error) {
 // goroutine. The *Result a Run returns (including its Events, Jobs, Tasks
 // and per-job preemption logs) is owned by the Runner and only valid until
 // the next Run on the same Runner — callers that need the data longer copy
-// what they keep. The package-level Run/RunCtx, which construct a fresh
-// Runner per call, are unaffected by this aliasing.
+// what they keep. The package-level Run, which constructs a fresh
+// Runner per call, is unaffected by this aliasing.
 type Runner struct {
 	st state
 }
@@ -320,7 +315,7 @@ func NewRunner() *Runner {
 }
 
 // Run executes one simulation on the Runner's reused buffers. Semantics are
-// identical to the package-level RunCtx — same validation, same event
+// identical to the package-level Run — same validation, same event
 // sequence, same statistics — only the allocation behaviour differs.
 func (r *Runner) Run(g *guard.Ctx, cfg Config) (*Result, error) {
 	frac, err := validateConfig(cfg)

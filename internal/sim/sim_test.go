@@ -20,24 +20,24 @@ func twoTasks() task.Set {
 
 func TestRunValidation(t *testing.T) {
 	ts := twoTasks()
-	if _, err := Run(Config{Tasks: task.Set{}, Horizon: 10}); err == nil {
+	if _, err := Run(nil, Config{Tasks: task.Set{}, Horizon: 10}); err == nil {
 		t.Fatal("accepted empty set")
 	}
-	if _, err := Run(Config{Tasks: ts, Horizon: 0}); err == nil {
+	if _, err := Run(nil, Config{Tasks: ts, Horizon: 0}); err == nil {
 		t.Fatal("accepted zero horizon")
 	}
-	if _, err := Run(Config{Tasks: ts, Horizon: 10, Delay: make([]delay.Function, 1)}); err == nil {
+	if _, err := Run(nil, Config{Tasks: ts, Horizon: 10, Delay: make([]delay.Function, 1)}); err == nil {
 		t.Fatal("accepted short delay slice")
 	}
-	if _, err := Run(Config{Tasks: ts, Horizon: 10, ExecTime: 2}); err == nil {
+	if _, err := Run(nil, Config{Tasks: ts, Horizon: 10, ExecTime: 2}); err == nil {
 		t.Fatal("accepted ExecTime > 1")
 	}
 	bad := ts.Clone()
 	bad[0].Q = 0
-	if _, err := Run(Config{Tasks: bad, Mode: FloatingNPR, Horizon: 10}); err == nil {
+	if _, err := Run(nil, Config{Tasks: bad, Mode: FloatingNPR, Horizon: 10}); err == nil {
 		t.Fatal("accepted FNPR mode without Q")
 	}
-	if _, err := Run(Config{Tasks: ts, Horizon: 10,
+	if _, err := Run(nil, Config{Tasks: ts, Horizon: 10,
 		Delay: []delay.Function{delay.Constant(1, 99), nil}}); err == nil {
 		t.Fatal("accepted delay domain mismatch")
 	}
@@ -45,7 +45,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestFullyPreemptiveBasicSchedule(t *testing.T) {
 	ts := twoTasks()
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 40})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFullyPreemptiveBasicSchedule(t *testing.T) {
 
 func TestNonPreemptiveNeverPreempts(t *testing.T) {
 	ts := twoTasks()
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: NonPreemptive, Horizon: 40})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: NonPreemptive, Horizon: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestNonPreemptiveNeverPreempts(t *testing.T) {
 
 func TestFloatingNPRDefersPreemption(t *testing.T) {
 	ts := twoTasks() // lo.Q = 3
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: FloatingNPR, Horizon: 40})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FloatingNPR, Horizon: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFloatingNPRCollatesArrivals(t *testing.T) {
 		{Name: "lo", C: 20, T: 100, Q: 5, Prio: 2},
 	}
 	rel := [][]float64{{6}, {7}, {0}}
-	res, err := Run(Config{
+	res, err := Run(nil, Config{
 		Tasks: ts, Policy: FixedPriority, Mode: FloatingNPR,
 		Horizon: 100, Releases: rel,
 	})
@@ -172,7 +172,7 @@ func TestPreemptionDelayAccrual(t *testing.T) {
 	// includes the paid delay.
 	ts := twoTasks()
 	fLo := delay.Constant(2, 12)
-	res, err := Run(Config{
+	res, err := Run(nil, Config{
 		Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive,
 		Horizon: 60, Delay: []delay.Function{nil, fLo},
 	})
@@ -206,7 +206,7 @@ func TestEDFOrdering(t *testing.T) {
 		{Name: "late", C: 2, T: 100, D: 50, Prio: 0},
 		{Name: "soon", C: 2, T: 100, D: 10, Prio: 1},
 	}
-	res, err := Run(Config{Tasks: ts, Policy: EDF, Mode: FullyPreemptive, Horizon: 100})
+	res, err := Run(nil, Config{Tasks: ts, Policy: EDF, Mode: FullyPreemptive, Horizon: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestDeadlineMissDetected(t *testing.T) {
 		{Name: "a", C: 6, T: 10, Prio: 0},
 		{Name: "b", C: 6, T: 12, Prio: 1},
 	}
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 60})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDeadlineMissDetected(t *testing.T) {
 
 func TestUnfinishedJobAtHorizonCountsAsMiss(t *testing.T) {
 	ts := task.Set{{Name: "a", C: 10, T: 20, D: 12, Prio: 0}}
-	res, err := Run(Config{
+	res, err := Run(nil, Config{
 		Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive,
 		Horizon: 15, Releases: [][]float64{{0, 14}},
 	})
@@ -255,7 +255,7 @@ func TestUnfinishedJobAtHorizonCountsAsMiss(t *testing.T) {
 		{Name: "hog", C: 30, T: 100, Prio: 0},
 		{Name: "b", C: 10, T: 100, D: 20, Prio: 1},
 	}
-	res2, err := Run(Config{Tasks: ts2, Policy: FixedPriority, Mode: NonPreemptive, Horizon: 25})
+	res2, err := Run(nil, Config{Tasks: ts2, Policy: FixedPriority, Mode: NonPreemptive, Horizon: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestUnfinishedJobAtHorizonCountsAsMiss(t *testing.T) {
 
 func TestExecTimeFraction(t *testing.T) {
 	ts := twoTasks()
-	res, err := Run(Config{
+	res, err := Run(nil, Config{
 		Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive,
 		Horizon: 40, ExecTime: 0.5,
 	})
@@ -281,7 +281,7 @@ func TestExecTimeFraction(t *testing.T) {
 
 func TestSporadicReleasesRespected(t *testing.T) {
 	ts := task.Set{{Name: "a", C: 1, T: 10, Prio: 0}}
-	res, err := Run(Config{
+	res, err := Run(nil, Config{
 		Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive,
 		Horizon: 50, Releases: [][]float64{{3, 17, 42}},
 	})
@@ -302,7 +302,7 @@ func TestFNPRSpacingInvariant(t *testing.T) {
 		{Name: "lo", C: 25, T: 101, Q: 4, Prio: 2},
 	}
 	fns := []delay.Function{nil, delay.Constant(0.5, 3), delay.Constant(1, 25)}
-	res, err := Run(Config{
+	res, err := Run(nil, Config{
 		Tasks: ts, Policy: FixedPriority, Mode: FloatingNPR,
 		Horizon: 500, Delay: fns,
 	})
@@ -334,7 +334,7 @@ func TestFNPRReducesPreemptions(t *testing.T) {
 		{Name: "lo", C: 20, T: 97, Q: 6, Prio: 2},
 	}
 	run := func(m Mode) int {
-		res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: m, Horizon: 1000})
+		res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: m, Horizon: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestFNPRReducesPreemptions(t *testing.T) {
 
 func TestTimelineAndSummaryRender(t *testing.T) {
 	ts := twoTasks()
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 40})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestSimultaneousReleasesNoSpuriousPreemption(t *testing.T) {
 	// lo starts at 0; h2 and h1 both arrive at t=3. Order the releases so
 	// the LOWER-priority h2 is processed first — the dispatcher must not
 	// start h2 and then preempt it for h1.
-	res, err := Run(Config{
+	res, err := Run(nil, Config{
 		Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive,
 		Horizon:  50,
 		Releases: [][]float64{{3}, {3}, {0}},

@@ -36,7 +36,7 @@ func TestResponseTimesAndStats(t *testing.T) {
 		{Name: "hi", C: 2, T: 10, Prio: 0},
 		{Name: "lo", C: 12, T: 40, Prio: 1},
 	}
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 80})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestStatsCountsUnfinishedMisses(t *testing.T) {
 		{Name: "hog", C: 30, T: 100, Prio: 0},
 		{Name: "b", C: 10, T: 100, D: 20, Prio: 1},
 	}
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: NonPreemptive, Horizon: 25})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: NonPreemptive, Horizon: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestStatsCountsUnfinishedMisses(t *testing.T) {
 
 func TestWriteEventsCSV(t *testing.T) {
 	ts := task.Set{{Name: "a", C: 2, T: 10, Prio: 0}}
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 20})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

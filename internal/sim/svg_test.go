@@ -12,7 +12,7 @@ func TestWriteSVGTimeline(t *testing.T) {
 		{Name: "hi", C: 2, T: 10, Q: 1, Prio: 0},
 		{Name: "lo", C: 12, T: 40, Q: 3, Prio: 1},
 	}
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 40})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestWriteSVGTimeline(t *testing.T) {
 
 func TestWriteSVGTimelineClipsWindow(t *testing.T) {
 	ts := task.Set{{Name: "a", C: 2, T: 10, Prio: 0}}
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 100})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestWriteSVGTimelineMissMarker(t *testing.T) {
 		{Name: "hog", C: 30, T: 100, Prio: 0},
 		{Name: "b", C: 10, T: 100, D: 20, Prio: 1},
 	}
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: NonPreemptive, Horizon: 60})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: NonPreemptive, Horizon: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

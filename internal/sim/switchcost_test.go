@@ -10,10 +10,10 @@ import (
 
 func TestSwitchCostValidation(t *testing.T) {
 	ts := task.Set{{Name: "a", C: 1, T: 10, Prio: 0}}
-	if _, err := Run(Config{Tasks: ts, Horizon: 10, SwitchCost: -1}); err == nil {
+	if _, err := Run(nil, Config{Tasks: ts, Horizon: 10, SwitchCost: -1}); err == nil {
 		t.Fatal("accepted negative switch cost")
 	}
-	if _, err := Run(Config{Tasks: ts, Horizon: 10, SwitchCost: math.NaN()}); err == nil {
+	if _, err := Run(nil, Config{Tasks: ts, Horizon: 10, SwitchCost: math.NaN()}); err == nil {
 		t.Fatal("accepted NaN switch cost")
 	}
 }
@@ -24,7 +24,7 @@ func TestSwitchCostAccountedSeparately(t *testing.T) {
 		{Name: "lo", C: 12, T: 40, Q: 3, Prio: 1},
 	}
 	fns := []delay.Function{nil, delay.Constant(2, 12)}
-	res, err := Run(Config{
+	res, err := Run(nil, Config{
 		Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive,
 		Horizon: 60, Delay: fns, SwitchCost: 0.5,
 	})
@@ -61,7 +61,7 @@ func TestSwitchCostZeroByDefault(t *testing.T) {
 		{Name: "hi", C: 2, T: 10, Q: 1, Prio: 0},
 		{Name: "lo", C: 12, T: 40, Q: 3, Prio: 1},
 	}
-	res, err := Run(Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 60})
+	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSwitchCostBoundedByPreemptions(t *testing.T) {
 		{Name: "h", C: 1, T: 7, Q: 1, Prio: 0},
 		{Name: "lo", C: 25, T: 101, Q: 4, Prio: 1},
 	}
-	res, err := Run(Config{
+	res, err := Run(nil, Config{
 		Tasks: ts, Policy: FixedPriority, Mode: FloatingNPR,
 		Horizon: 800, SwitchCost: 0.3,
 	})

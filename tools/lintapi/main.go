@@ -33,7 +33,6 @@ import (
 // Do not add entries for new code; deprecate the old name instead.
 var allowlist = map[string]bool{
 	"internal/npr:AssignQCtx": true,
-	"internal/sim:RunCtx":     true,
 }
 
 var suffixes = []string{"Ctx", "Opts"}

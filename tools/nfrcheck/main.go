@@ -5,8 +5,9 @@
 // machine) and the tool exits non-zero if any command fails or overruns
 // its ceiling.
 //
-// Unlike tools/benchregress — which compares against a recorded baseline
-// and normalises for machine speed — these ceilings are absolute: they are
+// Unlike tools/benchregress — which judges microbenchmarks against the
+// recorded golden testdata/bench.golden and normalises ns/op for machine
+// speed — these ceilings are absolute: they are
 // the "a user is watching this terminal" bar, set an order of magnitude
 // above the expected runtime so they only trip on pathological slowdowns.
 //
