@@ -30,7 +30,7 @@ func TestPanicAtQTargetsOneGridPoint(t *testing.T) {
 		}
 	}
 	for run := 1; run <= 2; run++ {
-		_, err := guard.Run(nil, "probe", func() (float64, error) {
+		_, err := guard.Run(nil, func() string { return "probe" }, func() (float64, error) {
 			r, err := core.Analyze(nil, f, 20, core.Options{})
 			return r.TotalDelay, err
 		})
@@ -50,7 +50,7 @@ func TestPanicFallbackHitsOnlyEq4(t *testing.T) {
 	if _, err := core.Analyze(nil, f, 20, core.Options{}); err != nil {
 		t.Fatalf("Algorithm 1 walk hit the fallback fault: %v", err)
 	}
-	_, err := guard.Run(nil, "fallback", func() (float64, error) {
+	_, err := guard.Run(nil, func() string { return "fallback" }, func() (float64, error) {
 		r, err := core.Analyze(nil, f, 20, core.Options{Method: core.Equation4})
 		return r.TotalDelay, err
 	})

@@ -64,13 +64,6 @@ type Options struct {
 	Remaining bool
 	From      float64
 
-	// Hints, when non-nil, seeds the Algorithm 1 walk's crossing search
-	// from a previous similar walk and records this walk's crossings back
-	// into Hints.Out — the cross-Q sharing hook used by eval.QSweep.
-	// Purely an accelerator: results are bit-identical with any hints, so
-	// Hints is excluded from the Memo cache key.
-	Hints *WalkHints
-
 	// Obs overrides the observability scope for this call; when nil the
 	// scope attached to the guard (guard.Ctx.WithObs) is used. Metric names
 	// are catalogued in DESIGN.md §10.
@@ -95,11 +88,6 @@ type Options struct {
 // observability threaded through (Algorithm 1 iteration counts, Equation 4
 // fixpoint iterations and kernel query counts flow into the scope's
 // registry).
-//
-// It replaces the UpperBound / UpperBoundCtx / UpperBoundTrace /
-// UpperBoundTraceCtx, StateOfTheArt*, NaivePointSelection* and
-// RemainingBound* variant ladders, which remain as thin deprecated wrappers
-// for one PR (see DESIGN.md §10 for the deprecation window).
 //
 // With Options.Memo set, traceless calls are answered from the
 // content-addressed result cache when the exact same (function, Q, options)
@@ -156,7 +144,7 @@ func analyze(g *guard.Ctx, f delay.Function, q float64, opts Options) (Result, e
 		// when the caller did not ask to keep a trace.
 		trace = new([]Iteration)
 	}
-	res, err := upperBoundFrom(g, sc, f, q, q, trace, opts.Hints)
+	res, err := upperBoundFrom(g, sc, f, q, q, trace)
 	if err != nil {
 		return Result{}, err
 	}
@@ -251,7 +239,7 @@ func analyzeRemaining(g *guard.Ctx, sc *obs.Scope, f delay.Function, q float64, 
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := upperBoundFrom(g, sc, suffix, q, q-current, opts.traceBuf(), nil)
+	res, err := upperBoundFrom(g, sc, suffix, q, q-current, opts.traceBuf())
 	if err != nil {
 		return Result{}, err
 	}

@@ -35,8 +35,7 @@
 // Analyze is the package's single entry point; Options selects the method
 // (Algorithm 1, the Equation 4 baseline, the naive demonstration bound), the
 // trace, the preemption-count refinement and the run-time remaining-delay
-// refinement. The UpperBound*/StateOfTheArt*/NaivePointSelection*/
-// RemainingBound* families below are deprecated wrappers kept for one PR.
+// refinement.
 package core
 
 import (
@@ -110,12 +109,7 @@ func (r Result) EffectiveWCET(c float64) float64 {
 // and flushed to the scope's counters once per return site, so the hot loop
 // performs no atomic operations and the walk stays allocation-free whether or
 // not a scope is attached (nil instruments make the flush a no-op).
-//
-// hints, when non-nil and f supports hinted crossing queries, seeds iteration
-// k's descending-line search with hints.In[k] and records the pieces this
-// walk produced into hints.Out — bit-identical to the unhinted walk, see
-// WalkHints.
-func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first float64, trace *[]Iteration, hints *WalkHints) (Result, error) {
+func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first float64, trace *[]Iteration) (Result, error) {
 	if f == nil {
 		return Result{}, guard.Invalidf("core: nil delay function")
 	}
@@ -145,13 +139,6 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 		sc.Counter("core.alg1.diverged").Inc()
 		return res, nil
 	}
-	var hinter reachHinter
-	if hints != nil {
-		if h, ok := f.(reachHinter); ok {
-			hinter = h
-			hints.Out = hints.Out[:0]
-		}
-	}
 	prog := 0.0
 	pnext := first
 
@@ -166,21 +153,7 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 
 		// p∩: first crossing of f with D(x) = prog + Q - x on
 		// [prog, prog+Q]; prog+Q when f stays below the line.
-		var pIntersect float64
-		var ok bool
-		if hinter != nil {
-			hint := -1
-			if k := res.Preemptions; k < len(hints.In) {
-				hint = int(hints.In[k])
-			}
-			var piece int
-			pIntersect, ok, piece = hinter.FirstReachDescendingHint(prog, prog+q, prog+q, hint)
-			if len(hints.Out) < maxHintPieces {
-				hints.Out = append(hints.Out, int32(piece))
-			}
-		} else {
-			pIntersect, ok = f.FirstReachDescending(prog, prog+q, prog+q)
-		}
+		pIntersect, ok := f.FirstReachDescending(prog, prog+q, prog+q)
 		if !ok {
 			pIntersect = prog + q
 		}
@@ -220,14 +193,6 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 		sc.Counter("core.alg1.diverged").Inc()
 	}
 	return res, nil
-}
-
-// reachHinter is implemented by delay kernels whose descending-crossing
-// search accepts a candidate piece index from a previous similar walk
-// (currently *delay.Indexed). The scan kernel has no piece index to seed, so
-// hinted walks silently degrade to the plain query there.
-type reachHinter interface {
-	FirstReachDescendingHint(a, b, c float64, hint int) (x float64, found bool, piece int)
 }
 
 // naivePointSelection computes the (unsound!) bound discussed at the top of

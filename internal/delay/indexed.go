@@ -225,22 +225,6 @@ func (ix *Indexed) MaxOn(a, b float64) (tmax, fmax float64) {
 // provably fail the exact test, so the first accepted crossing is the same
 // one the scan finds.
 func (ix *Indexed) FirstReachDescending(a, b, c float64) (x float64, found bool) {
-	x, found, _ = ix.FirstReachDescendingHint(a, b, c, -1)
-	return x, found
-}
-
-// FirstReachDescendingHint is FirstReachDescending with cross-query seeding:
-// hint names the piece where a previous, similar query (typically the same
-// walk iteration at an adjacent Q grid point) found its crossing, and piece
-// reports where this query found its own (-1 when there is none) so the
-// caller can seed the next query. When the interior prefix before the hinted
-// piece provably cannot reach the line (its range maximum stays below the
-// threshold minus the rounding slack — the same argument that lets the
-// bisection skip pieces), the search starts with one exact recheck at the
-// hinted piece, answering the common case in O(1); otherwise the hint is
-// ignored. Either way the result is bit-identical to the unhinted query: out
-// of range, stale or adversarial hints only cost an extra exact recheck.
-func (ix *Indexed) FirstReachDescendingHint(a, b, c float64, hint int) (x float64, found bool, piece int) {
 	// Plain local tallies (register increments) keep the query loop free of
 	// atomics; the single flush at the end is skipped unless obs.Enable()
 	// has been called, so the uninstrumented cost is one atomic bool load.
@@ -255,23 +239,11 @@ func (ix *Indexed) FirstReachDescendingHint(a, b, c float64, hint int) (x float6
 	i, j := p.pieceAt(a), p.pieceAt(b)
 	rechecks++
 	if x, ok := p.reachInPiece(i, a, b, c); ok {
-		return x, true, i
+		return x, true
 	}
 	if j > i {
 		cLo := c - ix.slack
-		lo, hi := i+1, j-1
-		if hint >= lo && hint <= hi && (hint == lo || ix.reachMax(lo, hint-1) < cLo) {
-			// Every interior piece before the hint provably fails the
-			// exact test, so the hinted piece is the first candidate:
-			// recheck it exactly, and on a miss resume the bisection
-			// right after it.
-			rechecks++
-			if x, ok := p.reachInPiece(hint, a, b, c); ok {
-				return x, true, hint
-			}
-			lo = hint + 1
-		}
-		for lo <= hi {
+		for lo, hi := i+1, j-1; lo <= hi; {
 			bisections++
 			k := ix.firstReachAtLeast(lo, hi, cLo)
 			if k < 0 {
@@ -279,14 +251,14 @@ func (ix *Indexed) FirstReachDescendingHint(a, b, c float64, hint int) (x float6
 			}
 			rechecks++
 			if x, ok := p.reachInPiece(k, a, b, c); ok {
-				return x, true, k
+				return x, true
 			}
 			lo = k + 1
 		}
 		rechecks++
 		if x, ok := p.reachInPiece(j, a, b, c); ok {
-			return x, true, j
+			return x, true
 		}
 	}
-	return 0, false, -1
+	return 0, false
 }

@@ -24,6 +24,32 @@ func analyzeTestSet(t *testing.T) (task.Set, []delay.Function) {
 	return ts, []delay.Function{f1, f2, nil}
 }
 
+// sawtoothFixture builds a 48-piece delay function over [0, 96], fine enough
+// to be auto-indexed, and a Q grid inside its interesting range.
+func sawtoothFixture(t *testing.T) (*delay.Piecewise, []float64) {
+	t.Helper()
+	const n = 48
+	xs := make([]float64, n+1)
+	ys := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(2 * i)
+	}
+	for i := range ys {
+		// A rough sawtooth: high early spikes decaying towards the tail,
+		// so Algorithm 1's windows walk several pieces per query.
+		ys[i] = 0.5 + float64((13*i)%7) + 5/float64(i+1)
+	}
+	f, err := delay.NewPiecewise(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]float64, 0, 10)
+	for q := 12.0; q < 52; q += 4 {
+		qs = append(qs, q)
+	}
+	return f, qs
+}
+
 // TestAnalyzeSetMatchesDirectBounds asserts every (task, Q) point of a
 // batched analysis equals a direct core.UpperBound call on the raw function.
 func TestAnalyzeSetMatchesDirectBounds(t *testing.T) {
@@ -66,7 +92,7 @@ func TestAnalyzeSetMatchesDirectBounds(t *testing.T) {
 // fine enough to be auto-indexed is bit-identical to direct scan-kernel
 // analyses of the raw *delay.Piecewise curves.
 func TestAnalyzeSetIndexTransparency(t *testing.T) {
-	saw, _ := qshareFixture(t, 48)
+	saw, grid := sawtoothFixture(t)
 	step := delay.Step(1, 6, 90, 40)
 	raw := []*delay.Piecewise{saw, step}
 	ts := task.Set{
@@ -80,7 +106,7 @@ func TestAnalyzeSetIndexTransparency(t *testing.T) {
 		}
 		fns[i] = p
 	}
-	qs := []float64{10, 14, 25, 60}
+	qs := append([]float64{10, 14, 25, 60}, grid...)
 	indexed, err := AnalyzeSet(nil, ts, fns, SweepOptions{Qs: qs})
 	if err != nil {
 		t.Fatal(err)

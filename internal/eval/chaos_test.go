@@ -126,6 +126,32 @@ func TestChaosFallbackFaultQuarantines(t *testing.T) {
 	}
 }
 
+// TestChaosNoteText pins the whole SweepPoint.Note on both panic rungs: the
+// lazily built point label must read exactly as the eager one did, because
+// Note is journaled and served.
+func TestChaosNoteText(t *testing.T) {
+	base := chaosBase(t)
+	specs := []SweepSpec{
+		{Name: "broken", F: chaos.Wrap(base, chaos.Fault{PanicAtQ: 20})},
+		{Name: "doomed", F: chaos.Wrap(base, chaos.Fault{PanicAtQ: 20, PanicFallback: true})},
+	}
+	results, err := QSweep(nil, specs, SweepOptions{Qs: []float64{20}, Workers: 1})
+	if err != nil {
+		t.Fatalf("QSweep: %v", err)
+	}
+	want := []string{
+		"broken at Q=20: analysis panicked: chaos: injected panic at Q=20",
+		"doomed at Q=20: analysis panicked: chaos: injected panic at Q=20; " +
+			"fallback: doomed at Q=20 (Eq.4 fallback): analysis panicked: " +
+			"chaos: injected panic in Eq.4 fallback (MaxOn[0,40])",
+	}
+	for i, r := range results {
+		if got := r.Points[0].Note; got != want[i] {
+			t.Errorf("%s: Note = %q, want %q", r.Name, got, want[i])
+		}
+	}
+}
+
 func TestChaosBudgetBurnAbortsWithPartialResultsAndIntactJournal(t *testing.T) {
 	base := chaosBase(t)
 	qs := []float64{15, 20, 25}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fnpr/internal/delay"
+	"fnpr/internal/obs"
 )
 
 func TestFigure4Shape(t *testing.T) {
@@ -90,6 +91,33 @@ func TestFigure5SOAConstantAcrossFunctions(t *testing.T) {
 		}
 		if math.IsInf(soa[i], 1) {
 			t.Fatalf("SOA infinite at Q=%g", q)
+		}
+	}
+}
+
+// TestFigure5CountersDeterministicAcrossWorkers: the work counters of a
+// parallel Figure 5 sweep are a function of the input alone, not of worker
+// scheduling, so they can be gated exactly.
+func TestFigure5CountersDeterministicAcrossWorkers(t *testing.T) {
+	obs.Enable()
+	def := obs.Default()
+	rechecks, bisections := def.Counter("delay.index.rechecks"), def.Counter("delay.index.bisections")
+	type counts struct{ rechecks, bisections, iterations int64 }
+	var first counts
+	for run := 0; run < 3; run++ {
+		reg := obs.NewRegistry()
+		r0, b0 := rechecks.Value(), bisections.Value()
+		if _, err := Figure5(nil, delay.LiteralParams(), SweepOptions{Workers: 2, Obs: obs.NewScope(reg)}); err != nil {
+			t.Fatal(err)
+		}
+		got := counts{rechecks.Value() - r0, bisections.Value() - b0, reg.Counter("core.alg1.iterations").Value()}
+		if got.rechecks == 0 || got.bisections == 0 || got.iterations == 0 {
+			t.Fatalf("run %d: counters did not move: %+v", run, got)
+		}
+		if run == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d: counters %+v, run 0 read %+v", run, got, first)
 		}
 	}
 }

@@ -410,19 +410,6 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 		results[i] = SweepResult{Name: s.Name, Points: make([]SweepPoint, len(qs))}
 	}
 
-	// Cross-Q hint slots, one per spec: the walk pieces recorded by the most
-	// recently computed grid point seed the descending-line searches of the
-	// next point on the same curve (core.WalkHints — bit-identical, the hint
-	// only short-circuits provably equivalent query work). Adjacent Q points
-	// cross similar piece sequences, so the seed usually lands. Workers
-	// race on the slot, but hints are advisory: any stored sequence is a
-	// valid seed for any Q, so last-writer-wins needs no ordering.
-	type hintSlot struct {
-		mu     sync.Mutex
-		pieces []int32
-	}
-	hintSlots := make([]hintSlot, len(specs))
-
 	var (
 		mu       sync.Mutex
 		abortErr error
@@ -516,30 +503,15 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 					}
 					continue
 				}
-				label := fmt.Sprintf("%s at Q=%g", spec.Name, q)
-				hs := &hintSlots[jb.si]
-				hs.mu.Lock()
-				// The stored slice is only ever read (as a later walk's
-				// In), never appended to.
-				hints := core.WalkHints{In: hs.pieces}
-				hs.mu.Unlock()
+				// Built only when a rung recovers a panic.
+				label := func() string { return fmt.Sprintf("%s at Q=%g", spec.Name, q) }
 				pt.Attempts = 1
 				v, err := guard.Run(g, label, func() (core.Result, error) {
-					return core.Analyze(g, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo, Hints: &hints})
+					return core.Analyze(g, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo})
 				})
 				if err == nil {
 					pt.Value = v.TotalDelay
 					pt.Cached = v.Cached
-					if !v.Cached && len(hints.Out) > 0 {
-						if len(hints.In) > 0 {
-							sc.Counter("sweep.qshare.seeded").Inc()
-						} else {
-							sc.Counter("sweep.qshare.cold").Inc()
-						}
-						hs.mu.Lock()
-						hs.pieces = hints.Out
-						hs.mu.Unlock()
-					}
 					finish(jb, pt, false)
 					if timed {
 						busyNs += time.Since(jobStart).Nanoseconds()
@@ -559,7 +531,7 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 				// Rung 2: degrade to the Equation 4 bound, itself under
 				// a recovery scope (a poisoned function can panic in
 				// Domain/MaxOn too).
-				fb, ferr := guard.Run(g, label+" (Eq.4 fallback)", func() (core.Result, error) {
+				fb, ferr := guard.Run(g, func() string { return label() + " (Eq.4 fallback)" }, func() (core.Result, error) {
 					return core.Analyze(g, spec.F, q, core.Options{Method: core.Equation4, Obs: sc, Memo: opts.Memo})
 				})
 				if ferr != nil {

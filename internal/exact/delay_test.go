@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -129,6 +130,55 @@ func TestDelayParallelDeterminism(t *testing.T) {
 			if res != serial {
 				t.Fatalf("worker %d run %d: %+v != serial %+v", w, rep, res, serial)
 			}
+		}
+	}
+}
+
+// TestDelayMonotone pins two sustainability properties of the exact delay:
+// a longer region Q never raises it, and raising one piece of f never lowers
+// it. A longer region only pushes each next admissible strike further out,
+// and a larger f can replay every strike scenario of the smaller one.
+// Algorithm 1 has neither property (DESIGN.md §16), so this is the exact
+// bound's alone. Charges on a 0.25 grid keep every sum exact in floating
+// point, so the comparisons need no tolerance.
+func TestDelayMonotone(t *testing.T) {
+	const c = 40.0
+	ex := NewExplorer()
+	exact := func(f *delay.Piecewise, q float64) float64 {
+		t.Helper()
+		res, err := ex.Delay(nil, f, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Delay
+	}
+	for trial := 0; trial < 5000; trial++ {
+		r := synth.SubRand(4, 0, trial)
+		n := 2 + r.Intn(8)
+		xs := []float64{0}
+		for _, x := range r.Perm(39)[:n-1] {
+			xs = append(xs, float64(x+1))
+		}
+		xs = append(xs, c)
+		slices.Sort(xs)
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = 0.25 * float64(r.Intn(13))
+		}
+		f := mustPiecewise(xs, vs)
+		q := 4 + 8*r.Float64()
+		base := exact(f, q)
+		if math.IsInf(base, 0) {
+			continue
+		}
+		if longer := exact(f, q+2*r.Float64()); longer > base {
+			t.Fatalf("trial %d: exact delay rose with Q: %g at Q=%g, %g at the longer Q (f = %v)", trial, base, q, longer, f)
+		}
+		k := r.Intn(n)
+		up := slices.Clone(vs)
+		up[k] = math.Min(3, up[k]+0.25*float64(1+r.Intn(4)))
+		if raised := exact(mustPiecewise(xs, up), q); raised < base {
+			t.Fatalf("trial %d: raising piece %d of f to %g lowered the exact delay from %g to %g at Q=%g (f = %v)", trial, k, up[k], base, raised, q, f)
 		}
 	}
 }

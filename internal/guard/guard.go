@@ -246,12 +246,13 @@ func (g *Ctx) poll(steps int64) error {
 
 // Run executes fn inside a panic-isolating scope: a panic in fn (or anything
 // it calls) is recovered and returned as an ErrPanic-wrapped error carrying
-// the label, instead of unwinding the caller. It also performs the entry
-// check, so fn is never entered under an already-dead scope.
+// label(), instead of unwinding the caller. It also performs the entry
+// check, so fn is never entered under an already-dead scope. label is called
+// only when a panic is recovered, so callers pay for formatting it only then.
 //
 // The type parameter carries fn's result through without boxing; on error
 // the zero value is returned.
-func Run[T any](g *Ctx, label string, fn func() (T, error)) (out T, err error) {
+func Run[T any](g *Ctx, label func() string, fn func() (T, error)) (out T, err error) {
 	if e := g.Err(); e != nil {
 		return out, e
 	}
@@ -259,7 +260,7 @@ func Run[T any](g *Ctx, label string, fn func() (T, error)) (out T, err error) {
 		if r := recover(); r != nil {
 			var zero T
 			out = zero
-			err = fmt.Errorf("%s: %w: %v", label, ErrPanic, r)
+			err = fmt.Errorf("%s: %w: %v", label(), ErrPanic, r)
 		}
 	}()
 	return fn()

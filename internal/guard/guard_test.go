@@ -80,7 +80,7 @@ func TestDeadline(t *testing.T) {
 }
 
 func TestRunRecoversPanic(t *testing.T) {
-	got, err := Run(nil, "poisoned", func() (int, error) {
+	got, err := Run(nil, func() string { return "poisoned" }, func() (int, error) {
 		panic("boom")
 	})
 	if !errors.Is(err, ErrPanic) {
@@ -95,14 +95,19 @@ func TestRunRecoversPanic(t *testing.T) {
 }
 
 func TestRunPassesThroughResults(t *testing.T) {
-	got, err := Run(nil, "ok", func() (string, error) { return "v", nil })
+	labels := 0
+	label := func() string { labels++; return "unused" }
+	got, err := Run(nil, label, func() (string, error) { return "v", nil })
 	if err != nil || got != "v" {
 		t.Fatalf("Run = %q, %v", got, err)
 	}
 	sentinel := errors.New("inner")
-	_, err = Run(nil, "failing", func() (string, error) { return "", sentinel })
+	_, err = Run(nil, label, func() (string, error) { return "", sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("Run did not pass through the inner error: %v", err)
+	}
+	if labels != 0 {
+		t.Fatalf("label built %d times without a panic, want 0", labels)
 	}
 }
 
@@ -110,7 +115,7 @@ func TestRunChecksScopeBeforeEntering(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	entered := false
-	_, err := Run(New(ctx), "never", func() (int, error) {
+	_, err := Run(New(ctx), func() string { return "never" }, func() (int, error) {
 		entered = true
 		return 1, nil
 	})

@@ -235,7 +235,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.WrapDelay != nil {
 		fn = s.cfg.WrapDelay(fn, g, cancel)
 	}
-	res, err := guard.Run(g, "analyze", func() (core.Result, error) {
+	res, err := guard.Run(g, func() string { return "analyze" }, func() (core.Result, error) {
 		return core.Analyze(g, fn, req.Q, core.Options{
 			Method: method, Limited: req.Limited, MaxPreemptions: req.MaxPreemptions,
 			Memo: s.memo,
@@ -319,7 +319,7 @@ func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
 	if req.Delta {
 		opts.Memo = s.memo
 	}
-	res, err := guard.Run(g, "analyzeset", func() ([]eval.SweepResult, error) {
+	res, err := guard.Run(g, func() string { return "analyzeset" }, func() ([]eval.SweepResult, error) {
 		return eval.AnalyzeSet(g, prob.Tasks, prob.Delay, opts)
 	})
 	if err != nil {

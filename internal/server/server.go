@@ -511,7 +511,7 @@ func (s *Server) runJob(j *job) {
 		g.WithCheckpoint(func(int64) { jr.Sync() })
 	}
 
-	res, err := guard.Run(g, "job "+j.id, func() (any, error) { return camp.Run(g) })
+	res, err := guard.Run(g, func() string { return "job " + j.id }, func() (any, error) { return camp.Run(g) })
 	if jr != nil {
 		if cerr := jr.Close(); cerr != nil && err == nil {
 			err = cerr
