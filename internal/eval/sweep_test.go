@@ -3,9 +3,11 @@ package eval
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
+	"fnpr/internal/core"
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
 )
@@ -25,6 +27,33 @@ func (p poisonedFunction) FirstReachDescending(a, b, c float64) (float64, bool) 
 		panic("injected fault for this grid point")
 	}
 	return p.Piecewise.FirstReachDescending(a, b, c)
+}
+
+// TestQSweepIndexedMatchesScan: a single-worker sweep over a curve fine
+// enough to be auto-indexed completes every grid point and agrees bit for bit
+// with direct scan-kernel analyses of the raw curve.
+func TestQSweepIndexedMatchesScan(t *testing.T) {
+	f, qs := sawtoothFixture(t)
+	if _, ok := delay.AutoIndex(f).(*delay.Indexed); !ok {
+		t.Fatalf("%d pieces is below the AutoIndex threshold", f.Pieces())
+	}
+	res, err := QSweep(nil, []SweepSpec{{Name: "curve", F: f}}, SweepOptions{Qs: qs, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		pt := res[0].Points[i]
+		if !pt.Done || pt.Degraded || pt.Quarantined {
+			t.Fatalf("point Q=%g not clean: %+v", q, pt)
+		}
+		scan, err := core.Analyze(nil, f, q, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(pt.Value) != math.Float64bits(scan.TotalDelay) {
+			t.Fatalf("indexed and scan kernels differ at Q=%g: %g vs %g", q, pt.Value, scan.TotalDelay)
+		}
+	}
 }
 
 // TestQSweepDegradesPoisonedPoint injects a panic at one grid point of one
