@@ -351,7 +351,8 @@ func BenchmarkDelayAwareRTA(b *testing.B) {
 // warm-started from the no-delay response times, exactly like the analysis
 // pipelines. The rta-iters/op metric is the engine-evaluation count per
 // analysis pass (sched.rta.solver.iterations), gated exactly by make
-// bench-gate against testdata/bench.golden.
+// bench-gate against testdata/bench.golden. The tasks=N rows time the same
+// engine on larger sets without delay.
 func BenchmarkRTASolver(b *testing.B) {
 	const sets = 10
 	type fixture struct {
@@ -418,6 +419,36 @@ func BenchmarkRTASolver(b *testing.B) {
 						Warm: fx.warm, Obs: sc,
 					})
 					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(reg.Counter("sched.rta.solver.iterations").Value())/float64(b.N), "rta-iters/op")
+		})
+	}
+	// The tasks=N rows size the set instead: the plain fixed-priority RTA
+	// over N-task sets at utilizations up to 0.99, some unschedulable, whose
+	// refutations walk every breakpoint below the deadline. cutRoot selects
+	// its segments in place for up to 16 higher-priority tasks and sorts
+	// them above that; the rows sit on either side.
+	for _, n := range []int{16, 128} {
+		var sets []task.Set
+		for trial := 0; len(sets) < 3; trial++ {
+			ts, err := synth.TaskSet(synth.SubRand(1904, n, trial), synth.TaskSetParams{
+				N: n, Utilization: []float64{0.7, 0.9, 0.99}[len(sets)],
+				PeriodLo: 10, PeriodHi: 100_000, RoundPeriod: true,
+			})
+			if err == nil {
+				sets = append(sets, ts)
+			}
+		}
+		b.Run(fmt.Sprintf("solver=cutting/tasks=%d", n), func(b *testing.B) {
+			reg := obs.NewRegistry()
+			sc := obs.NewScope(reg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, ts := range sets {
+					if _, err := sched.Analyze(nil, ts, sched.Options{Obs: sc}); err != nil {
 						b.Fatal(err)
 					}
 				}

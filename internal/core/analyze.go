@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
@@ -138,25 +138,29 @@ func analyze(g *guard.Ctx, f delay.Function, q float64, opts Options) (Result, e
 		return analyzeRemaining(g, sc, f, q, opts)
 	}
 
-	trace := opts.traceBuf()
-	if opts.Limited && opts.MaxPreemptions >= 0 && trace == nil {
-		// The n-largest refinement needs the per-iteration charges even
-		// when the caller did not ask to keep a trace.
-		trace = new([]Iteration)
+	// The n-largest refinement needs the per-iteration charges: the walk
+	// writes them into a stack buffer that spills to the heap only for walks
+	// longer than limitChargeBuf.
+	limited := opts.Limited && opts.MaxPreemptions >= 0
+	var charges []float64
+	if limited {
+		var buf [limitChargeBuf]float64
+		charges = buf[:0]
 	}
-	res, err := upperBoundFrom(g, sc, f, q, q, trace)
+	res, charges, err := upperBoundFrom(g, sc, f, q, q, opts.traceBuf(), charges)
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Limited && opts.MaxPreemptions >= 0 {
-		res.TotalDelay = limitCharges(f, res, opts.MaxPreemptions)
+	if limited {
+		res.TotalDelay = limitCharges(f, res, charges, opts.MaxPreemptions)
 		res.Diverged = math.IsInf(res.TotalDelay, 1)
-	}
-	if !opts.Trace {
-		res.Iterations = nil
 	}
 	return res, nil
 }
+
+// limitChargeBuf is how many per-iteration charges a limited walk keeps on
+// the stack.
+const limitChargeBuf = 32
 
 // traceBuf returns the iteration destination: the Walker's reusable buffer,
 // a fresh slice for Trace, or nil for the allocation-free walk.
@@ -170,26 +174,23 @@ func (o Options) traceBuf() *[]Iteration {
 	return new([]Iteration)
 }
 
-// limitCharges applies the preemption-count refinement to a completed walk:
-// the cumulative delay of a job preemptible at most n times is bounded by the
-// sum of the n largest per-iteration charges. A divergent (truncated) trace
-// only supports the trace-free n × max f bound.
-func limitCharges(f delay.Function, res Result, n int) float64 {
+// limitCharges applies the preemption-count refinement to a completed walk
+// and its per-iteration charges: the cumulative delay of a job preemptible at
+// most n times is bounded by the sum of the n largest charges, added largest
+// first. A divergent (truncated) walk only supports the charge-free n × max f
+// bound. The charges are sorted in place.
+func limitCharges(f delay.Function, res Result, charges []float64, n int) float64 {
 	if res.Diverged {
 		_, maxF := f.MaxOn(0, f.Domain())
 		return float64(n) * maxF
 	}
-	if n >= len(res.Iterations) {
+	if n >= len(charges) {
 		return res.TotalDelay
 	}
-	charges := make([]float64, len(res.Iterations))
-	for i, it := range res.Iterations {
-		charges[i] = it.DelayMax
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(charges)))
+	slices.Sort(charges)
 	var total float64
-	for i := 0; i < n; i++ {
-		total += charges[i]
+	for k := len(charges) - 1; k >= len(charges)-n; k-- {
+		total += charges[k]
 	}
 	return total
 }
@@ -239,7 +240,7 @@ func analyzeRemaining(g *guard.Ctx, sc *obs.Scope, f delay.Function, q float64, 
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := upperBoundFrom(g, sc, suffix, q, q-current, opts.traceBuf())
+	res, _, err := upperBoundFrom(g, sc, suffix, q, q-current, opts.traceBuf(), nil)
 	if err != nil {
 		return Result{}, err
 	}

@@ -102,26 +102,28 @@ func (r Result) EffectiveWCET(c float64) float64 {
 // preemption point, used by Analyze (first = Q) and its remaining-delay mode
 // (first = Q - pending payback). When trace is non-nil the per-iteration
 // records are appended to it (reusing its capacity) and returned as
-// Result.Iterations; a nil trace skips the bookkeeping entirely, making the
-// walk allocation-free.
+// Result.Iterations. When charges is non-nil each iteration's delaymax is
+// appended to it and the grown slice is returned, so a caller's stack buffer
+// stays in its frame unless the walk outgrows it. Nil destinations skip the
+// bookkeeping entirely, making the walk allocation-free.
 //
 // Observability: iteration and kernel-query counts are accumulated in locals
 // and flushed to the scope's counters once per return site, so the hot loop
 // performs no atomic operations and the walk stays allocation-free whether or
 // not a scope is attached (nil instruments make the flush a no-op).
-func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first float64, trace *[]Iteration) (Result, error) {
+func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first float64, trace *[]Iteration, charges []float64) (Result, []float64, error) {
 	if f == nil {
-		return Result{}, guard.Invalidf("core: nil delay function")
+		return Result{}, nil, guard.Invalidf("core: nil delay function")
 	}
 	if q <= 0 || math.IsNaN(q) || math.IsInf(q, 0) {
-		return Result{}, guard.Invalidf("core: Q must be positive and finite, got %g", q)
+		return Result{}, nil, guard.Invalidf("core: Q must be positive and finite, got %g", q)
 	}
 	c := f.Domain()
 	if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-		return Result{}, guard.Invalidf("core: delay function has invalid domain %g", c)
+		return Result{}, nil, guard.Invalidf("core: delay function has invalid domain %g", c)
 	}
 	if err := g.Err(); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 
 	sc.Counter("core.alg1.runs").Inc()
@@ -137,7 +139,7 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 		res.TotalDelay = math.Inf(1)
 		res.Diverged = true
 		sc.Counter("core.alg1.diverged").Inc()
-		return res, nil
+		return res, charges, nil
 	}
 	prog := 0.0
 	pnext := first
@@ -146,7 +148,7 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 		if err := g.Tick(); err != nil {
 			itc.Add(iters)
 			qc.Add(2 * iters)
-			return res, err
+			return res, charges, err
 		}
 		iters++
 		prog = pnext
@@ -173,6 +175,9 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 			})
 			res.Iterations = *trace
 		}
+		if charges != nil {
+			charges = append(charges, delayMax)
+		}
 
 		if q-delayMax <= epsilon {
 			// The whole window can be consumed by delay: no
@@ -192,7 +197,7 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 	if res.Diverged {
 		sc.Counter("core.alg1.diverged").Inc()
 	}
-	return res, nil
+	return res, charges, nil
 }
 
 // naivePointSelection computes the (unsound!) bound discussed at the top of

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"fnpr/internal/delay"
@@ -175,5 +177,125 @@ func TestPreemptionCount(t *testing.T) {
 	}
 	if _, err := PreemptionCount(10, []float64{10, 20}, []float64{1}); err == nil {
 		t.Fatal("accepted mismatched jitters")
+	}
+}
+
+// limitedOracle is the preemption-count refinement as first written: a
+// Trace walk, its charges sorted descending with sort.Reverse, the n largest
+// summed in that order. Analyze's traceless limited path must match it bit
+// for bit.
+func limitedOracle(t *testing.T, f delay.Function, q float64, n int) float64 {
+	t.Helper()
+	res, err := Analyze(nil, f, q, Options{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Diverged {
+		_, maxF := f.MaxOn(0, f.Domain())
+		return float64(n) * maxF
+	}
+	if n >= len(res.Iterations) {
+		return res.TotalDelay
+	}
+	charges := make([]float64, len(res.Iterations))
+	for i, it := range res.Iterations {
+		charges[i] = it.DelayMax
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(charges)))
+	var total float64
+	for i := 0; i < n; i++ {
+		total += charges[i]
+	}
+	return total
+}
+
+// limitedFixture draws a step function whose values are sevenths: windows
+// often charge equal amounts, and the sums round, so a change in the order
+// of summation shows in the low bits. C is sized for a walk of about k windows of
+// length q = 10 (exactly one for k = 1).
+func limitedFixture(r *rand.Rand, k int) (*delay.Piecewise, error) {
+	c := 10.5 + float64(k-1)*(5+4*r.Float64())
+	pieces := 1 + r.Intn(12)
+	xs := []float64{0}
+	for i := 1; i < pieces; i++ {
+		xs = append(xs, c*float64(i)/float64(pieces))
+	}
+	xs = append(xs, c)
+	vs := make([]float64, pieces)
+	for i := range vs {
+		vs[i] = float64(r.Intn(20)) / 7
+	}
+	return delay.NewPiecewise(xs, vs)
+}
+
+// TestLimitedMatchesSortedTraceOracle: for walks of 1 to over 100 windows,
+// crossing the 32-entry stack buffer, and for every n in 0..len+1, the
+// limited bound is bit-identical to limitedOracle, with and without a trace;
+// a divergent walk keeps the n × max f answer.
+func TestLimitedMatchesSortedTraceOracle(t *testing.T) {
+	const q = 10.0
+	r := rand.New(rand.NewSource(32))
+	minIters, maxIters := math.MaxInt, 0
+	check := func(label string, f delay.Function) int {
+		full, err := Analyze(nil, f, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= full.Preemptions+1; n++ {
+			want := limitedOracle(t, f, q, n)
+			for _, trace := range []bool{false, true} {
+				got, err := Analyze(nil, f, q, Options{Limited: true, MaxPreemptions: n, Trace: trace})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got.TotalDelay) != math.Float64bits(want) {
+					t.Fatalf("%s, %d windows, n=%d, trace=%v: %v, oracle %v", label, full.Preemptions, n, trace, got.TotalDelay, want)
+				}
+				if got.Diverged != math.IsInf(want, 1) || trace != (len(got.Iterations) == full.Preemptions) {
+					t.Fatalf("%s, n=%d, trace=%v: Diverged=%v with %d trace records", label, n, trace, got.Diverged, len(got.Iterations))
+				}
+			}
+		}
+		return full.Preemptions
+	}
+	for k := 1; k <= 120; k++ {
+		f, err := limitedFixture(r, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := check(fmt.Sprintf("k=%d", k), f)
+		minIters, maxIters = min(minIters, n), max(maxIters, n)
+	}
+	if minIters != 1 || maxIters < 100 {
+		t.Fatalf("walks spanned %d..%d windows; want 1..>=100", minIters, maxIters)
+	}
+	div, err := delay.NewPiecewise([]float64{0, 50, 60, 200}, []float64{1, q, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := Analyze(nil, div, q, Options{}); !res.Diverged {
+		t.Fatal("divergent fixture did not diverge")
+	}
+	check("divergent", div)
+}
+
+// TestLimitedTracelessAllocs pins the limited walk's charges on the stack:
+// a traceless limited call of at most 32 windows allocates nothing.
+func TestLimitedTracelessAllocs(t *testing.T) {
+	f, err := limitedFixture(rand.New(rand.NewSource(7)), 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Analyze(nil, f, 10, Options{})
+	if err != nil || res.Preemptions > limitChargeBuf || res.Preemptions < 20 {
+		t.Fatalf("fixture walk: %d windows, err %v; want 20..%d", res.Preemptions, err, limitChargeBuf)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Analyze(nil, f, 10, Options{Limited: true, MaxPreemptions: 5}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("limited walk of %d windows: %v allocs/op, want 0", res.Preemptions, allocs)
 	}
 }

@@ -161,8 +161,8 @@ func (p *Piecewise) MaxOn(a, b float64) (tmax, fmax float64) {
 
 func (p *Piecewise) clampRange(a, b float64) (float64, float64) {
 	d := p.Domain()
-	a = math.Max(0, math.Min(a, d))
-	b = math.Max(a, math.Min(b, d))
+	a = max(0, min(a, d))
+	b = max(a, min(b, d))
 	return a, b
 }
 
@@ -186,8 +186,8 @@ func (p *Piecewise) FirstReachDescending(a, b, c float64) (float64, bool) {
 // (FirstReachDescending above) and the indexed kernel run this exact code on
 // the same floats, so the two paths agree bit for bit.
 func (p *Piecewise) reachInPiece(k int, a, b, c float64) (float64, bool) {
-	lo := math.Max(p.xs[k], a)
-	hi := math.Min(p.xs[k+1], b)
+	lo := max(p.xs[k], a)
+	hi := min(p.xs[k+1], b)
 	// hi is inclusive when it is the query end strictly inside the
 	// piece, or when this is the last piece (which owns its right
 	// endpoint); otherwise the next piece owns the breakpoint.

@@ -184,12 +184,24 @@ func RequestBound(ts task.Set, i int, t float64) float64 {
 // list is built), and the level-i sweep runs under the guard scope g
 // (nil = no limits), charging one guard step per scheduling point.
 func FPBlockingTolerance(g *guard.Ctx, ts task.Set) ([]float64, error) {
+	return fpBlockingTolerance(g, ts, len(ts))
+}
+
+// fpBlockingTolerance validates the whole set and sweeps the tolerances of
+// its first n tasks only. AssignQ and ValidateQ pass n = len(ts) - 1: under
+// fixed priority they read βj only for tasks that have a lower-priority task
+// to be blocked by, so the last task's sweep, the longest one, is skipped.
+func fpBlockingTolerance(g *guard.Ctx, ts task.Set, n int) ([]float64, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
 	if len(ts) == 0 {
 		return nil, guard.Invalidf("npr: empty task set")
 	}
+	// βi depends on tasks 0…i only, so the sweep needs no task past n.
+	// Cutting ts itself (not just the loop) keeps every index below
+	// len(ts) provable, and the hot loops free of bounds checks.
+	ts = ts[:n]
 	out := make([]float64, len(ts))
 	next := make([]float64, len(ts))
 	for i, tk := range ts {
@@ -268,7 +280,7 @@ func AssignQCtx(g *guard.Ctx, ts task.Set, p Policy) (task.Set, error) {
 	case EDF:
 		tol, err = EDFBlockingTolerance(g, ts)
 	case FixedPriority:
-		tol, err = FPBlockingTolerance(g, ts)
+		tol, err = fpBlockingTolerance(g, ts, len(ts)-1)
 	default:
 		return nil, guard.Invalidf("npr: unknown policy %v", p)
 	}
@@ -312,7 +324,7 @@ func ValidateQ(g *guard.Ctx, ts task.Set, p Policy) error {
 	case EDF:
 		tol, err = EDFBlockingTolerance(g, ts)
 	case FixedPriority:
-		tol, err = FPBlockingTolerance(g, ts)
+		tol, err = fpBlockingTolerance(g, ts, len(ts)-1)
 	default:
 		return guard.Invalidf("npr: unknown policy %v", p)
 	}

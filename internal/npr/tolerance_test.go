@@ -356,8 +356,7 @@ func rmSet10() task.Set {
 }
 
 // TestFPToleranceAllocs pins the sweep's allocations to its output and
-// cursor slices (plus the name-uniqueness map of ts.Validate, which is
-// stack-allocated for sets this small).
+// cursor slices (ts.Validate compares names pairwise and allocates nothing).
 func TestFPToleranceAllocs(t *testing.T) {
 	ts := rmSet10()[:8]
 	allocs := testing.AllocsPerRun(100, func() {
@@ -377,5 +376,98 @@ func BenchmarkFPBlockingTolerance(b *testing.B) {
 		if _, err := FPBlockingTolerance(nil, ts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// assignQFPFormula is AssignQ(FixedPriority) spelled out over a full
+// tolerance vector: Qi = min over j < i of βj, clamped to Ci, an error on a
+// negative minimum.
+func assignQFPFormula(ts task.Set, tol []float64) (task.Set, error) {
+	out := ts.Clone()
+	for i := range out {
+		q := math.Inf(1)
+		for j := 0; j < i; j++ {
+			q = math.Min(q, tol[j])
+		}
+		if q < 0 {
+			return nil, guard.Invalidf("npr: task %s faces negative blocking tolerance %g", out[i].Name, q)
+		}
+		out[i].Q = math.Min(q, out[i].C)
+	}
+	return out, nil
+}
+
+// validateQFPFormula is ValidateQ(FixedPriority) spelled out over a full
+// tolerance vector.
+func validateQFPFormula(ts task.Set, tol []float64) error {
+	for i, tk := range ts {
+		for j := 0; j < i; j++ {
+			if tk.Q > tol[j]+1e-9 {
+				return fmt.Errorf("npr: task %s Q=%g exceeds tolerance %g of higher-priority %s", tk.Name, tk.Q, tol[j], ts[j].Name)
+			}
+		}
+	}
+	return nil
+}
+
+// TestFPAssignQMatchesFullTolerance: AssignQ and ValidateQ under fixed
+// priority skip the lowest-priority task's sweep, yet agree with the formula
+// over FPBlockingTolerance's full output — including sets whose skipped
+// tolerance is negative — and AssignQCtx charges exactly the steps of the
+// sweep over the set without its last task.
+func TestFPAssignQMatchesFullTolerance(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	var lastNegative, rejected int
+	for trial := 0; trial < 3000; trial++ {
+		ts := toleranceFixture(r)
+		full, err := FPBlockingTolerance(nil, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full[len(full)-1] < 0 {
+			lastNegative++
+		}
+		want, wantErr := assignQFPFormula(ts, full)
+		g := guard.New(nil)
+		got, err := AssignQCtx(g, ts, FixedPriority)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("trial %d: AssignQ err %v, formula %v (set %v)", trial, err, wantErr, ts)
+		}
+		for i := range want {
+			if math.Float64bits(got[i].Q) != math.Float64bits(want[i].Q) {
+				t.Fatalf("trial %d: Q[%d] = %v, formula %v", trial, i, got[i].Q, want[i].Q)
+			}
+		}
+		var sweepSteps int64
+		if len(ts) > 1 {
+			sweep := guard.New(nil)
+			if _, err := FPBlockingTolerance(sweep, ts[:len(ts)-1]); err != nil {
+				t.Fatal(err)
+			}
+			sweepSteps = sweep.Steps()
+		}
+		if g.Steps() != sweepSteps {
+			t.Fatalf("trial %d: AssignQCtx charged %d steps, sweep without the last task %d", trial, g.Steps(), sweepSteps)
+		}
+		// ValidateQ on the assigned Qs and on Qs stretched past them.
+		probe := want
+		if probe == nil {
+			probe = ts.Clone()
+		}
+		for _, stretch := range []float64{1, 1 + r.Float64()} {
+			for i := range probe {
+				probe[i].Q *= stretch
+			}
+			wantErr := validateQFPFormula(probe, full)
+			if err := ValidateQ(nil, probe, FixedPriority); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("trial %d: ValidateQ err %v, formula %v (set %v)", trial, err, wantErr, probe)
+			}
+			if wantErr != nil {
+				rejected++
+			}
+		}
+	}
+	if lastNegative == 0 || rejected == 0 {
+		t.Fatalf("fixture drew %d sets with a negative last tolerance and %d ValidateQ rejections; want both", lastNegative, rejected)
 	}
 }

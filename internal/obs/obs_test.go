@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -173,6 +174,62 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.Histogram("obs").Count(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
+	}
+}
+
+// TestRegistryConcurrentCreate: 16 goroutines race to create the same 100
+// fresh names of each instrument kind, each in its own order. Every name must
+// get exactly one instrument, the one every goroutine was handed, and
+// Snapshot must list them all.
+func TestRegistryConcurrentCreate(t *testing.T) {
+	r := NewRegistry()
+	const workers, names = 16, 100
+	type handles struct {
+		c []*Counter
+		g []*Gauge
+		h []*Histogram
+	}
+	got := make([]handles, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			hs := handles{make([]*Counter, names), make([]*Gauge, names), make([]*Histogram, names)}
+			for k := 0; k < names; k++ {
+				i := (k + 7*w) % names
+				name := fmt.Sprintf("fresh.%03d", i)
+				hs.c[i] = r.Counter(name)
+				hs.c[i].Inc()
+				hs.g[i] = r.Gauge(name)
+				hs.h[i] = r.Histogram(name)
+				hs.h[i].Observe(1)
+			}
+			got[w] = hs
+		}(w)
+	}
+	wg.Wait()
+	for i := 0; i < names; i++ {
+		name := fmt.Sprintf("fresh.%03d", i)
+		c, g, h := r.Counter(name), r.Gauge(name), r.Histogram(name)
+		for w := range got {
+			if got[w].c[i] != c || got[w].g[i] != g || got[w].h[i] != h {
+				t.Fatalf("%s: goroutine %d holds a different instrument than the registry", name, w)
+			}
+		}
+		if c.Value() != workers || h.Count() != workers {
+			t.Fatalf("%s: counter %d, histogram count %d; want %d each", name, c.Value(), h.Count(), workers)
+		}
+	}
+	snap := r.Snapshot()
+	if len(snap.Counters) != names || len(snap.Gauges) != names || len(snap.Histograms) != names {
+		t.Fatalf("snapshot lists %d counters, %d gauges, %d histograms; want %d each",
+			len(snap.Counters), len(snap.Gauges), len(snap.Histograms), names)
+	}
+	for name, v := range snap.Counters {
+		if v != workers {
+			t.Fatalf("snapshot %s = %d, want %d", name, v, workers)
+		}
 	}
 }
 

@@ -142,22 +142,55 @@ func (h *Histogram) Sum() int64 {
 
 // Registry is a concurrent name → instrument table. Instruments are created
 // on first use and live for the registry's lifetime; looking one up never
-// allocates after creation, so per-analysis resolution is cheap enough for
-// the sweep hot path. The nil Registry hands out nil instruments.
+// allocates or locks after creation, so per-analysis resolution is cheap
+// enough for the sweep hot path. The nil Registry hands out nil instruments.
 type Registry struct {
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	counters   table[Counter]
+	gauges     table[Gauge]
+	histograms table[Histogram]
+}
+
+// table is a copy-on-write name → instrument map: a lookup is one atomic
+// load of the current map, and creating an instrument (under mu) publishes a
+// copy with the new entry. Instrument names are a bounded set, so the copies
+// stop once every name has been seen.
+type table[T any] struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[string]*T]
+}
+
+// load returns the current map; nil before the first creation.
+func (t *table[T]) load() map[string]*T {
+	if m := t.m.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// get returns the named instrument, creating it on first use.
+func (t *table[T]) get(name string) *T {
+	if v := t.load()[name]; v != nil {
+		return v
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := t.load()
+	if v := old[name]; v != nil {
+		return v
+	}
+	next := make(map[string]*T, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	v := new(T)
+	next[name] = v
+	t.m.Store(&next)
+	return v
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
-		histograms: map[string]*Histogram{},
-	}
+	return &Registry{}
 }
 
 // defaultRegistry is the process-global registry the commands snapshot at
@@ -191,19 +224,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return r.counters.get(name)
 }
 
 // Gauge returns the named gauge, creating it on first use; nil on a nil
@@ -212,19 +233,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return r.gauges.get(name)
 }
 
 // Histogram returns the named histogram, creating it on first use; nil on a
@@ -233,19 +242,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.histograms[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
+	return r.histograms.get(name)
 }
 
 // HistogramSnapshot is the exported state of one histogram: totals plus the
@@ -285,15 +282,13 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for name, c := range r.counters {
+	for name, c := range r.counters.load() {
 		s.Counters[name] = c.Value()
 	}
-	for name, g := range r.gauges {
+	for name, g := range r.gauges.load() {
 		s.Gauges[name] = g.Value()
 	}
-	for name, h := range r.histograms {
+	for name, h := range r.histograms.load() {
 		hs := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
 		for i := range h.buckets {
 			if n := h.buckets[i].Load(); n != 0 {

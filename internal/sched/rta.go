@@ -9,8 +9,8 @@
 // Analyze is the package's single entry point; Options selects the policy
 // (fixed-priority or EDF), the delay method, CRPD inflation, the
 // preemption-count refinement, the fixpoint solver and warm seeding. The
-// ResponseTimes*/FNPRAnalysis.* families are deprecated wrappers kept for
-// one PR (see deprecated.go).
+// former ResponseTimes*/FNPRAnalysis.* entry points survive only as test
+// shims in compat_test.go.
 package sched
 
 import (
@@ -123,10 +123,11 @@ func (m DelayMethod) String() string {
 	}
 }
 
-// responseTimes is the shared fixpoint engine. gamma(i,j) is the preemption
-// cost added to each release of higher-priority task j while analysing task
-// i (nil = 0). blocking(i) is the blocking term added to task i (nil = 0).
-// The fixpoint charges one guard step per iteration.
+// responseTimes is the shared fixpoint engine over a set its caller has
+// validated. gamma(i,j) is the preemption cost added to each release of
+// higher-priority task j while analysing task i (nil = 0). blocking[i] is the
+// blocking term added to task i (nil = 0). The fixpoint charges one guard
+// step per iteration.
 //
 // warm optionally seeds each task's iteration with a previously computed
 // response time (in the same jitter-inclusive scale the function returns).
@@ -143,34 +144,35 @@ func (m DelayMethod) String() string {
 // for the cut construction and the fallback rules. monotone disables the
 // jumps and the refutation, iterating the recurrence one step at a time: the
 // reference the tests compare against.
-func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int) float64, blocking func(i int) float64, warm []float64, monotone bool) ([]float64, error) {
-	if err := ts.Validate(); err != nil {
-		return nil, err
-	}
+func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int) float64, blocking []float64, warm []float64, monotone bool) ([]float64, error) {
 	if len(ts) == 0 {
 		return nil, guard.Invalidf("sched: empty task set")
 	}
 	if err := g.Err(); err != nil {
 		return nil, err
 	}
-	iters := sc.Counter("sched.rta.iterations")
-	solverIters := sc.Counter("sched.rta.solver.iterations")
-	seeded := sc.Counter("sched.rta.warm.seeded")
-	cuts := sc.Counter("sched.rta.solver.cuts")
-	falls := sc.Counter("sched.rta.solver.fallbacks")
+	// Counts accumulate in locals and are flushed once per return, as in
+	// core.upperBoundFrom: the fixpoint loop performs no atomic operations.
+	var iters, seeded, cuts, falls int64
+	defer func() {
+		sc.Counter("sched.rta.iterations").Add(iters)
+		sc.Counter("sched.rta.solver.iterations").Add(iters)
+		sc.Counter("sched.rta.warm.seeded").Add(seeded)
+		sc.Counter("sched.rta.solver.cuts").Add(cuts)
+		sc.Counter("sched.rta.solver.fallbacks").Add(falls)
+	}()
 	out := make([]float64, len(ts))
 	for i, tk := range ts {
-		b := 0.0
+		base := tk.C
 		if blocking != nil {
-			b = blocking(i)
+			base += blocking[i]
 		}
-		base := tk.C + b
 		r := base
 		if i < len(warm) {
 			// warm values include jitter; the iteration variable does not.
 			if w := warm[i] - tk.Jitter; w > r && !math.IsInf(w, 1) && !math.IsNaN(w) {
 				r = w
-				seeded.Inc()
+				seeded++
 			}
 		}
 		deadline := tk.Deadline()
@@ -194,8 +196,7 @@ func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int
 			if err := g.Tick(); err != nil {
 				return nil, err
 			}
-			iters.Inc()
-			solverIters.Inc()
+			iters++
 			next := base
 			for j := 0; j < i; j++ {
 				gm := 0.0
@@ -215,7 +216,7 @@ func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int
 				// speculation a decreasing iterate only arises from a
 				// contract-violating warm seed; the chain then follows the
 				// legacy decreasing path below.)
-				falls.Inc()
+				falls++
 				r = lastSound
 				speculative, jumpedLast = false, false
 				jumps, refute = false, false
@@ -232,7 +233,7 @@ func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int
 				}
 				// The deadline verdict must come from a certified chain:
 				// re-derive it monotonically from the last sound iterate.
-				falls.Inc()
+				falls++
 				r = lastSound
 				speculative, jumps = false, false
 				continue
@@ -247,18 +248,15 @@ func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int
 					// may not conclude verdicts; they never reach here with
 					// unsat anyway, as speculation starts only after a root
 					// was found.)
-					cuts.Inc()
+					cuts++
 					break
 				}
 				if jumps && found {
-					cut := root - math.Max(cutRelShave*math.Abs(root), cutAbsShave)
-					if cap := deadline - tk.Jitter; cut > cap {
-						cut = cap
-					}
+					cut := min(root-max(cutRelShave*math.Abs(root), cutAbsShave), deadline-tk.Jitter)
 					if cut > r {
 						r = cut
 						speculative, jumpedLast = true, true
-						cuts.Inc()
+						cuts++
 					}
 				}
 			}
@@ -413,19 +411,20 @@ func inflate(ts task.Set, cp []float64) (task.Set, error) {
 	return inflated, nil
 }
 
-// fpBlocking builds the floating-NPR blocking closure over the inflated set:
-// a lower-priority task inside its NPR can delay τi by up to min(Qk, C'k).
-func fpBlocking(inflated task.Set, cp []float64) func(i int) float64 {
-	return func(i int) float64 {
-		var b float64
-		for k := i + 1; k < len(inflated); k++ {
-			q := math.Min(inflated[k].Q, cp[k])
-			if q > b {
-				b = q
-			}
+// fpBlocking returns the floating-NPR blocking term of every task of the
+// inflated set: a lower-priority task inside its NPR can delay τi by up to
+// min(Qk, C'k), so τi's term is the maximum of that over k > i, built in one
+// suffix pass.
+func fpBlocking(inflated task.Set, cp []float64) []float64 {
+	out := make([]float64, len(inflated))
+	var b float64
+	for k := len(inflated) - 1; k >= 0; k-- {
+		out[k] = b
+		if q := min(inflated[k].Q, cp[k]); q > b {
+			b = q
 		}
-		return b
 	}
+	return out
 }
 
 // fpResponseTimes runs the fixed-priority RTA with effective WCETs and the

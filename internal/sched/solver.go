@@ -60,13 +60,21 @@ const cutSegBuf = 16
 // entirely. At most one of found/unsat is set; both false means the
 // relaxation is inconclusive (e.g. a root hides in a slope-capped segment).
 //
-// The segments live in a stack buffer for up to cutSegBuf higher-priority
-// tasks and are ordered by a stable sort, so tied breakpoints keep task
-// order and the walk allocates nothing.
+// The walk visits the segments in stable breakpoint order: the smallest
+// breakpoint first, the earliest task on ties. Up to cutSegBuf
+// higher-priority tasks the segments live in a stack buffer and the walk
+// selects each next one in place as it advances, so it builds the order
+// only as far as it goes and allocates nothing. Longer lists are allocated
+// once at their full size and sorted up front instead: a walk over all of
+// them, as every refutation is, would make the selection quadratic in the
+// number of tasks.
 func cutRoot(ts task.Set, gamma func(i, j int) float64, i int, base, a, limit float64) (root float64, found, unsat bool) {
 	type cutSeg struct{ bp, linD, slopeD float64 }
 	var buf [cutSegBuf]cutSeg
 	segs := buf[:0]
+	if i > cutSegBuf {
+		segs = make([]cutSeg, 0, i)
+	}
 	lin := base
 	slope := 0.0
 	for j := 0; j < i; j++ {
@@ -83,18 +91,36 @@ func cutRoot(ts task.Set, gamma func(i, j int) float64, i int, base, a, limit fl
 			slopeD: u / t,
 		})
 	}
-	slices.SortStableFunc(segs, func(x, y cutSeg) int { return cmp.Compare(x.bp, y.bp) })
 	margin := func(x float64) float64 {
-		return math.Max(cutRelShave*math.Abs(x), cutAbsShave)
+		return max(cutRelShave*math.Abs(x), cutAbsShave)
 	}
 	// At an exact fixpoint h(a) - a is zero, which voids the refutation
 	// (there IS a fixpoint at or below limit); the margin keeps float noise
 	// from resurrecting it.
 	certified := lin-a > margin(a)
+	sorted := len(segs) > cutSegBuf
+	if sorted {
+		slices.SortStableFunc(segs, func(x, y cutSeg) int { return cmp.Compare(x.bp, y.bp) })
+	}
 	for k := 0; ; k++ {
 		end, last := limit, true
-		if k < len(segs) && segs[k].bp < limit {
-			end, last = segs[k].bp, false
+		if k < len(segs) {
+			if !sorted {
+				// Move the first smallest remaining breakpoint to k,
+				// shifting the ones before it up so ties keep task order.
+				m := k
+				for x := k + 1; x < len(segs); x++ {
+					if cmp.Less(segs[x].bp, segs[m].bp) {
+						m = x
+					}
+				}
+				next := segs[m]
+				copy(segs[k+1:m+1], segs[k:m])
+				segs[k] = next
+			}
+			if segs[k].bp < limit {
+				end, last = segs[k].bp, false
+			}
 		}
 		if slope < cutSlopeCap {
 			if r := lin / (1 - slope); r <= end {

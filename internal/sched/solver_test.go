@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fnpr/internal/core"
@@ -232,6 +234,134 @@ func TestCutRootAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("cutRoot with %d higher-priority tasks: %v allocs/op, want 0", i, allocs)
 	}
+}
+
+// cutRootSorted is cutRoot as first written: every segment built, then put
+// in breakpoint order by a stable sort before the walk, whatever the count.
+// cutRoot's in-place selection, used up to cutSegBuf segments, must
+// reproduce it bit for bit.
+func cutRootSorted(ts task.Set, gamma func(i, j int) float64, i int, base, a, limit float64) (root float64, found, unsat bool) {
+	type cutSeg struct{ bp, linD, slopeD float64 }
+	var segs []cutSeg
+	lin := base
+	slope := 0.0
+	for j := 0; j < i; j++ {
+		u := ts[j].C
+		if gamma != nil {
+			u += gamma(i, j)
+		}
+		t, jit := ts[j].T, ts[j].Jitter
+		n := math.Ceil((a + jit) / t)
+		lin += n * u
+		segs = append(segs, cutSeg{
+			bp:     n*t - jit,
+			linD:   u*(jit/t) - n*u,
+			slopeD: u / t,
+		})
+	}
+	slices.SortStableFunc(segs, func(x, y cutSeg) int { return cmp.Compare(x.bp, y.bp) })
+	margin := func(x float64) float64 {
+		return math.Max(cutRelShave*math.Abs(x), cutAbsShave)
+	}
+	certified := lin-a > margin(a)
+	for k := 0; ; k++ {
+		end, last := limit, true
+		if k < len(segs) && segs[k].bp < limit {
+			end, last = segs[k].bp, false
+		}
+		if slope < cutSlopeCap {
+			if r := lin / (1 - slope); r <= end {
+				if math.IsNaN(r) || math.IsInf(r, 0) {
+					return 0, false, false
+				}
+				return r, true, false
+			}
+		}
+		if certified && lin+slope*end-end <= margin(end) {
+			certified = false
+		}
+		if last {
+			return 0, false, certified
+		}
+		lin += segs[k].linD
+		slope += segs[k].slopeD
+	}
+}
+
+// cutRootTrial draws one relaxation probe — up to 24 higher-priority tasks
+// (past cutSegBuf), periods from a small harmonic menu so breakpoints tie,
+// optional jitter and preemption costs, anchors and limits wide enough to
+// reach every verdict — and fails unless cutRoot matches cutRootSorted bit
+// for bit. It reports whether two breakpoints tied and which verdict came out.
+func cutRootTrial(t *testing.T, r *rand.Rand) (tied, found, unsat bool) {
+	t.Helper()
+	i := 1 + r.Intn(24)
+	u := (0.3 + 0.8*r.Float64()) / float64(i)
+	ts := make(task.Set, i+1)
+	for j := range ts {
+		period := 2.5 * float64(int(1)<<r.Intn(5))
+		ts[j] = task.Task{Name: fmt.Sprintf("t%d", j), C: u * period * (0.5 + r.Float64()), T: period}
+		if r.Intn(4) == 0 {
+			ts[j].Jitter = 0.25 * float64(r.Intn(4))
+		}
+	}
+	var gamma func(i, j int) float64
+	if r.Intn(2) == 0 {
+		cost := make([]float64, i)
+		for j := range cost {
+			cost[j] = 0.1 * float64(r.Intn(3))
+		}
+		gamma = func(_, j int) float64 { return cost[j] }
+	}
+	base := 0.5 + 20*r.Float64()
+	a := base + 100*r.Float64()
+	limit := a + 400*r.Float64()
+	root, found, unsat := cutRoot(ts, gamma, i, base, a, limit)
+	wroot, wfound, wunsat := cutRootSorted(ts, gamma, i, base, a, limit)
+	if math.Float64bits(root) != math.Float64bits(wroot) || found != wfound || unsat != wunsat {
+		t.Fatalf("cutRoot(i=%d, base=%v, a=%v, limit=%v) = (%v, %v, %v), sorted oracle (%v, %v, %v); set %v",
+			i, base, a, limit, root, found, unsat, wroot, wfound, wunsat, ts)
+	}
+	bps := map[float64]bool{}
+	for _, tk := range ts[:i] {
+		bp := math.Ceil((a+tk.Jitter)/tk.T)*tk.T - tk.Jitter
+		tied = tied || bps[bp]
+		bps[bp] = true
+	}
+	return tied, found, unsat
+}
+
+// TestCutRootMatchesSortedOracle: on random probes with tied breakpoints, on
+// both sides of cutSegBuf, cutRoot returns the stable-sort walk's root,
+// found and unsat bit for bit.
+func TestCutRootMatchesSortedOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(2210))
+	var tied, found, unsat int
+	for trial := 0; trial < 20_000; trial++ {
+		tr, f, u := cutRootTrial(t, r)
+		if tr && f {
+			tied++
+		}
+		if f {
+			found++
+		}
+		if u {
+			unsat++
+		}
+	}
+	if tied == 0 || found == 0 || unsat == 0 {
+		t.Fatalf("probes drew %d tied roots, %d roots, %d refutations; want all three", tied, found, unsat)
+	}
+}
+
+// FuzzCutRootOrder fuzzes the same comparison over the probe seed space.
+func FuzzCutRootOrder(f *testing.F) {
+	for _, seed := range []int64{1, 16, 2210, 11185, -9} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		cutRootTrial(t, rand.New(rand.NewSource(seed)))
+	})
 }
 
 // FuzzSolverEquivalence fuzzes the same differential: any seed whose fixture

@@ -14,6 +14,7 @@ package task
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -125,17 +126,37 @@ func (t Task) String() string {
 // after SortByPriority has been applied.
 type Set []Task
 
+// pairwiseNames is the largest set whose names Validate compares pairwise.
+// Small sets, such as a campaign trial's, skip the map's allocation; larger
+// ones go through a map, so a big set from outside the program is checked
+// in linear time.
+const pairwiseNames = 16
+
 // Validate checks every task and the set-level constraints (unique names).
 func (s Set) Validate() error {
-	seen := make(map[string]struct{}, len(s))
-	for _, t := range s {
+	var seen map[string]struct{}
+	if len(s) > pairwiseNames {
+		seen = make(map[string]struct{}, len(s))
+	}
+	for i, t := range s {
 		if err := t.Validate(); err != nil {
 			return err
 		}
-		if _, dup := seen[t.Name]; dup {
+		dup := false
+		if seen != nil {
+			_, dup = seen[t.Name]
+			seen[t.Name] = struct{}{}
+		} else {
+			for _, u := range s[:i] {
+				if u.Name == t.Name {
+					dup = true
+					break
+				}
+			}
+		}
+		if dup {
 			return guard.Invalidf("task set: duplicate task name %q", t.Name)
 		}
-		seen[t.Name] = struct{}{}
 	}
 	return nil
 }
@@ -190,11 +211,17 @@ func (s Set) SortByPriority() {
 // AssignRateMonotonic assigns priorities by ascending period (shorter period
 // = higher priority = smaller Prio value) and sorts the set accordingly.
 func (s Set) AssignRateMonotonic() {
-	sort.SliceStable(s, func(i, j int) bool {
-		if s[i].T != s[j].T {
-			return s[i].T < s[j].T
+	// The stable sort only asks whether the result is below zero, which is
+	// exactly "shorter period, or equal periods and the name first": the
+	// order of a less-function sort, NaN periods included.
+	slices.SortStableFunc(s, func(a, b Task) int {
+		if a.T != b.T {
+			if a.T < b.T {
+				return -1
+			}
+			return 1
 		}
-		return s[i].Name < s[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	for i := range s {
 		s[i].Prio = i

@@ -2,6 +2,8 @@ package task
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -290,5 +292,35 @@ func TestScaleUtilization(t *testing.T) {
 	}
 	if _, err := (Set{}).ScaleUtilization(0.5); err == nil {
 		t.Fatal("accepted empty set")
+	}
+}
+
+// TestAssignRateMonotonicMatchesSliceStable: the rate-monotonic order is the
+// one sort.SliceStable gave with the former less function, on sets with
+// tied periods, repeated names (where only stability decides) and NaN
+// periods.
+func TestAssignRateMonotonicMatchesSliceStable(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		s := make(Set, r.Intn(40))
+		for i := range s {
+			s[i] = Task{Name: string(rune('a' + r.Intn(4))), C: float64(i), T: float64(1 + r.Intn(6))}
+			if r.Intn(20) == 0 {
+				s[i].T = math.NaN()
+			}
+		}
+		want := s.Clone()
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].T != want[j].T {
+				return want[i].T < want[j].T
+			}
+			return want[i].Name < want[j].Name
+		})
+		s.AssignRateMonotonic()
+		for i := range s {
+			if s[i].C != want[i].C || s[i].Prio != i {
+				t.Fatalf("trial %d: position %d holds task %v (prio %d), oracle task %v", trial, i, s[i].C, s[i].Prio, want[i].C)
+			}
+		}
 	}
 }

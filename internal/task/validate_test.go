@@ -2,8 +2,10 @@ package task
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"fnpr/internal/guard"
 )
@@ -71,5 +73,60 @@ func TestSetValidateDuplicateName(t *testing.T) {
 	}
 	if !errors.Is(err, guard.ErrInvalidInput) {
 		t.Fatalf("error %v does not wrap guard.ErrInvalidInput", err)
+	}
+	if want := `task set: duplicate task name "same": invalid input`; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+}
+
+// TestSetValidateDuplicateNameLargeSet: above pairwiseNames the duplicate
+// check goes through the map and reports the same error, wherever the
+// repeated name sits.
+func TestSetValidateDuplicateNameLargeSet(t *testing.T) {
+	for _, n := range []int{pairwiseNames, pairwiseNames + 1, 200} {
+		for _, at := range []int{1, n / 2, n - 1} {
+			s := make(Set, n)
+			for i := range s {
+				s[i] = Task{Name: fmt.Sprintf("t%d", i), C: 1, T: 9}
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatalf("n=%d: distinct names rejected: %v", n, err)
+			}
+			s[at].Name = "t0"
+			err := s.Validate()
+			if want := `task set: duplicate task name "t0": invalid input`; err == nil || err.Error() != want {
+				t.Fatalf("n=%d, duplicate at %d: error %v, want %q", n, at, err, want)
+			}
+		}
+	}
+}
+
+// TestSetValidateLargeSetTime: Validate runs on request bodies before any
+// step budget exists, so a set the size of a 1 MiB body of minimal tasks
+// (about 75k) must check in linear time. A pairwise name check takes tens
+// of seconds on it; the map takes milliseconds.
+func TestSetValidateLargeSetTime(t *testing.T) {
+	s := make(Set, 100_000)
+	for i := range s {
+		s[i] = Task{Name: fmt.Sprintf("t%d", i), C: 1, T: 9}
+	}
+	start := time.Now()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Validate of %d tasks took %v", len(s), d)
+	}
+}
+
+// TestSetValidateSmallSetAllocs: sets up to pairwiseNames validate without
+// allocating.
+func TestSetValidateSmallSetAllocs(t *testing.T) {
+	s := make(Set, pairwiseNames)
+	for i := range s {
+		s[i] = Task{Name: fmt.Sprintf("t%d", i), C: 1, T: 9}
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = s.Validate() }); a != 0 {
+		t.Fatalf("Validate of %d tasks: %v allocs, want 0", len(s), a)
 	}
 }
