@@ -63,7 +63,8 @@ bench-e2e-test:
 	cd bench && $(GO) test ./...
 
 # nfr enforces the absolute wall-clock ceilings of docs/nfr.md: every
-# user-facing scenario in the table must finish inside its per-row budget.
+# user-facing scenario in the table must finish inside its per-row budget,
+# and the scenarios with counter rows must report exactly those counters.
 # Unlike bench-gate (relative to a golden, machine-normalised), these
 # fail outright when a command stops fitting its budget. The build step
 # warms the cache so `go run` measures the scenario, not compilation.

@@ -110,6 +110,10 @@ func (p *Piecewise) AppendBreakpoints(dst []float64) []float64 { return append(d
 // Values returns a copy of the per-piece values.
 func (p *Piecewise) Values() []float64 { return append([]float64(nil), p.vs...) }
 
+// AppendValues appends the per-piece values to dst and returns the extended
+// slice: Values without the allocation when dst has room.
+func (p *Piecewise) AppendValues(dst []float64) []float64 { return append(dst, p.vs...) }
+
 // pieceAt returns the index of the piece containing t (clamped).
 func (p *Piecewise) pieceAt(t float64) int {
 	if t <= p.xs[0] {

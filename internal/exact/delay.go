@@ -58,9 +58,12 @@ type succ struct {
 type Explorer struct {
 	cur    []dstate
 	next   []succ
-	spare  []dstate // the naive successor layer; the frontier merge's scratch
+	merged []succ   // the run merge's other half
+	runs   []int    // start offsets of the ascending runs of next
+	spare  []dstate // the naive successor layer; the next visited frontier
 	front  []dstate // visited pareto frontier: e ascending, d ascending
 	starts []float64
+	vals   []float64
 }
 
 // NewExplorer returns an Explorer with empty slabs; they grow to the
@@ -136,6 +139,7 @@ func (ex *Explorer) Delay(g *guard.Ctx, f *delay.Piecewise, q float64, opts Opti
 // strikes, so some worst-case scenario has this shape (DESIGN.md §16.1).
 func (ex *Explorer) explore(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts Options) (DelayResult, error) {
 	ex.starts = f.AppendBreakpoints(ex.starts[:0])
+	ex.vals = f.AppendValues(ex.vals[:0])
 	budget := opts.maxStates()
 	res := DelayResult{}
 	best := 0.0
@@ -186,11 +190,11 @@ func (ex *Explorer) expandFull(g *guard.Ctx, f *delay.Piecewise, q, c float64) (
 			return 0, err
 		}
 		if !completes(c, s.e, s.d) {
-			out = append(out, strike(f, q, s, s.e, &best))
+			out = append(out, strike(q, s, s.e, f.Eval(s.e), &best))
 		}
 		for _, st := range ex.starts {
 			if st > s.e && st < c && !completes(c, st, s.d) {
-				out = append(out, strike(f, q, s, st, &best))
+				out = append(out, strike(q, s, st, f.Eval(st), &best))
 			}
 		}
 	}
@@ -198,30 +202,34 @@ func (ex *Explorer) expandFull(g *guard.Ctx, f *delay.Piecewise, q, c float64) (
 	return best, nil
 }
 
-// expandStaircase expands ex.cur, a staircase (e ascending, d strictly
+// expandStaircase expands ex.cur, a staircase (e and d strictly
 // ascending), into ex.next (reset first) and returns the best paid delay
-// seen. Every state strikes at its earliest admissible progression, one
-// successor each. A strike at breakpoint st from any state with e < st
-// lands at the same progression st + q − f(st), so only the one with the
-// most paid delay is emitted, standing for itself and every state below
-// it; the rest would be merged or pruned behind it. That is the last state
-// with e < st whose strike does not complete the job first: the completion
-// tolerance grows with d, so the walk down stops at the first that strikes.
-func (ex *Explorer) expandStaircase(g *guard.Ctx, f *delay.Piecewise, q, c float64) (best float64, err error) {
+// seen. The layer is charged to the guard up front, one step per state.
+// Every state strikes at its earliest admissible progression, one successor
+// each; its charge is read through a piece cursor that moves forward as e
+// ascends. A strike at breakpoint st from any state with e < st lands at
+// the same progression st + q − f(st), so only the one with the most paid
+// delay is emitted, standing for itself and every state below it; the rest
+// would be merged or pruned behind it. That is the last state with e < st
+// whose strike does not complete the job first: the completion tolerance
+// grows with d, so the walk down stops at the first that strikes.
+func (ex *Explorer) expandStaircase(g *guard.Ctx, _ *delay.Piecewise, q, c float64) (best float64, err error) {
+	if err := g.TickN(int64(len(ex.cur))); err != nil {
+		return 0, err
+	}
+	xs, vs := ex.starts, ex.vals // piece p is [xs[p], xs[p+1]) with charge vs[p]
 	out := ex.next[:0]
+	p := 0
 	for _, s := range ex.cur {
-		if err := g.Tick(); err != nil {
-			return 0, err
+		for p < len(vs)-1 && xs[p+1] <= s.e {
+			p++
 		}
 		if !completes(c, s.e, s.d) {
-			out = append(out, succ{strike(f, q, s, s.e, &best), 1})
+			out = append(out, succ{strike(q, s, s.e, vs[p], &best), 1})
 		}
 	}
 	k := 0 // ex.cur[:k] are the states with e < st
-	for _, st := range ex.starts {
-		if st >= c {
-			break
-		}
+	for b, st := range xs[:len(vs)] {
 		for k < len(ex.cur) && ex.cur[k].e < st {
 			k++
 		}
@@ -230,7 +238,7 @@ func (ex *Explorer) expandStaircase(g *guard.Ctx, f *delay.Piecewise, q, c float
 			i--
 		}
 		if i >= 0 {
-			out = append(out, succ{strike(f, q, ex.cur[i], st, &best), i + 1})
+			out = append(out, succ{strike(q, ex.cur[i], st, vs[b], &best), i + 1})
 		}
 	}
 	ex.next = out
@@ -243,10 +251,9 @@ func completes(c, prog, d float64) bool {
 	return prog >= c-completionTol(c, prog+d)
 }
 
-// strike charges a strike at progression prog from state s, raises *best to
-// the paid delay and returns the successor state.
-func strike(f *delay.Piecewise, q float64, s dstate, prog float64, best *float64) dstate {
-	d := f.Eval(prog)
+// strike charges delay d for a strike at progression prog from state s,
+// raises *best to the paid delay and returns the successor state.
+func strike(q float64, s dstate, prog, d float64, best *float64) dstate {
 	paid := s.d + d
 	if paid > *best {
 		*best = paid
@@ -257,17 +264,34 @@ func strike(f *delay.Piecewise, q float64, s dstate, prog float64, best *float64
 // admit turns the successor layer ex.next into the next layer ex.cur: its
 // pareto-undominated states that no visited state dominates, in e order.
 // Every other successor counts as n merges (an equal-e state was kept) or n
-// prunes, and a kept successor's n-1 stand-ins count as merges.
+// prunes, and a kept successor's n-1 stand-ins count as merges. The same
+// sweep folds the kept states into the visited frontier.
 func (ex *Explorer) admit(res *DelayResult) {
-	// Sorted by (e asc, d desc), one ascending sweep keeps exactly the
+	// In sweep order (e asc, d desc), one ascending sweep keeps exactly the
 	// pareto-undominated states.
-	slices.SortFunc(ex.next, sweepOrder)
+	ex.orderLayer()
+	next := ex.next
 	kept := ex.cur[:0] // reuse the consumed layer's slab
-	front := ex.front
-	fi := 0 // front[:fi] are the visited states with e <= s.e
+	if len(next) == 0 {
+		ex.cur = kept
+		return
+	}
+	// Every successor of this layer and of all later ones lands at or after
+	// next[0].e (a strike moves progression forward by q − f > 0), so of
+	// the visited states before it only the last, which paid the most, can
+	// still dominate one.
+	old := ex.front
+	fi := 0
+	for fi < len(old) && old[fi].e < next[0].e {
+		fi++
+	}
+	front := ex.spare[:0]
+	if fi > 0 {
+		front = append(front, old[fi-1])
+	}
 	maxD := math.Inf(-1)
 	lastKeptE := math.Inf(-1)
-	for _, s := range ex.next {
+	for _, s := range next {
 		if s.d <= maxD {
 			// Dominated within the layer by an earlier-or-equal e with
 			// at-least-equal d.
@@ -279,64 +303,91 @@ func (ex *Explorer) admit(res *DelayResult) {
 			continue
 		}
 		// A visited state dominates s when it has e' <= s.e and d' >= s.d.
-		// States kept in this layer have d <= maxD < s.d, so the frontier as
-		// it stood when the layer began answers, read through a cursor
-		// that only moves forward as s.e ascends.
-		for fi < len(front) && front[fi].e <= s.e {
-			fi++
+		// The new frontier holds the running maximum of d up to s.e; the
+		// states kept in this layer have d <= maxD < s.d, so it answers as
+		// the frontier did when the layer began.
+		for ; fi < len(old) && old[fi].e <= s.e; fi++ {
+			front = appendFront(front, old[fi])
 		}
-		if fi > 0 && front[fi-1].d >= s.d {
+		if n := len(front); n > 0 && front[n-1].d >= s.d {
 			res.Prunes += s.n
 			continue
 		}
 		kept = append(kept, s.dstate)
+		front = append(front, s.dstate)
 		res.Merges += s.n - 1
 		maxD = s.d
 		lastKeptE = s.e
 	}
+	for ; fi < len(old); fi++ {
+		front = appendFront(front, old[fi])
+	}
 	ex.cur = kept
-	ex.mergeFront(kept)
+	ex.front, ex.spare = front, old
 }
 
-// sweepOrder orders successors by e ascending, then d descending.
-func sweepOrder(a, b succ) int {
-	switch {
-	case a.e < b.e || (a.e == b.e && a.d > b.d):
-		return -1
-	case b.e < a.e || (a.e == b.e && b.d > a.d):
-		return 1
+// appendFront appends visited state s to the frontier when it raises the
+// running maximum of paid delay; otherwise an earlier entry dominates it.
+func appendFront(front []dstate, s dstate) []dstate {
+	if n := len(front); n == 0 || front[n-1].d < s.d {
+		front = append(front, s)
 	}
-	return 0
+	return front
 }
 
-// mergeFront folds a layer's kept states (e and d strictly ascending) into
-// the visited frontier, keeping it sorted by e with d strictly increasing
-// (the running maximum of paid delay over all visited states up to each
-// e). Entries below kept[0].e stay as they are; the tail from there on is
-// merged with kept in e order, dropping every entry that does not raise
-// the running maximum.
-func (ex *Explorer) mergeFront(kept []dstate) {
-	if len(kept) == 0 {
-		return
+// before is the sweep order: e ascending, then d descending.
+func before(a, b succ) bool {
+	return a.e < b.e || (a.e == b.e && a.d > b.d)
+}
+
+// orderLayer puts ex.next in sweep order without a comparison sort. The
+// layer is a few ascending runs: the earliest strikes ascend within each
+// piece their states lie in (e′ = e + q − f(e) with f constant there), and
+// the breakpoint strikes follow the breakpoints' landing points. So the
+// runs are found in one pass and merged pairwise, each merge stable, until
+// one is left; equal (e, d) pairs may come in any order, as under a sort.
+func (ex *Explorer) orderLayer() {
+	a := ex.next
+	runs := append(ex.runs[:0], 0)
+	for i := 1; i < len(a); i++ {
+		if before(a[i], a[i-1]) {
+			runs = append(runs, i)
+		}
 	}
-	front := ex.front
-	i := len(front)
-	for i > 0 && front[i-1].e >= kept[0].e {
-		i--
+	runs = append(runs, len(a))
+	if len(runs) > 2 {
+		b := slices.Grow(ex.merged[:0], len(a))[:len(a)]
+		for len(runs) > 2 {
+			w := 0
+			for r := 0; r+1 < len(runs); r += 2 {
+				lo, mid, hi := runs[r], runs[r+1], runs[r+1]
+				if r+2 < len(runs) {
+					hi = runs[r+2]
+				}
+				mergeRuns(b[lo:hi], a[lo:mid], a[mid:hi])
+				runs[w] = lo
+				w++
+			}
+			runs[w] = len(a)
+			runs = runs[:w+1]
+			a, b = b, a
+		}
+		ex.next, ex.merged = a, b
 	}
-	tail := append(ex.spare[:0], front[i:]...)
-	ex.spare = tail
-	front = front[:i]
-	for a, b := 0, 0; a < len(tail) || b < len(kept); {
-		var s dstate
-		if b == len(kept) || (a < len(tail) && tail[a].e <= kept[b].e) {
-			s, a = tail[a], a+1
+	ex.runs = runs
+}
+
+// mergeRuns merges the sweep-ordered runs x and y into dst (len(x)+len(y)
+// long), taking from x on ties.
+func mergeRuns(dst, x, y []succ) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(y) || (i < len(x) && !before(y[j], x[i])) {
+			dst[k] = x[i]
+			i++
 		} else {
-			s, b = kept[b], b+1
-		}
-		if n := len(front); n == 0 || front[n-1].d < s.d {
-			front = append(front, s)
+			dst[k] = y[j]
+			j++
 		}
 	}
-	ex.front = front
 }

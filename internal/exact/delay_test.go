@@ -142,8 +142,36 @@ func TestDelayParallelDeterminism(t *testing.T) {
 // bound's alone. Charges on a 0.25 grid keep every sum exact in floating
 // point, so the comparisons need no tolerance.
 func TestDelayMonotone(t *testing.T) {
-	const c = 40.0
 	ex := NewExplorer()
+	for trial := 0; trial < 5000; trial++ {
+		r := synth.SubRand(4, 0, trial)
+		n := 2 + r.Intn(8)
+		xs := []float64{0}
+		for _, x := range r.Perm(39)[:n-1] {
+			xs = append(xs, float64(x+1))
+		}
+		xs = append(xs, monotoneC)
+		slices.Sort(xs)
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = 0.25 * float64(r.Intn(13))
+		}
+		q := 4 + 8*r.Float64()
+		dq := 2 * r.Float64()
+		k := r.Intn(n)
+		checkMonotone(t, ex, xs, vs, q, dq, k, 1+r.Intn(4))
+	}
+}
+
+// monotoneC is the job length of the monotonicity curves.
+const monotoneC = 40.0
+
+// checkMonotone asserts both properties of TestDelayMonotone at one (f, Q)
+// pair, f having breakpoints xs and charges vs on a 0.25 grid: the exact
+// delay at Q+dq is no larger than at Q, and raising piece k of f by bump
+// quarters (capped at 3) does not lower it.
+func checkMonotone(t *testing.T, ex *Explorer, xs, vs []float64, q, dq float64, k, bump int) {
+	t.Helper()
 	exact := func(f *delay.Piecewise, q float64) float64 {
 		t.Helper()
 		res, err := ex.Delay(nil, f, q, Options{})
@@ -152,35 +180,53 @@ func TestDelayMonotone(t *testing.T) {
 		}
 		return res.Delay
 	}
-	for trial := 0; trial < 5000; trial++ {
-		r := synth.SubRand(4, 0, trial)
-		n := 2 + r.Intn(8)
-		xs := []float64{0}
-		for _, x := range r.Perm(39)[:n-1] {
-			xs = append(xs, float64(x+1))
-		}
-		xs = append(xs, c)
-		slices.Sort(xs)
-		vs := make([]float64, n)
-		for i := range vs {
-			vs[i] = 0.25 * float64(r.Intn(13))
-		}
-		f := mustPiecewise(xs, vs)
-		q := 4 + 8*r.Float64()
-		base := exact(f, q)
-		if math.IsInf(base, 0) {
-			continue
-		}
-		if longer := exact(f, q+2*r.Float64()); longer > base {
-			t.Fatalf("trial %d: exact delay rose with Q: %g at Q=%g, %g at the longer Q (f = %v)", trial, base, q, longer, f)
-		}
-		k := r.Intn(n)
-		up := slices.Clone(vs)
-		up[k] = math.Min(3, up[k]+0.25*float64(1+r.Intn(4)))
-		if raised := exact(mustPiecewise(xs, up), q); raised < base {
-			t.Fatalf("trial %d: raising piece %d of f to %g lowered the exact delay from %g to %g at Q=%g (f = %v)", trial, k, up[k], base, raised, q, f)
-		}
+	f := mustPiecewise(xs, vs)
+	base := exact(f, q)
+	if math.IsInf(base, 0) {
+		return
 	}
+	if longer := exact(f, q+dq); longer > base {
+		t.Fatalf("exact delay rose with Q: %g at Q=%g, %g at Q=%g (f = %v)", base, q, longer, q+dq, f)
+	}
+	up := slices.Clone(vs)
+	up[k] = math.Min(3, up[k]+0.25*float64(bump))
+	if raised := exact(mustPiecewise(xs, up), q); raised < base {
+		t.Fatalf("raising piece %d of f to %g lowered the exact delay from %g to %g at Q=%g (f = %v)", k, up[k], base, raised, q, f)
+	}
+}
+
+// FuzzDelayMonotone runs the TestDelayMonotone properties on curves decoded
+// from the fuzz input: one interior breakpoint per byte of cuts (on the
+// integer grid of (0, 40); repeats are skipped), charges on the 0.25 grid up
+// to 3 (missing ones read 0), Q in [4, 12), the longer Q up to 2 above it,
+// and the piece to raise and by how much.
+func FuzzDelayMonotone(f *testing.F) {
+	f.Add([]byte{10, 20, 30}, []byte{4, 12, 0, 8}, uint8(0), uint8(128), uint8(1), uint8(2))
+	f.Add([]byte{1, 38}, []byte{12, 0, 12}, uint8(255), uint8(255), uint8(2), uint8(3))
+	f.Add([]byte{5, 6, 7, 8, 9, 30, 31, 32}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(64), uint8(7), uint8(4), uint8(0))
+	ex := NewExplorer()
+	f.Fuzz(func(t *testing.T, cuts, charges []byte, qb, dqb, kb, bumpb uint8) {
+		if len(cuts) == 0 || len(cuts) > 8 {
+			return
+		}
+		xs := []float64{0, monotoneC}
+		for _, b := range cuts {
+			x := float64(1 + int(b)%39)
+			if !slices.Contains(xs, x) {
+				xs = append(xs, x)
+			}
+		}
+		slices.Sort(xs)
+		vs := make([]float64, len(xs)-1)
+		for i := range vs {
+			if i < len(charges) {
+				vs[i] = 0.25 * float64(charges[i]%13)
+			}
+		}
+		q := 4 + 8*float64(qb)/256
+		dq := 2 * float64(dqb) / 256
+		checkMonotone(t, ex, xs, vs, q, dq, int(kb)%len(vs), 1+int(bumpb%4))
+	})
 }
 
 // TestDelayDivergent covers the max f >= Q unbounded case.

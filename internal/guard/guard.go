@@ -193,14 +193,19 @@ func (g *Ctx) Tick() error {
 }
 
 // TickN charges n steps at once (for loops whose iterations do n units of
-// inner work each).
+// inner work each, or a batch of n iterations charged up front). Against
+// the budget it is exactly n calls of Tick that stop at the first error: a
+// batch that crosses the budget charges up to budget+1 and reports "after
+// budget+1 steps", a batch on a spent budget charges 1, and n <= 0 charges
+// nothing. Only the context and deadline poll is batched: it runs once when
+// the batch crosses a multiple of pollEvery, and reports the batch's end.
 func (g *Ctx) TickN(n int64) error {
-	if g == nil {
+	if g == nil || n <= 0 {
 		return nil
 	}
 	s := g.steps.Add(n)
 	if g.budget > 0 && s > g.budget {
-		return fmt.Errorf("%w after %d steps (budget %d)", ErrBudgetExceeded, s, g.budget)
+		return g.overBudget(s, n)
 	}
 	// Amortised: context and clock are polled every pollEvery steps. With
 	// TickN the poll can only be late by one call's worth of steps.
@@ -211,6 +216,19 @@ func (g *Ctx) TickN(n int64) error {
 		return g.poll(s)
 	}
 	return nil
+}
+
+// overBudget settles a batch of n steps that took the counter to s, past
+// the budget, to what n calls of Tick would have charged: the ticks up to
+// and including the first one past the budget. The batch started at s-n,
+// so it gives back every step after max(s-n, budget)+1. Every batch adds at
+// least one step for good, so the first batch past the budget keeps the
+// counter above it from then on, and sharing goroutines are never granted
+// more than budget steps between them.
+func (g *Ctx) overBudget(s, n int64) error {
+	end := max(s-n, g.budget) + 1
+	g.steps.Add(end - s)
+	return fmt.Errorf("%w after %d steps (budget %d)", ErrBudgetExceeded, end, g.budget)
 }
 
 // Done returns the cancellation channel of the scope's context, or nil (block

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -153,6 +155,83 @@ func TestSharedBudgetAcrossGoroutines(t *testing.T) {
 	// Each worker over-charges by at most one step past the budget.
 	if s := g.Steps(); s > 10_000+8 {
 		t.Fatalf("steps %d wildly past shared budget", s)
+	}
+}
+
+// TestTickNMatchesTicks pins TickN(n) to n calls of Tick that stop at the
+// first error: the same step count and the same error text, for batches
+// inside the budget, crossing it, ending on it and on a spent budget.
+func TestTickNMatchesTicks(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	errText := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	for trial := 0; trial < 5000; trial++ {
+		budget := int64(1 + r.Intn(40))
+		prefix := r.Intn(60)
+		n := int64(r.Intn(60))
+		batch, single := New(nil).WithBudget(budget), New(nil).WithBudget(budget)
+		for i := 0; i < prefix; i++ {
+			_, _ = batch.Tick(), single.Tick()
+		}
+		got := batch.TickN(n)
+		var want error
+		for i := int64(0); i < n && want == nil; i++ {
+			want = single.Tick()
+		}
+		if errText(got) != errText(want) || batch.Steps() != single.Steps() {
+			t.Fatalf("budget %d, prefix %d: TickN(%d) = %q after %d steps, %d Ticks = %q after %d",
+				budget, prefix, n, errText(got), batch.Steps(), n, errText(want), single.Steps())
+		}
+	}
+}
+
+// TestTickNNeverOvergrants shares one budget between goroutines that mix
+// Tick and TickN: the steps of the calls that succeeded never add up to
+// more than the budget, whatever the interleaving of the batch roll-backs,
+// and the counter ends where single Ticks would have left it.
+func TestTickNNeverOvergrants(t *testing.T) {
+	const budget = 20_000
+	for round := 0; round < 20; round++ {
+		g := New(context.Background()).WithBudget(budget)
+		var granted atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			r := rand.New(rand.NewSource(int64(round*4 + w)))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					n := int64(1)
+					var err error
+					if r.Intn(2) == 0 {
+						err = g.Tick()
+					} else {
+						n = int64(1 + r.Intn(300))
+						err = g.TickN(n)
+					}
+					if err != nil {
+						if !errors.Is(err, ErrBudgetExceeded) {
+							t.Errorf("unexpected error %v", err)
+						}
+						return
+					}
+					granted.Add(n)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := granted.Load(); got > budget {
+			t.Fatalf("round %d: granted %d steps on a budget of %d", round, got, budget)
+		}
+		// The first call past the budget charges up to budget+1 and every
+		// later one (each worker's last) charges 1, as single Ticks would.
+		if s := g.Steps(); s != budget+4 {
+			t.Fatalf("round %d: %d steps charged after 4 workers hit a budget of %d, want %d", round, s, budget, budget+4)
+		}
 	}
 }
 
