@@ -53,29 +53,44 @@ type Piecewise struct {
 // increasing, finite, xs[0] == 0, values non-negative and finite. All
 // validation failures wrap guard.ErrInvalidInput.
 func NewPiecewise(xs, vs []float64) (*Piecewise, error) {
+	p := new(Piecewise)
+	if err := p.Reset(xs, vs); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Reset is NewPiecewise in place: it makes p the function with breakpoints
+// xs and values vs under the same validation, reusing p's storage, and
+// leaves p unchanged on error. A Piecewise is otherwise immutable, so Reset
+// is for a caller that owns p outright (no Indexed wraps it, no analysis
+// holds it), such as a campaign worker rebuilding its curves each trial.
+func (p *Piecewise) Reset(xs, vs []float64) error {
 	if len(xs) != len(vs)+1 {
-		return nil, guard.Invalidf("delay: %d breakpoints need %d values, got %d", len(xs), len(xs)-1, len(vs))
+		return guard.Invalidf("delay: %d breakpoints need %d values, got %d", len(xs), len(xs)-1, len(vs))
 	}
 	if len(vs) == 0 {
-		return nil, guard.Invalidf("delay: empty function")
+		return guard.Invalidf("delay: empty function")
 	}
 	if xs[0] != 0 {
-		return nil, guard.Invalidf("delay: domain must start at 0, got %g", xs[0])
+		return guard.Invalidf("delay: domain must start at 0, got %g", xs[0])
 	}
 	for i, x := range xs {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, guard.Invalidf("delay: breakpoint %d is non-finite (%g)", i, x)
+			return guard.Invalidf("delay: breakpoint %d is non-finite (%g)", i, x)
 		}
 		if i > 0 && !(x > xs[i-1]) {
-			return nil, guard.Invalidf("delay: breakpoints not strictly increasing at %d", i)
+			return guard.Invalidf("delay: breakpoints not strictly increasing at %d", i)
 		}
 	}
 	for i, v := range vs {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, guard.Invalidf("delay: piece %d has invalid value %g", i, v)
+			return guard.Invalidf("delay: piece %d has invalid value %g", i, v)
 		}
 	}
-	return &Piecewise{xs: append([]float64(nil), xs...), vs: append([]float64(nil), vs...)}, nil
+	p.xs = append(p.xs[:0], xs...)
+	p.vs = append(p.vs[:0], vs...)
+	return nil
 }
 
 // NewConstant returns the constant function v on [0, c].

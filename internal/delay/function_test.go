@@ -50,6 +50,45 @@ func TestNewPiecewiseCopiesInput(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNewPiecewise: rebuilding one curve in place gives the
+// function and the error NewPiecewise gives, leaves the curve as it was on
+// an invalid input, and allocates nothing once the storage fits.
+func TestResetMatchesNewPiecewise(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	p := mustPW(t, []float64{0, 1}, []float64{1})
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + r.Intn(6)
+		xs, vs := []float64{0}, make([]float64, n)
+		for i := range vs {
+			xs = append(xs, xs[i]+r.Float64()*3) // a zero-width piece now and then
+			vs[i] = r.Float64()*4 - 0.2          // a negative value now and then
+		}
+		before := p.String()
+		want, wantErr := NewPiecewise(xs, vs)
+		err := p.Reset(xs, vs)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("Reset error %v, NewPiecewise error %v", err, wantErr)
+		case err != nil && err.Error() != wantErr.Error():
+			t.Fatalf("Reset error %q, NewPiecewise error %q", err, wantErr)
+		case err != nil && p.String() != before:
+			t.Fatalf("failed Reset changed the curve from %s to %s", before, p)
+		case err == nil && p.String() != want.String():
+			t.Fatalf("Reset gave %s, NewPiecewise %s", p, want)
+		}
+	}
+	fl, err := NewFrontLoaded(3, 0.6, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ResetFrontLoaded(3, 0.6, 40); err != nil || p.String() != fl.String() {
+		t.Fatalf("ResetFrontLoaded gave %s (%v), NewFrontLoaded %s", p, err, fl)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = p.ResetFrontLoaded(2, 0.4, 30) }); a != 0 {
+		t.Fatalf("ResetFrontLoaded into a built curve: %v allocs, want 0", a)
+	}
+}
+
 func TestEval(t *testing.T) {
 	p := mustPW(t, []float64{0, 10, 20, 40}, []float64{1, 5, 2})
 	cases := []struct{ t, want float64 }{

@@ -190,7 +190,16 @@ func Step(lo, hi, c float64, k int) *Piecewise {
 // then computes on a small subset (low delay tail). It returns an error on
 // invalid parameters; this is the library entry point.
 func NewFrontLoaded(peak, tail, c float64) (*Piecewise, error) {
-	return NewPiecewise(
+	p := new(Piecewise)
+	if err := p.ResetFrontLoaded(peak, tail, c); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// ResetFrontLoaded is NewFrontLoaded in place, under Reset's terms.
+func (p *Piecewise) ResetFrontLoaded(peak, tail, c float64) error {
+	return p.Reset(
 		[]float64{0, c * 0.2, c * 0.35, c},
 		[]float64{peak, (peak + tail) / 2, tail},
 	)

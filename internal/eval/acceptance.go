@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"fnpr/internal/delay"
@@ -208,6 +207,24 @@ type acceptanceVerdict struct {
 	admit [4]bool
 }
 
+// acceptanceWorker is one pool worker's reusable trial state: its shard
+// stream and the delay curves each trial rebuilds in place. none is the
+// all-nil delay slice of the no-delay envelope.
+type acceptanceWorker struct {
+	st     synth.Stream
+	curves []delay.Piecewise
+	fns    []delay.Function
+	none   []delay.Function
+}
+
+func newAcceptanceWorker(tasks int) *acceptanceWorker {
+	return &acceptanceWorker{
+		curves: make([]delay.Piecewise, tasks),
+		fns:    make([]delay.Function, tasks),
+		none:   make([]delay.Function, tasks),
+	}
+}
+
 // acceptanceTrial draws the (point, trial) shard's task set from its own RNG
 // sub-stream and runs the four analyses. Analysis failures count as
 // rejections (the set is not admitted) unless the guard aborted, which stops
@@ -219,12 +236,12 @@ type acceptanceVerdict struct {
 // vector is pointwise smaller). Seeding is sound in that direction and keeps
 // every result bit-identical (see sched.Options.Warm); it only trims
 // fixpoint iterations.
-func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, trial int, st *synth.Stream) (acceptanceVerdict, error) {
+func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, trial int, w *acceptanceWorker) (acceptanceVerdict, error) {
 	var v acceptanceVerdict
 	if err := g.Tick(); err != nil {
 		return v, err
 	}
-	r := st.Sub(p.Seed, point, trial)
+	r := w.st.Sub(p.Seed, point, trial)
 	ts, err := synth.TaskSet(r, synth.TaskSetParams{
 		N: p.Tasks, Utilization: u,
 		PeriodLo: 20, PeriodHi: 2000, RoundPeriod: true,
@@ -248,26 +265,22 @@ func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, tri
 	} else {
 		return v, nil
 	}
-	fns := make([]delay.Function, len(ts))
-	for i, tk := range ts {
-		if i == 0 {
-			continue // highest priority: never preempted
-		}
+	fns := w.fns[:len(ts)] // fns[0] stays nil: the highest priority is never preempted
+	for i, tk := range ts[1:] {
 		peak := p.DelayScale * tk.C
 		// Keep the analysis well-defined: the NPR must exceed the peak
 		// delay or every bound diverges.
 		if peak >= tk.Q {
 			peak = tk.Q * 0.8
 		}
-		fn, err := delay.NewFrontLoaded(peak, peak/5, tk.C)
-		if err != nil {
+		if err := w.curves[i+1].ResetFrontLoaded(peak, peak/5, tk.C); err != nil {
 			return v, err
 		}
-		fns[i] = fn
+		fns[i+1] = &w.curves[i+1]
 	}
 	// No-delay envelope first: its response times seed the others.
 	var ndRTs []float64
-	nd, err := sched.Analyze(g, ts, sched.Options{Delay: make([]delay.Function, len(ts)), Method: sched.Algorithm1})
+	nd, err := sched.Analyze(g, ts, sched.Options{Delay: w.none[:len(ts)], Method: sched.Algorithm1})
 	if err == nil {
 		v.admit[3] = nd.Schedulable
 		ndRTs = nd.Response
@@ -335,7 +348,6 @@ func Acceptance(g *guard.Ctx, p AcceptanceParams) (*textplot.Table, error) {
 	total := len(pts) * p.SetsPerPoint
 	sc.Emit(obs.Event{Type: obs.CampaignStarted, Spec: "acceptance", Total: total})
 	sc.Gauge("campaign.workers").Set(float64(workers))
-	trialsDone := sc.Counter("campaign.trials")
 
 	admits := make([][4]int, len(pts))
 	restored := make([]bool, len(pts))
@@ -356,36 +368,7 @@ func Acceptance(g *guard.Ctx, p AcceptanceParams) (*textplot.Table, error) {
 		return p.Journal.Append(acceptancePointKey(pt, u), acceptancePointRec{U: u, Admit: admit})
 	}
 
-	if workers == 1 {
-		st := new(synth.Stream)
-		done := 0
-		for pt, u := range pts {
-			if restored[pt] {
-				done += p.SetsPerPoint
-				continue
-			}
-			var admit [4]int
-			for tr := 0; tr < p.SetsPerPoint; tr++ {
-				v, err := acceptanceTrial(g, p, pt, u, tr, st)
-				if err != nil {
-					return nil, err
-				}
-				for k, ok := range v.admit {
-					if ok {
-						admit[k]++
-					}
-				}
-				trialsDone.Inc()
-			}
-			admits[pt] = admit
-			if err := checkpoint(pt, u, admit); err != nil {
-				return nil, err
-			}
-			done += p.SetsPerPoint
-			sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "acceptance",
-				Q: u, Completed: done, Total: total})
-		}
-	} else if err := p.runSharded(g, sc, pts, workers, admits, restored, checkpoint); err != nil {
+	if err := p.runSharded(g, sc, pts, workers, admits, restored, checkpoint); err != nil {
 		return nil, err
 	}
 
@@ -413,13 +396,13 @@ func Acceptance(g *guard.Ctx, p AcceptanceParams) (*textplot.Table, error) {
 	return tbl, nil
 }
 
-// runSharded fans the campaign's (point, trial) shards out over the worker
-// pool, writing each verdict into its own slot of a shared slice. The worker
+// runSharded runs the campaign's (point, trial) shards on the worker pool,
+// writing each verdict into its own slot of a shared slice. The worker
 // finishing a point's last trial aggregates that point's admit counts into
 // admits (verdicts are per-slot, so the aggregation order — and hence the
 // table — is independent of worker interleaving), checkpoints it and emits
-// its progress event. Restored points are never enqueued. The first abortive
-// error wins; remaining shards are skipped.
+// its progress event. Restored points run no trial. The first error stops
+// the campaign.
 func (p AcceptanceParams) runSharded(g *guard.Ctx, sc *obs.Scope, pts []float64, workers int,
 	admits [][4]int, restored []bool, checkpoint func(int, float64, [4]int) error) error {
 	trialsDone := sc.Counter("campaign.trials")
@@ -436,79 +419,43 @@ func (p AcceptanceParams) runSharded(g *guard.Ctx, sc *obs.Scope, pts []float64,
 		}
 		pointLeft[i].Store(int64(p.SetsPerPoint))
 	}
-
-	var (
-		mu       sync.Mutex
-		abortErr error
-	)
-	abort := func(err error) {
-		mu.Lock()
-		if abortErr == nil {
-			abortErr = err
-		}
-		mu.Unlock()
-	}
-	aborted := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return abortErr != nil
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := new(synth.Stream) // per-worker shard stream
-			for idx := range jobs {
-				if aborted() {
-					continue
-				}
-				pt := idx / p.SetsPerPoint
-				tr := idx % p.SetsPerPoint
-				v, err := acceptanceTrial(g, p, pt, pts[pt], tr, st)
-				if err != nil {
-					abort(err)
-					continue
-				}
-				verdicts[idx] = v
-				trialsDone.Inc()
-				done := completed.Add(1)
-				if pointLeft[pt].Add(-1) == 0 {
-					// Last trial of the point: every sibling slot was
-					// written before its pointLeft decrement, so the
-					// aggregation below observes all of them.
-					var admit [4]int
-					for i := pt * p.SetsPerPoint; i < (pt+1)*p.SetsPerPoint; i++ {
-						for k, ok := range verdicts[i].admit {
-							if ok {
-								admit[k]++
-							}
-						}
+	return runPool(g, workers, total, func() func(*guard.Ctx, int) error {
+		w := newAcceptanceWorker(p.Tasks)
+		return func(g *guard.Ctx, idx int) error {
+			pt, tr := idx/p.SetsPerPoint, idx%p.SetsPerPoint
+			if restored[pt] {
+				return nil
+			}
+			v, err := acceptanceTrial(g, p, pt, pts[pt], tr, w)
+			if err != nil {
+				return err
+			}
+			verdicts[idx] = v
+			trialsDone.Inc()
+			done := completed.Add(1)
+			if pointLeft[pt].Add(-1) != 0 {
+				return nil
+			}
+			// Last trial of the point: every sibling slot was written
+			// before its pointLeft decrement, so the aggregation below
+			// observes all of them.
+			var admit [4]int
+			for i := pt * p.SetsPerPoint; i < (pt+1)*p.SetsPerPoint; i++ {
+				for k, ok := range verdicts[i].admit {
+					if ok {
+						admit[k]++
 					}
-					admits[pt] = admit
-					if err := checkpoint(pt, pts[pt], admit); err != nil {
-						abort(err)
-						continue
-					}
-					sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "acceptance",
-						Q: pts[pt], Completed: int(done), Total: total})
 				}
 			}
-		}()
-	}
-	for idx := 0; idx < total; idx++ {
-		if restored[idx/p.SetsPerPoint] {
-			continue
+			admits[pt] = admit
+			if err := checkpoint(pt, pts[pt], admit); err != nil {
+				return err
+			}
+			sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "acceptance",
+				Q: pts[pt], Completed: int(done), Total: total})
+			return nil
 		}
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return abortErr
+	})
 }
 
 // AcceptanceChecks verifies the structural guarantees the experiment must

@@ -1,10 +1,12 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
 
+	"fnpr/internal/guard"
 	"fnpr/internal/obs"
 	"fnpr/internal/textplot"
 )
@@ -39,24 +41,31 @@ func sameTable(t *testing.T, label string, got, want *textplot.Table) {
 }
 
 // TestAcceptanceDeterministicAcrossWorkers: the same seed must produce a
-// bit-identical table for 1, 4 and GOMAXPROCS workers — the shard sub-stream
-// derivation, not the schedule, owns all randomness.
+// bit-identical table for 1, 2, 4 and GOMAXPROCS workers — the shard
+// sub-stream derivation, not the schedule, owns all randomness — and charge
+// the guard the same number of steps, since the workers' lanes give their
+// unspent leases back.
 func TestAcceptanceDeterministicAcrossWorkers(t *testing.T) {
 	p := DefaultAcceptanceParams()
 	p.SetsPerPoint = 25
 	p.UEnd = 0.70 // a few points suffice; -race makes full runs slow
 	p.Workers = 1
-	serial, err := Acceptance(nil, p)
+	g := guard.New(context.Background())
+	serial, err := Acceptance(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
+	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 		p.Workers = w
-		got, err := Acceptance(nil, p)
+		gw := guard.New(context.Background())
+		got, err := Acceptance(gw, p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		sameTable(t, "workers="+itoa(w), got, serial)
+		if gw.Steps() != g.Steps() {
+			t.Fatalf("workers=%d charged %d steps, one worker %d", w, gw.Steps(), g.Steps())
+		}
 	}
 }
 

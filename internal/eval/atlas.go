@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"fnpr/internal/core"
@@ -160,70 +159,23 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 	cellsDone := sc.Counter("campaign.trials")
 
 	cells := make([]atlasCell, cellsTotal)
-	if workers == 1 {
-		ex, st := exact.NewExplorer(), new(synth.Stream)
-		for i := range cells {
+	var completed atomic.Int64
+	err := runPool(g, workers, cellsTotal, func() func(*guard.Ctx, int) error {
+		ex, st := exact.NewExplorer(), new(synth.Stream) // per-worker pooled explorer and stream
+		return func(g *guard.Ctx, i int) error {
 			c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), ex, st, sc)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cells[i] = c
 			cellsDone.Inc()
 			sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "atlas",
-				Completed: i + 1, Total: cellsTotal})
+				Completed: int(completed.Add(1)), Total: cellsTotal})
+			return nil
 		}
-	} else {
-		var (
-			mu       sync.Mutex
-			abortErr error
-		)
-		abort := func(err error) {
-			mu.Lock()
-			if abortErr == nil {
-				abortErr = err
-			}
-			mu.Unlock()
-		}
-		aborted := func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return abortErr != nil
-		}
-		var completed atomic.Int64
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ex, st := exact.NewExplorer(), new(synth.Stream) // per-worker pooled explorer and stream
-				for i := range jobs {
-					if aborted() {
-						continue
-					}
-					c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), ex, st, sc)
-					if err != nil {
-						abort(err)
-						continue
-					}
-					cells[i] = c
-					cellsDone.Inc()
-					sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "atlas",
-						Completed: int(completed.Add(1)), Total: cellsTotal})
-				}
-			}()
-		}
-		for i := 0; i < cellsTotal; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		mu.Lock()
-		err := abortErr
-		mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	tbl := &textplot.Table{

@@ -1,8 +1,11 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"fnpr/internal/guard"
 )
 
 // smallAtlas keeps unit-test runtime low while still covering all families.
@@ -39,21 +42,26 @@ func TestAtlasOrdering(t *testing.T) {
 	}
 }
 
-// TestAtlasDeterministicAcrossWorkers asserts the table is bit-identical
-// for every worker count (the CI race job re-runs tests matching this
+// TestAtlasDeterministicAcrossWorkers asserts the table and the guard's
+// step count are identical for every worker count (the CI race job re-runs tests matching this
 // pattern under -race).
 func TestAtlasDeterministicAcrossWorkers(t *testing.T) {
 	p := smallAtlas()
 	p.Workers = 1
-	serial, err := Atlas(nil, p)
+	g := guard.New(context.Background())
+	serial, err := Atlas(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
 		p.Workers = workers
-		par, err := Atlas(nil, p)
+		gw := guard.New(context.Background())
+		par, err := Atlas(gw, p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if gw.Steps() != g.Steps() {
+			t.Fatalf("workers=%d charged %d steps, one worker %d", workers, gw.Steps(), g.Steps())
 		}
 		for s := range serial.Series {
 			for i := range serial.X {

@@ -3,7 +3,6 @@ package eval
 import (
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"fnpr/internal/core"
@@ -186,74 +185,25 @@ func MonteCarlo(g *guard.Ctx, p MonteCarloParams) (*MonteCarloReport, error) {
 	}
 
 	verdicts := make([]mcVerdict, p.Trials)
-	if workers == 1 {
-		runner, st := sim.NewRunner(), new(synth.Stream)
-		for tr := 0; tr < p.Trials; tr++ {
+	var completed atomic.Int64
+	err := runPool(g, workers, p.Trials, func() func(*guard.Ctx, int) error {
+		runner, st := sim.NewRunner(), new(synth.Stream) // per-worker pooled simulator and stream
+		return func(g *guard.Ctx, tr int) error {
 			v, err := monteCarloTrial(g, p, tr, runner, st)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			verdicts[tr] = v
 			trialsDone.Inc()
-			if (tr+1)%chunk == 0 {
+			if done := completed.Add(1); done%int64(chunk) == 0 {
 				sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "montecarlo",
-					Completed: tr + 1, Total: p.Trials})
+					Completed: int(done), Total: p.Trials})
 			}
+			return nil
 		}
-	} else {
-		var (
-			mu       sync.Mutex
-			abortErr error
-		)
-		abort := func(err error) {
-			mu.Lock()
-			if abortErr == nil {
-				abortErr = err
-			}
-			mu.Unlock()
-		}
-		aborted := func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return abortErr != nil
-		}
-		var completed atomic.Int64
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				runner, st := sim.NewRunner(), new(synth.Stream) // per-worker pooled simulator and stream
-				for tr := range jobs {
-					if aborted() {
-						continue
-					}
-					v, err := monteCarloTrial(g, p, tr, runner, st)
-					if err != nil {
-						abort(err)
-						continue
-					}
-					verdicts[tr] = v
-					trialsDone.Inc()
-					if done := completed.Add(1); done%int64(chunk) == 0 {
-						sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "montecarlo",
-							Completed: int(done), Total: p.Trials})
-					}
-				}
-			}()
-		}
-		for tr := 0; tr < p.Trials; tr++ {
-			jobs <- tr
-		}
-		close(jobs)
-		wg.Wait()
-		mu.Lock()
-		err := abortErr
-		mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	rep := &MonteCarloReport{Trials: p.Trials, MinSlack: math.Inf(1)}

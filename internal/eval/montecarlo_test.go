@@ -1,10 +1,12 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
 
+	"fnpr/internal/guard"
 	"fnpr/internal/obs"
 )
 
@@ -30,23 +32,28 @@ func TestMonteCarloTheorem1(t *testing.T) {
 }
 
 // TestMonteCarloDeterministicAcrossWorkers: same seed, any worker count,
-// identical report.
+// identical report and guard step count.
 func TestMonteCarloDeterministicAcrossWorkers(t *testing.T) {
 	p := DefaultMonteCarloParams()
 	p.Trials = 60
 	p.Workers = 1
-	serial, err := MonteCarlo(nil, p)
+	g := guard.New(context.Background())
+	serial, err := MonteCarlo(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
+	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 		p.Workers = w
-		got, err := MonteCarlo(nil, p)
+		gw := guard.New(context.Background())
+		got, err := MonteCarlo(gw, p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		if *got != *serial {
 			t.Fatalf("workers=%d: report %+v != serial %+v", w, *got, *serial)
+		}
+		if gw.Steps() != g.Steps() {
+			t.Fatalf("workers=%d charged %d steps, one worker %d", w, gw.Steps(), g.Steps())
 		}
 	}
 }

@@ -99,7 +99,8 @@ const pollEvery = 256
 // deadline, an optional step budget and an optional progress checkpoint
 // callback. It is safe for concurrent use — parallel sweep workers share one
 // Ctx so that budget and cancellation are global to the analysis, not
-// per-goroutine.
+// per-goroutine. A lane (see Lane) is the exception: it belongs to one
+// goroutine.
 //
 // The zero value of *Ctx (nil) is a valid scope with no limits.
 type Ctx struct {
@@ -109,6 +110,11 @@ type Ctx struct {
 	steps      atomic.Int64
 	checkpoint func(steps int64)
 	obs        *obs.Scope
+
+	// parent is set on a lane only: the scope it leases steps from. Of
+	// the steps the parent counts, end-pos are the lane's unspent lease.
+	parent   *Ctx
+	pos, end int64
 }
 
 // New returns a guarded scope observing ctx. A nil ctx means no cancellation
@@ -164,10 +170,15 @@ func (g *Ctx) Obs() *obs.Scope {
 	return g.obs
 }
 
-// Steps returns the number of steps charged so far.
+// Steps returns the number of steps charged so far. On a lane it is the
+// parent's count less the lane's unspent lease: what the parent would read
+// had the lane ticked it directly.
 func (g *Ctx) Steps() int64 {
 	if g == nil {
 		return 0
+	}
+	if g.parent != nil {
+		return g.parent.steps.Load() - (g.end - g.pos)
 	}
 	return g.steps.Load()
 }
@@ -177,7 +188,7 @@ func (g *Ctx) Remaining() int64 {
 	if g == nil || g.budget <= 0 {
 		return -1
 	}
-	r := g.budget - g.steps.Load()
+	r := g.budget - g.Steps()
 	if r < 0 {
 		return 0
 	}
@@ -202,6 +213,9 @@ func (g *Ctx) Tick() error {
 func (g *Ctx) TickN(n int64) error {
 	if g == nil || n <= 0 {
 		return nil
+	}
+	if g.parent != nil {
+		return g.laneTick(n)
 	}
 	s := g.steps.Add(n)
 	if g.budget > 0 && s > g.budget {
@@ -231,6 +245,99 @@ func (g *Ctx) overBudget(s, n int64) error {
 	return fmt.Errorf("%w after %d steps (budget %d)", ErrBudgetExceeded, end, g.budget)
 }
 
+// Lane returns a scope for one goroutine that charges g's budget in
+// leases instead of one atomic add per tick. A lease takes the steps from
+// g's counter up to just before its next multiple of pollEvery, never past
+// the budget; the lane spends it with plain arithmetic and goes through g
+// for the tick that reaches the multiple, so that tick runs g's checkpoint
+// and its context and deadline poll. Hence one lane behaves exactly like
+// ticking g: the same Steps, trip point, error text, polls and checkpoint
+// arguments. Leased steps count as charged on g, so lanes and direct ticks
+// together are never granted more than the budget; a lane's next tick
+// fails once g's budget is spent, by a lane or by a direct charge.
+//
+// Close gives the unspent lease back, so g's Steps after the lanes close
+// is the sum of what they charged. A lane takes its limits and scope from
+// g and must not be changed with the With* setters; a lane of a lane leases
+// from the same g. Lane of nil is nil.
+func (g *Ctx) Lane() *Ctx {
+	if g == nil {
+		return nil
+	}
+	if g.parent != nil {
+		g = g.parent
+	}
+	return &Ctx{ctx: g.ctx, deadline: g.deadline, budget: g.budget, obs: g.obs, parent: g}
+}
+
+// Close gives a lane's unspent lease back to its parent. The lane stays
+// usable: its next tick takes a new lease. Close is a no-op on a scope that
+// is not a lane, and on nil.
+func (g *Ctx) Close() {
+	if g != nil && g.parent != nil {
+		g.settle()
+	}
+}
+
+// laneTick charges n steps on a lane: from its lease while the steps fit
+// and the parent's budget is not spent, else through the parent.
+func (g *Ctx) laneTick(n int64) error {
+	if s := g.pos + n; s <= g.end && !g.parent.spent() {
+		g.pos = s
+		return nil
+	}
+	g.settle()
+	if err := g.parent.TickN(n); err != nil {
+		return err
+	}
+	g.lease()
+	return nil
+}
+
+// spent reports whether some tick has already run past the budget: from
+// then on the counter stays above it (see overBudget).
+func (g *Ctx) spent() bool {
+	return g.budget > 0 && g.steps.Load() > g.budget
+}
+
+// lease reserves the parent's steps from its counter c up to just before
+// the next multiple of pollEvery above c, capped at the budget. The lease
+// is empty when c sits just before a multiple or on the budget.
+func (g *Ctx) lease() {
+	p := g.parent
+	for {
+		c := p.steps.Load()
+		e := (c/pollEvery+1)*pollEvery - 1
+		if p.budget > 0 && e > p.budget {
+			e = p.budget
+		}
+		if e <= c {
+			g.pos, g.end = c, c
+			return
+		}
+		if p.steps.CompareAndSwap(c, e) {
+			g.pos, g.end = c, e
+			return
+		}
+	}
+}
+
+// settle gives the unspent lease back, unless the budget is already spent:
+// then the lease is dropped, so the counter stays above the budget.
+func (g *Ctx) settle() {
+	p := g.parent
+	for u := g.end - g.pos; u > 0; {
+		c := p.steps.Load()
+		if p.budget > 0 && c > p.budget {
+			break
+		}
+		if p.steps.CompareAndSwap(c, c-u) {
+			break
+		}
+	}
+	g.end = g.pos
+}
+
 // Done returns the cancellation channel of the scope's context, or nil (block
 // forever) when the scope has no cancellation source, for callers that wait
 // on cancellation in a select.
@@ -247,7 +354,7 @@ func (g *Ctx) Err() error {
 	if g == nil {
 		return nil
 	}
-	return g.poll(g.steps.Load())
+	return g.poll(g.Steps())
 }
 
 func (g *Ctx) poll(steps int64) error {

@@ -398,10 +398,14 @@ func exactDelay(g *guard.Ctx, sc *obs.Scope, tk task.Task, f delay.Function, opt
 	return res.Delay, true, nil
 }
 
-// inflate clones ts with C replaced by the effective WCETs; a divergent
-// entry yields a Divergedf error.
-func inflate(ts task.Set, cp []float64) (task.Set, error) {
-	inflated := ts.Clone()
+// inflateBuf is how many tasks an inflated copy of a set keeps on the stack.
+const inflateBuf = 16
+
+// inflate copies ts into dst's storage (growing it past its capacity) with
+// C replaced by the effective WCETs; a divergent entry yields a Divergedf
+// error.
+func inflate(dst, ts task.Set, cp []float64) (task.Set, error) {
+	inflated := append(dst[:0], ts...)
 	for i := range inflated {
 		if math.IsInf(cp[i], 1) {
 			return nil, guard.Divergedf("sched: task %s has divergent delay bound", inflated[i].Name)
@@ -432,7 +436,8 @@ func fpBlocking(inflated task.Set, cp []float64) []float64 {
 //
 //	Ri = C'i + max_{k>i} min(Qk, C'k) + Σ_{j<i} ceil((Ri+Jj)/Tj) * C'j
 func fpResponseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, warm, cp []float64, monotone bool) ([]float64, error) {
-	inflated, err := inflate(ts, cp)
+	var buf [inflateBuf]task.Task
+	inflated, err := inflate(buf[:0], ts, cp)
 	if err != nil {
 		return nil, err
 	}

@@ -270,12 +270,10 @@ func edfDemandQPA(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64, 
 // floating-NPR blocking term of Bertogna and Baruah. Divergent effective
 // WCETs and over-unit utilization are unschedulable, not errors.
 func edfSchedulable(g *guard.Ctx, sc *obs.Scope, ts task.Set, cp []float64, monotone bool) (bool, error) {
-	inflated := ts.Clone()
-	for i := range inflated {
-		if math.IsInf(cp[i], 1) {
-			return false, nil
-		}
-		inflated[i].C = cp[i]
+	var buf [inflateBuf]task.Task
+	inflated, err := inflate(buf[:0], ts, cp)
+	if err != nil {
+		return false, nil // a divergent effective WCET is unschedulable
 	}
 	if inflated.Utilization() > 1 {
 		return false, nil
