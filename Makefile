@@ -6,9 +6,10 @@
 GO ?= go
 BENCH_OUT ?= bench.out
 # BENCH is the gated row set: the analysis kernels, the result cache, the
-# fixpoint solver, the exact explorer and the serial campaign layer. The
-# workers>1 campaign rows stay out: their ns/op depends on the core count.
-BENCH = Figure5Sweep/kernel=|IndexedKernel|MemoSweep|AnalyzeSetEdit|RTASolver|Exact(Delay|SAG|Memo)|AcceptanceCampaign/workers=1$$|SimTrial
+# fixpoint solver, the exact explorer, the serial campaign layer and the
+# request decoder. The workers>1 campaign rows stay out: their ns/op
+# depends on the core count.
+BENCH = Figure5Sweep/kernel=|IndexedKernel|MemoSweep|AnalyzeSetEdit|RTASolver|Exact(Delay|SAG|Memo)|AcceptanceCampaign/workers=1$$|SimTrial|DecodeBody
 
 .PHONY: build test check race vet lint-api bench bench-gate bench-e2e-test nfr figures
 

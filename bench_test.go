@@ -15,6 +15,7 @@
 package fnpr
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -31,9 +32,11 @@ import (
 	"fnpr/internal/obs"
 	"fnpr/internal/sched"
 	"fnpr/internal/sim"
+	"fnpr/internal/spec"
 	"fnpr/internal/synth"
 	"fnpr/internal/system"
 	"fnpr/internal/task"
+	"fnpr/internal/wire"
 )
 
 // BenchmarkFigure1Offsets measures the Eq 1-3 breadth-first interval
@@ -1041,4 +1044,53 @@ func BenchmarkExactMemo(b *testing.B) {
 			}
 		}
 	})
+}
+
+// decodeBody is the /v1/analyze body shape BenchmarkDecodeBody decodes: a
+// delay description and the task's C and Q.
+type decodeBody struct {
+	Delay *spec.Delay `json:"delay"`
+	C     float64     `json:"c"`
+	Q     float64     `json:"q"`
+}
+
+var decodeBodyFields = wire.Fields[decodeBody]{
+	{Name: "delay", Read: func(r *wire.Reader, v *decodeBody) { spec.ReadDelay(r, &v.Delay) }},
+	{Name: "c", Read: func(r *wire.Reader, v *decodeBody) { r.Float(&v.C) }},
+	{Name: "q", Read: func(r *wire.Reader, v *decodeBody) { r.Float(&v.Q) }},
+}
+
+// BenchmarkDecodeBody measures the request decoder on serve-bulk-shaped
+// bodies: an explicit piecewise curve of n pieces over C = 10000, with
+// jittered breakpoints and values in [0, 15) as encoding/json writes them
+// (shortest round-trip digits), decoded through wire.Decode and
+// spec.ReadDelay. Nearly all of its time is spent reading numbers.
+func BenchmarkDecodeBody(b *testing.B) {
+	for _, n := range []int{2048, 8192} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		const c = 10000.0
+		xs, vs := make([]float64, n+1), make([]float64, n)
+		for i := range vs {
+			xs[i] = c * float64(i) / float64(n) * (1 + 0.3*rng.Float64()/float64(n))
+			vs[i] = 15 * rng.Float64()
+		}
+		xs[n] = c
+		body, err := json.Marshal(decodeBody{Delay: &spec.Delay{Kind: "piecewise", Breakpoints: xs, Values: vs}, C: c, Q: 20 + 380*rng.Float64()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("pieces=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var v decodeBody
+				if err := wire.Decode(body, &v, decodeBodyFields); err != nil {
+					b.Fatal(err)
+				}
+				if len(v.Delay.Values) != n {
+					b.Fatalf("decoded %d values, want %d", len(v.Delay.Values), n)
+				}
+			}
+		})
+	}
 }

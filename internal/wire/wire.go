@@ -13,9 +13,13 @@
 //   - Keys match field names exactly first, then by strings.EqualFold.
 //   - A null leaves a number, bool, string or struct destination unchanged
 //     and sets a pointer or slice to nil.
-//   - Every number is checked against the JSON number grammar, then parsed
-//     by strconv.ParseFloat(tok, 64) or strconv.ParseInt(tok, 10, 64), the
-//     calls encoding/json makes, so values are bit-identical.
+//   - Every number is read by one scanner that checks the JSON number
+//     grammar and, in the same pass, builds strconv's decimal mantissa and
+//     exponent. Float converts those with strconv's own fast paths (exact
+//     float64 arithmetic, then Eisel–Lemire) and hands anything they
+//     cannot settle to strconv.ParseFloat(tok, 64); Int64 parses the token
+//     with strconv.ParseInt(tok, 10, 64). These are the calls
+//     encoding/json makes, so values are bit-identical.
 //   - A string of printable ASCII without escapes is taken as it stands;
 //     any other string token is handed to encoding/json, so escapes and
 //     UTF-8 repair have one implementation.
@@ -25,6 +29,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -124,10 +129,17 @@ func (r *Reader) null() bool {
 	return true
 }
 
-// Float reads a number into *dst.
+// Float reads a number into *dst. The scanner's decimal reading goes
+// through strconv's own fast paths (decimal.float64); a value they cannot
+// settle, and a number that does not fit, is handed to strconv.ParseFloat,
+// so every value is bit-identical to it.
 func (r *Reader) Float(dst *float64) {
-	tok := r.number()
+	tok, dec := r.scanNumber()
 	if tok == nil {
+		return
+	}
+	if f, ok := dec.float64(); ok {
+		*dst = f
 		return
 	}
 	f, err := strconv.ParseFloat(string(tok), 64)
@@ -140,7 +152,7 @@ func (r *Reader) Float(dst *float64) {
 
 // Int64 reads an integer into *dst; a fraction or exponent is an error.
 func (r *Reader) Int64(dst *int64) {
-	tok := r.number()
+	tok, _ := r.scanNumber()
 	if tok == nil {
 		return
 	}
@@ -163,61 +175,142 @@ func (r *Reader) Int(dst *int) {
 	*dst = int(n)
 }
 
-// number consumes a number token and returns it. It returns nil, consuming
-// a null, when the value is null, and nil with an error recorded when it is
-// not a number or breaks the JSON number grammar.
-func (r *Reader) number() []byte {
+// decimal is strconv's reading of a number token (readFloat in
+// strconv/atof.go): its value is ±mant × 10^exp, exactly unless trunc
+// reports that non-zero digits past the 19th significant one were dropped.
+type decimal struct {
+	mant  uint64
+	exp   int
+	neg   bool
+	trunc bool
+}
+
+// maxMantDigits is the number of significant decimal digits a uint64
+// mantissa always holds (10^19 < 2^64).
+const maxMantDigits = 19
+
+// scanNumber consumes a number token and returns it with its decimal reading,
+// built in the same pass that checks the JSON number grammar. It returns a
+// nil token, consuming a null, when the value is null, and a nil token with
+// an error recorded when it is not a number or breaks the grammar.
+//
+// The reading is strconv's: leading zeros are skipped, at most 19
+// significant digits enter the mantissa, a dropped digit sets trunc only
+// when it is non-zero, and exponent digits stop accumulating once the
+// exponent reaches 10000.
+func (r *Reader) scanNumber() ([]byte, decimal) {
+	var dec decimal
 	if r.null() || r.err != nil {
-		return nil
+		return nil, dec
 	}
 	d, i := r.data, r.off
 	if i < len(d) && d[i] == '-' {
+		dec.neg = true
 		i++
 	}
+	nd := 0 // significant digits read, kept in mant or dropped
+	dp := 0 // position of the decimal point relative to the first of them
 	switch {
 	case i < len(d) && d[i] == '0':
 		i++
 	case i < len(d) && '1' <= d[i] && d[i] <= '9':
-		i = digits(d, i)
+		i, nd = dec.digits(d, i, 0)
+		dp = nd
 	case i == r.off:
 		r.unexpected("number")
-		return nil
+		return nil, dec
 	default:
 		r.off = i
 		r.syntax("in number")
-		return nil
+		return nil, dec
 	}
 	if i < len(d) && d[i] == '.' {
-		if i = digits(d, i+1); d[i-1] == '.' {
+		i++
+		frac := i
+		if nd == 0 {
+			for i < len(d) && d[i] == '0' {
+				i++
+			}
+			dp = frac - i
+		}
+		if i, nd = dec.digits(d, i, nd); i == frac {
 			r.off = i
 			r.syntax("after decimal point in number")
-			return nil
+			return nil, dec
 		}
 	}
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
 		i++
+		eneg := false
 		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+			eneg = d[i] == '-'
 			i++
 		}
-		if j := digits(d, i); j > i {
-			i = j
-		} else {
+		start, e := i, 0
+		for ; i < len(d) && '0' <= d[i] && d[i] <= '9'; i++ {
+			if e < 10000 {
+				e = e*10 + int(d[i]-'0')
+			}
+		}
+		if i == start {
 			r.off = i
 			r.syntax("in exponent of number")
-			return nil
+			return nil, dec
 		}
+		if eneg {
+			e = -e
+		}
+		dp += e
+	}
+	if dec.mant != 0 {
+		dec.exp = dp - min(nd, maxMantDigits)
 	}
 	tok := d[r.off:i]
 	r.off = i
-	return tok
+	return tok, dec
 }
 
-// digits returns the index of the first non-digit at or after i.
-func digits(d []byte, i int) int {
-	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
-		i++
+// digits reads the digits at d[i:] into dec, whose mantissa already holds
+// the first nd significant digits, and returns the index of the first
+// non-digit and the new count. Every digit is significant: the caller has
+// skipped leading zeros. While the mantissa has room for eight more digits
+// they are taken eight at a time.
+func (dec *decimal) digits(d []byte, i, nd int) (int, int) {
+	for nd <= maxMantDigits-8 && len(d)-i >= 8 {
+		v := binary.LittleEndian.Uint64(d[i:])
+		if !eightDigits(v) {
+			break
+		}
+		dec.mant = dec.mant*1e8 + eightValue(v)
+		i += 8
+		nd += 8
 	}
-	return i
+	for ; i < len(d) && '0' <= d[i] && d[i] <= '9'; i++ {
+		if nd < maxMantDigits {
+			dec.mant = dec.mant*10 + uint64(d[i]-'0')
+		} else if d[i] != '0' {
+			dec.trunc = true
+		}
+		nd++
+	}
+	return i, nd
+}
+
+// eightDigits reports whether all eight bytes of v are ASCII digits: each
+// byte's high nibble is 3, and adding 6 leaves it 3. A byte whose addition
+// carries into the next one fails its own high-nibble test.
+func eightDigits(v uint64) bool {
+	return (v&0xF0F0F0F0F0F0F0F0)|((v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0)>>4 == 0x3333333333333333
+}
+
+// eightValue is the value of the eight ASCII digits in v, the first digit
+// in the lowest byte, in three multiplies: one joins adjacent digits into
+// two-digit values, and two more weigh and add the four of them.
+func eightValue(v uint64) uint64 {
+	const mask = 0x000000FF000000FF
+	v -= 0x3030303030303030
+	v = v*10 + v>>8
+	return ((v&mask)*(100+1000000<<32) + (v>>16&mask)*(1+10000<<32)) >> 32
 }
 
 // Bool reads true or false into *dst.
