@@ -110,7 +110,9 @@ func (r Result) EffectiveWCET(c float64) float64 {
 // Observability: iteration and kernel-query counts are accumulated in locals
 // and flushed to the scope's counters once per return site, so the hot loop
 // performs no atomic operations and the walk stays allocation-free whether or
-// not a scope is attached (nil instruments make the flush a no-op).
+// not a scope is attached (nil instruments make the flush a no-op). A walk
+// step counts as the two queries it replaces, and the cursor's index tallies
+// (delay.index.rechecks, delay.index.bisections) flush at the same sites.
 func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first float64, trace *[]Iteration, charges []float64) (Result, []float64, error) {
 	if f == nil {
 		return Result{}, nil, guard.Invalidf("core: nil delay function")
@@ -143,24 +145,34 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 	}
 	prog := 0.0
 	pnext := first
+	// Piecewise-constant functions answer each window in one cursor step;
+	// every other Function takes the two queries the step fuses.
+	cur, stepped := delay.NewCursor(f)
 
 	for pnext < c {
 		if err := g.Tick(); err != nil {
 			itc.Add(iters)
 			qc.Add(2 * iters)
+			cur.Flush()
 			return res, charges, err
 		}
 		iters++
 		prog = pnext
 
 		// p∩: first crossing of f with D(x) = prog + Q - x on
-		// [prog, prog+Q]; prog+Q when f stays below the line.
-		pIntersect, ok := f.FirstReachDescending(prog, prog+q, prog+q)
-		if !ok {
-			pIntersect = prog + q
+		// [prog, prog+Q]; prog+Q when f stays below the line. The
+		// window's delay is the earliest maximum of f on [prog, p∩].
+		var pIntersect, pmax, delayMax float64
+		if stepped {
+			pIntersect, pmax, delayMax = cur.Step(prog, q)
+		} else {
+			var ok bool
+			pIntersect, ok = f.FirstReachDescending(prog, prog+q, prog+q)
+			if !ok {
+				pIntersect = prog + q
+			}
+			pmax, delayMax = f.MaxOn(prog, pIntersect)
 		}
-
-		pmax, delayMax := f.MaxOn(prog, pIntersect)
 		pnext = prog + q - delayMax
 		res.TotalDelay += delayMax
 		res.Preemptions++
@@ -194,6 +206,7 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 	}
 	itc.Add(iters)
 	qc.Add(2 * iters)
+	cur.Flush()
 	if res.Diverged {
 		sc.Counter("core.alg1.diverged").Inc()
 	}

@@ -15,10 +15,12 @@ import (
 // mixtures with well-separated components — the result dominates fn up to
 // the function's variation within one piece, which vanishes as n grows.
 //
-// Running Algorithm 1 on an upper envelope of f yields a bound that is also
-// valid for f itself (the algorithm's result is monotone in the function),
-// so sampling is a sound way to feed smooth synthetic benchmarks to the
-// analysis.
+// Running Algorithm 1 on an upper envelope g of f yields a bound that is also
+// valid for f itself, so sampling is a sound way to feed smooth synthetic
+// benchmarks to the analysis. The reason is not that Algorithm 1 is monotone
+// in the function (it is not: raising one piece can lower its bound). The
+// exact worst-case delay is monotone in the function, and Theorem 1 bounds
+// it for g: exact(f) <= exact(g) <= Alg1(g).
 func UpperEnvelope(fn func(float64) float64, c float64, n int, modes []float64) (*Piecewise, error) {
 	if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
 		return nil, guard.Invalidf("delay: invalid domain length %g", c)

@@ -78,61 +78,75 @@ const (
 
 // fingerprint hashes the canonical (compacted) form of p: adjacent pieces
 // with bit-equal values merge, so every construction of the same step
-// function lands on the same bytes. Runs in O(pieces) with no allocation
-// beyond the hash state.
+// function lands on the same bytes. Runs in O(pieces); the only allocation
+// is the slice h.Sum returns. The words go through a stack chunk, one hash
+// Write per chunkSize bytes; SHA-256 sees the same byte stream as
+// word-by-word writes.
 func (p *Piecewise) fingerprint() Fingerprint {
 	h := sha256.New()
-	var buf [8]byte
-	write := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[:], floatBits(v))
-		h.Write(buf[:])
+	var chunk [chunkSize]byte
+	n := copy(chunk[:], familyPiecewise)
+	put := func(u uint64) {
+		if n+8 > chunkSize {
+			h.Write(chunk[:n])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(chunk[n:], u)
+		n += 8
 	}
-	h.Write([]byte(familyPiecewise))
 	// Canonical pieces: emit a (start, value) pair only where the value
 	// changes, then the final breakpoint — exactly Compact() without
 	// building it.
-	n := 0
+	pieces := 0
 	for i := range p.vs {
 		if i > 0 && floatBits(p.vs[i]) == floatBits(p.vs[i-1]) {
 			continue
 		}
-		n++
+		pieces++
 	}
-	binary.LittleEndian.PutUint64(buf[:], uint64(n))
-	h.Write(buf[:])
+	put(uint64(pieces))
 	for i := range p.vs {
 		if i > 0 && floatBits(p.vs[i]) == floatBits(p.vs[i-1]) {
 			continue
 		}
-		write(p.xs[i])
-		write(p.vs[i])
+		put(floatBits(p.xs[i]))
+		put(floatBits(p.vs[i]))
 	}
-	write(p.Domain())
+	put(floatBits(p.Domain()))
+	h.Write(chunk[:n])
 	var fp Fingerprint
 	copy(fp[:], h.Sum(nil))
 	return fp
 }
 
+// chunkSize is the byte width of the stack chunk fingerprints hash through.
+const chunkSize = 512
+
 // fingerprint hashes the canonical form of a piecewise-linear function:
 // interior points that lie bit-exactly on the segment through their
 // neighbours (equal slopes on both sides, compared on float bits) are
 // redundant and dropped, so splitting a segment at a representable midpoint
-// does not change the identity.
+// does not change the identity. It hashes through a chunk like the
+// piecewise-constant fingerprint.
 func (p *PiecewiseLinear) fingerprint() Fingerprint {
 	h := sha256.New()
-	var buf [8]byte
-	write := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[:], floatBits(v))
-		h.Write(buf[:])
+	var chunk [chunkSize]byte
+	n := copy(chunk[:], familyLinear)
+	put := func(u uint64) {
+		if n+8 > chunkSize {
+			h.Write(chunk[:n])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(chunk[n:], u)
+		n += 8
 	}
-	h.Write([]byte(familyLinear))
 	keep := p.canonicalPoints()
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(keep)))
-	h.Write(buf[:])
+	put(uint64(len(keep)))
 	for _, i := range keep {
-		write(p.xs[i])
-		write(p.ys[i])
+		put(floatBits(p.xs[i]))
+		put(floatBits(p.ys[i]))
 	}
+	h.Write(chunk[:n])
 	var fp Fingerprint
 	copy(fp[:], h.Sum(nil))
 	return fp

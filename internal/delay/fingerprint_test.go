@@ -245,3 +245,63 @@ func bitCanonEqual(a, b *Piecewise) bool {
 	}
 	return true
 }
+
+// TestFingerprintPinned pins the fingerprint bytes themselves: persisted
+// result caches and journal records key on them, so a change to the
+// encoding (or to how it is fed to the hash) must show up here first. The
+// 300-piece function spans many hash blocks.
+func TestFingerprintPinned(t *testing.T) {
+	p, err := NewPiecewise([]float64{0, 0.1, 2.5, 4, 7.25, 10}, []float64{3, 1.5, 1.5, 0, 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewPiecewiseLinear([]float64{0, 1, 2, 6.5}, []float64{4, 3, 2, 0.125})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := []float64{0}
+	var vs []float64
+	for i := 0; i < 300; i++ {
+		xs = append(xs, float64(i+1)*0.5)
+		vs = append(vs, float64((i*7)%11)/4)
+	}
+	big, err := NewPiecewise(xs, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		f    Function
+		want string
+	}{
+		{p, "ae7025a84cefed9eea3e5c21bf4f3902"},
+		{l, "25e1da46dc275983e6adf7c41f3821de"},
+		{big, "3f7085eadba325146d90025e39092736"},
+	} {
+		fp, err := FingerprintOf(tc.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fp.String(); got != tc.want {
+			t.Errorf("%T fingerprint %s, pinned %s", tc.f, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkFingerprint hashes a 4096-piece function, the size of the large
+// curves a bulk /v1/analyze request carries.
+func BenchmarkFingerprint(b *testing.B) {
+	xs := []float64{0}
+	vs := make([]float64, 4096)
+	for i := range vs {
+		xs = append(xs, float64(i+1)*0.25)
+		vs[i] = float64(i % 13)
+	}
+	p, err := NewPiecewise(xs, vs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.fingerprint()
+	}
+}

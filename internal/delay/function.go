@@ -7,9 +7,11 @@
 // the natural shape of a function built as fi(t) = max_{b in BB(t)} CRPD_b
 // over the block windows of a control-flow graph (FromCFG). Smooth synthetic
 // functions such as the paper's Gaussian benchmarks (synth.go) are lifted to
-// piecewise-constant upper envelopes by sampling (envelope.go); running the
-// analysis on an upper envelope of f is sound for f, because Algorithm 1's
-// bound is monotone in the function (see internal/core).
+// piecewise-constant upper envelopes by sampling (envelope.go). Running the
+// analysis on an upper envelope g >= f is sound for f, though Algorithm 1's
+// bound is not monotone in the function: the exact worst-case delay is
+// (internal/exact), so exact(f) <= exact(g) <= Alg1(g), the last step by
+// Theorem 1 applied to g.
 package delay
 
 import (

@@ -226,39 +226,47 @@ func (ix *Indexed) MaxOn(a, b float64) (tmax, fmax float64) {
 // one the scan finds.
 func (ix *Indexed) FirstReachDescending(a, b, c float64) (x float64, found bool) {
 	// Plain local tallies (register increments) keep the query loop free of
-	// atomics; the single flush at the end is skipped unless obs.Enable()
-	// has been called, so the uninstrumented cost is one atomic bool load.
+	// atomics; the single flush is skipped unless obs.Enable() has been
+	// called, so the uninstrumented cost is one atomic bool load.
 	var rechecks, bisections int64
-	defer func() {
-		if obs.Enabled() {
-			flushIndexQuery(rechecks, bisections)
-		}
-	}()
 	p := ix.p
 	a, b = p.clampRange(a, b)
-	i, j := p.pieceAt(a), p.pieceAt(b)
-	rechecks++
+	x, _, found = ix.firstReach(a, b, c, p.pieceAt(a), p.pieceAt(b), &rechecks, &bisections)
+	if obs.Enabled() {
+		flushIndexQuery(rechecks, bisections)
+	}
+	return x, found
+}
+
+// firstReach is the crossing search of FirstReachDescending on the clamped
+// window [a, b], whose first and last pieces are i and j. It also returns
+// the piece k holding the crossing and adds its exact re-checks and
+// range-maximum bisections to the caller's tallies; the walk step
+// (walk.go) shares it, so both count the same work.
+func (ix *Indexed) firstReach(a, b, c float64, i, j int, rechecks, bisections *int64) (x float64, k int, found bool) {
+	p := ix.p
+	*rechecks++
 	if x, ok := p.reachInPiece(i, a, b, c); ok {
-		return x, true
+		return x, i, true
 	}
 	if j > i {
 		cLo := c - ix.slack
 		for lo, hi := i+1, j-1; lo <= hi; {
-			bisections++
+			*bisections++
 			k := ix.firstReachAtLeast(lo, hi, cLo)
 			if k < 0 {
 				break
 			}
-			rechecks++
+			*rechecks++
 			if x, ok := p.reachInPiece(k, a, b, c); ok {
-				return x, true
+				return x, k, true
 			}
 			lo = k + 1
 		}
-		rechecks++
+		*rechecks++
 		if x, ok := p.reachInPiece(j, a, b, c); ok {
-			return x, true
+			return x, j, true
 		}
 	}
-	return 0, false
+	return 0, -1, false
 }

@@ -10,7 +10,8 @@ import (
 // per-call scope), so their instrumentation reports into the process-global
 // registry and is gated on obs.Enabled(): an uninstrumented run pays one
 // atomic bool load per query and nothing else. Queries accumulate plain local
-// counters and flush once per call, never inside the bisection loop.
+// counters and flush once per call, never inside the bisection loop; a walk
+// Cursor accumulates them across its steps and flushes once per walk.
 
 var (
 	delayInstOnce sync.Once
@@ -39,8 +40,8 @@ func flushIndexBuild(ns int64) {
 	hIndexBuildNs.Observe(ns)
 }
 
-// flushIndexQuery records one FirstReachDescending call's exact re-checks and
-// range-maximum bisections.
+// flushIndexQuery records the exact re-checks and range-maximum bisections of
+// one FirstReachDescending call or of one walk's steps.
 func flushIndexQuery(rechecks, bisections int64) {
 	delayInstruments()
 	cRechecks.Add(rechecks)

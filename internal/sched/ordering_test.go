@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"fnpr/internal/delay"
@@ -61,9 +62,58 @@ func orderingTrial(t *testing.T, ts task.Set, fns []delay.Function) {
 	}
 }
 
+// envelopeTrial checks the argument that makes Algorithm 1 on an upper
+// envelope sound, which does not rest on Algorithm 1 being monotone in the
+// function (it is not): for g >= f pointwise, exact(f) <= exact(g) <=
+// Alg1(g). Each delay function is raised to the pointwise maximum of itself
+// and a random two-step function drawn from r, and the exact analysis of
+// the original set must not exceed Algorithm 1 on the envelopes, in
+// effective WCET, response time or verdict. Fixtures where the exact method
+// degraded fall back to Algorithm 1 on f, which the property does not
+// cover, and are skipped.
+func envelopeTrial(t *testing.T, r *rand.Rand, ts task.Set, fns []delay.Function) {
+	t.Helper()
+	gs := make([]delay.Function, len(fns))
+	for i, f := range fns {
+		if f == nil {
+			continue
+		}
+		p := f.(*delay.Piecewise)
+		_, peak := p.Max()
+		c := p.Domain()
+		step, err := delay.NewPiecewise([]float64{0, c * (0.1 + 0.8*r.Float64()), c},
+			[]float64{peak * 1.2 * r.Float64(), peak * 1.2 * r.Float64()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gs[i], err = p.MaxWith(step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rx, errx := Analyze(nil, ts, Options{Delay: fns, Method: Exact})
+	rg, errg := Analyze(nil, ts, Options{Delay: gs, Method: Algorithm1})
+	if errx != nil || errg != nil {
+		return
+	}
+	for i := range ts {
+		if rx.Degraded[i] {
+			return
+		}
+	}
+	for i := range ts {
+		if !leq(rx.EffectiveC[i], rg.EffectiveC[i]) || !leq(rx.Response[i], rg.Response[i]) {
+			t.Fatalf("task %d: exact on f (C' %v, R %v) exceeds Algorithm 1 on an envelope (C' %v, R %v)",
+				i, rx.EffectiveC[i], rx.Response[i], rg.EffectiveC[i], rg.Response[i])
+		}
+	}
+	if rg.Schedulable && !rx.Schedulable {
+		t.Fatalf("alg1 on an envelope schedulable but exact on f not: %v vs %v", rg.Response, rx.Response)
+	}
+}
+
 // TestBoundOrdering is the property battery for the three-bound sandwich on
 // random task sets — jittered, constrained-deadline and divergent fixtures
-// included.
+// included — and for exact(f) <= Algorithm 1 on an upper envelope of f.
 func TestBoundOrdering(t *testing.T) {
 	trials := 1500
 	if testing.Short() {
@@ -76,6 +126,7 @@ func TestBoundOrdering(t *testing.T) {
 			continue
 		}
 		orderingTrial(t, ts, fns)
+		envelopeTrial(t, synth.SubRand(2012, 2, trial), ts, fns)
 	}
 }
 

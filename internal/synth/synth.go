@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"fnpr/internal/cache"
 	"fnpr/internal/cfg"
@@ -89,7 +90,7 @@ func TaskSet(r *rand.Rand, p TaskSetParams) (task.Set, error) {
 			}
 		}
 		ts = append(ts, task.Task{
-			Name: fmt.Sprintf("t%d", i),
+			Name: "t" + strconv.Itoa(i),
 			C:    c, T: periods[i], Q: q,
 		})
 	}
