@@ -15,6 +15,7 @@
 package fnpr
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -1090,6 +1091,92 @@ func BenchmarkDecodeBody(b *testing.B) {
 				if len(v.Delay.Values) != n {
 					b.Fatalf("decoded %d values, want %d", len(v.Delay.Values), n)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeResponse measures writing the synchronous endpoints'
+// response bodies through wire.Writer, indented, with the members in the
+// order internal/server writes them: a /v1/analyze result, and a
+// /v1/analyzeset table of 6 tasks × the 25 Qs of eval.DefaultQGrid computed
+// by eval.AnalyzeSet. One Writer is reused across iterations, as the
+// server's pool reuses them. Each body is first checked against the bytes
+// encoding/json's indenting Encoder writes for the map the server once
+// built, so the mirror cannot drift from the wire format.
+func BenchmarkEncodeResponse(b *testing.B) {
+	rng := rand.New(rand.NewSource(27))
+	ts := make(task.Set, 6)
+	fns := make([]delay.Function, len(ts))
+	for i := range ts {
+		xs := []float64{0}
+		var vs []float64
+		for k := 0; k < 200; k++ {
+			xs = append(xs, xs[len(xs)-1]+1+rng.Float64()*20)
+			vs = append(vs, rng.Float64()*12)
+		}
+		p, err := delay.NewPiecewise(xs, vs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts[i] = task.Task{Name: "t" + fmt.Sprint(i), C: p.Domain(), T: 100000}
+		fns[i] = p
+	}
+	qs := eval.DefaultQGrid()
+	res, err := eval.AnalyzeSet(nil, ts, fns, eval.SweepOptions{Qs: qs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const steps = int64(48213)
+	cases := []struct {
+		endpoint string
+		write    func(w *wire.Writer)
+		oracle   map[string]any
+	}{
+		{"analyze", func(w *wire.Writer) {
+			w.BeginObject()
+			w.Key("diverged")
+			w.Bool(false)
+			w.Key("preemptions")
+			w.Int(7)
+			w.Key("steps")
+			w.Int64(9)
+			w.Key("total_delay")
+			w.Float(13.700000000000001)
+			w.EndObject()
+		}, map[string]any{"diverged": false, "preemptions": 7, "steps": int64(9), "total_delay": 13.700000000000001}},
+		{"analyzeset", func(w *wire.Writer) {
+			w.BeginObject()
+			w.Key("policy")
+			w.String("fp")
+			w.Key("qs")
+			w.Floats(qs)
+			w.Key("results")
+			wire.Array(w, res, func(w *wire.Writer, r eval.SweepResult) { r.WriteJSON(w) })
+			w.Key("steps")
+			w.Int64(steps)
+			w.EndObject()
+		}, map[string]any{"policy": "fp", "qs": qs, "results": res, "steps": steps}},
+	}
+	for _, c := range cases {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(c.oracle); err != nil {
+			b.Fatal(err)
+		}
+		var w wire.Writer
+		w.Reset(true)
+		c.write(&w)
+		if got := append(w.Bytes(), '\n'); !bytes.Equal(got, want.Bytes()) {
+			b.Fatalf("endpoint=%s: writer body differs from encoding/json:\n%s\nwant\n%s", c.endpoint, got, want.Bytes())
+		}
+		b.Run("endpoint="+c.endpoint, func(b *testing.B) {
+			b.SetBytes(int64(want.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w.Reset(true)
+				c.write(&w)
 			}
 		})
 	}

@@ -16,6 +16,7 @@ import (
 	"fnpr/internal/journal"
 	"fnpr/internal/memo"
 	"fnpr/internal/obs"
+	"fnpr/internal/wire"
 )
 
 // SweepSpec names one curve of a Q sweep: a preemption delay function whose
@@ -159,9 +160,10 @@ func (p SweepPoint) Code() string {
 	}
 }
 
-// sweepPointJSON is the journal encoding of a SweepPoint. Value is stored as
-// a JSON number for finite values and as the strings "NaN" / "+Inf" / "-Inf"
-// otherwise (encoding/json rejects non-finite floats). Finite numbers use
+// sweepPointJSON is the journal encoding of a SweepPoint, as UnmarshalJSON
+// reads it and WriteJSON writes it. Value is stored as a JSON number for
+// finite values and as the strings "NaN" / "+Inf" / "-Inf" otherwise
+// (encoding/json rejects non-finite floats). Finite numbers use
 // encoding/json's shortest-roundtrip form, so a replayed value is bit-exact.
 // The failure classes travel as the derived code string under the original
 // "code" key, keeping journals from previous versions replayable and their
@@ -177,27 +179,46 @@ type sweepPointJSON struct {
 	Done        bool            `json:"done,omitempty"`
 }
 
-// MarshalJSON implements json.Marshaler (see sweepPointJSON).
-func (p SweepPoint) MarshalJSON() ([]byte, error) {
-	var value json.RawMessage
-	switch {
-	case math.IsNaN(p.Value):
-		value = json.RawMessage(`"NaN"`)
-	case math.IsInf(p.Value, 1):
-		value = json.RawMessage(`"+Inf"`)
-	case math.IsInf(p.Value, -1):
-		value = json.RawMessage(`"-Inf"`)
-	default:
-		v, err := json.Marshal(p.Value)
-		if err != nil {
-			return nil, err
-		}
-		value = v
+// WriteJSON writes p in its journal encoding (see sweepPointJSON): the
+// members in sweepPointJSON's order, the omitempty ones only when set.
+func (p SweepPoint) WriteJSON(w *wire.Writer) {
+	w.BeginObject()
+	w.Key("q")
+	w.Float(p.Q)
+	w.Key("value")
+	w.Float(p.Value)
+	if p.Degraded {
+		w.Key("degraded")
+		w.Bool(true)
 	}
-	return json.Marshal(sweepPointJSON{
-		Q: p.Q, Value: value, Degraded: p.Degraded, Quarantined: p.Quarantined,
-		Code: p.Code(), Reason: p.Note, Attempts: p.Attempts, Done: p.Done,
-	})
+	if p.Quarantined {
+		w.Key("quarantined")
+		w.Bool(true)
+	}
+	if code := p.Code(); code != "" {
+		w.Key("code")
+		w.String(code)
+	}
+	if p.Note != "" {
+		w.Key("reason")
+		w.String(p.Note)
+	}
+	if p.Attempts != 0 {
+		w.Key("attempts")
+		w.Int(p.Attempts)
+	}
+	if p.Done {
+		w.Key("done")
+		w.Bool(true)
+	}
+	w.EndObject()
+}
+
+// MarshalJSON implements json.Marshaler: the compact WriteJSON.
+func (p SweepPoint) MarshalJSON() ([]byte, error) {
+	var w wire.Writer
+	p.WriteJSON(&w)
+	return w.Bytes(), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler (see sweepPointJSON).
@@ -243,6 +264,17 @@ func (p *SweepPoint) UnmarshalJSON(data []byte) error {
 type SweepResult struct {
 	Name   string
 	Points []SweepPoint // indexed like the input Q grid
+}
+
+// WriteJSON writes r as encoding/json writes the struct: {"Name", "Points"},
+// a nil Points as null.
+func (r SweepResult) WriteJSON(w *wire.Writer) {
+	w.BeginObject()
+	w.Key("Name")
+	w.String(r.Name)
+	w.Key("Points")
+	wire.Array(w, r.Points, func(w *wire.Writer, p SweepPoint) { p.WriteJSON(w) })
+	w.EndObject()
 }
 
 // PartialError wraps the abort cause of a sweep that completed some grid

@@ -1,9 +1,13 @@
 package eval
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
+
+	"fnpr/internal/wire"
 )
 
 // TestSweepPointJSONBytes pins the SweepPoint wire format byte for byte.
@@ -84,4 +88,87 @@ func samePoint(a, b SweepPoint) bool {
 	av, bv := a.Value, b.Value
 	a.Value, b.Value = 0, 0
 	return a == b && math.Float64bits(av) == math.Float64bits(bv)
+}
+
+// oracleJSON is the encoding MarshalJSON produced through encoding/json
+// before SweepPoint wrote itself through wire.Writer: the value as a raw
+// number or wire string, then sweepPointJSON marshaled by reflection.
+func oracleJSON(t *testing.T, p SweepPoint) []byte {
+	t.Helper()
+	var value json.RawMessage
+	switch {
+	case math.IsNaN(p.Value):
+		value = json.RawMessage(`"NaN"`)
+	case math.IsInf(p.Value, 1):
+		value = json.RawMessage(`"+Inf"`)
+	case math.IsInf(p.Value, -1):
+		value = json.RawMessage(`"-Inf"`)
+	default:
+		v, err := json.Marshal(p.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		value = v
+	}
+	b, err := json.Marshal(sweepPointJSON{
+		Q: p.Q, Value: value, Degraded: p.Degraded, Quarantined: p.Quarantined,
+		Code: p.Code(), Reason: p.Note, Attempts: p.Attempts, Done: p.Done,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestSweepPointWriterMatchesOracle draws points over every optional member,
+// the float edges and awkward reason text, and requires MarshalJSON to give
+// the reflection encoding's bytes, and a SweepResult written indented to
+// give encoding/json's indented bytes for the same curve.
+func TestSweepPointWriterMatchesOracle(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 1e21, 123.456, 5e-324,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	notes := []string{"", "boom", "<a&b> naïve\u2028", "\x00\t\"\\\xff"}
+	reasons := []Reason{ReasonNone, ReasonPanic, ReasonBudget, ReasonCanceled, ReasonError}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 5000; n++ {
+		var curve SweepResult
+		curve.Name = notes[rng.Intn(len(notes))]
+		for k := rng.Intn(4); k > 0; k-- {
+			p := SweepPoint{
+				Q:           values[rng.Intn(len(values)-3)],
+				Value:       values[rng.Intn(len(values))],
+				Degraded:    rng.Intn(2) == 0,
+				Quarantined: rng.Intn(3) == 0,
+				Primary:     reasons[rng.Intn(len(reasons))],
+				Fallback:    reasons[rng.Intn(len(reasons))],
+				Note:        notes[rng.Intn(len(notes))],
+				Attempts:    rng.Intn(3),
+				Done:        rng.Intn(2) == 0,
+			}
+			if rng.Intn(2) == 0 {
+				p.Value = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+			}
+			got, err := p.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleJSON(t, p); !bytes.Equal(got, want) {
+				t.Fatalf("%+v:\n got  %s\n want %s", p, got, want)
+			}
+			curve.Points = append(curve.Points, p)
+		}
+		if rng.Intn(4) == 0 {
+			curve.Points = []SweepPoint{}
+		}
+		want, err := json.MarshalIndent(curve, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w wire.Writer
+		w.Reset(true)
+		curve.WriteJSON(&w)
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("curve:\n got  %s\n want %s", w.Bytes(), want)
+		}
+	}
 }

@@ -51,7 +51,7 @@ func (s *Server) handlers() map[string]http.Handler {
 // handleHealthz is liveness: the process is up and serving. It stays 200
 // during drain — the process is alive; readiness is what flips.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	respondStatus(w, http.StatusOK, "ok")
 }
 
 // handleReadyz is readiness: 200 only while the server admits work. It goes
@@ -60,11 +60,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
+		respondStatus(w, http.StatusServiceUnavailable, "draining")
 	case !s.ready.Load():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "starting"})
+		respondStatus(w, http.StatusServiceUnavailable, "starting")
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+		respondStatus(w, http.StatusOK, "ready")
 	}
 }
 
@@ -245,18 +245,24 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	resp := map[string]any{
-		"total_delay": jsonNum(res.TotalDelay),
-		"preemptions": res.Preemptions,
-		"diverged":    res.Diverged,
-		"steps":       g.Steps(),
-	}
+	jw := newBody()
+	jw.BeginObject()
 	// Advisory, present only on a hit: a cold cache-enabled response stays
 	// byte-identical to an uncached one.
 	if res.Cached {
-		resp["cached"] = true
+		jw.Key("cached")
+		jw.Bool(true)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	jw.Key("diverged")
+	jw.Bool(res.Diverged)
+	jw.Key("preemptions")
+	jw.Int(res.Preemptions)
+	jw.Key("steps")
+	jw.Int64(g.Steps())
+	jw.Key("total_delay")
+	jw.Float(res.TotalDelay)
+	jw.EndObject()
+	respond(w, http.StatusOK, jw)
 }
 
 // analyzeSetRequest is the wire form of one eval.AnalyzeSet call: a task-set
@@ -315,6 +321,13 @@ func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
+	if s.cfg.WrapDelay != nil {
+		for i, f := range prob.Delay {
+			if f != nil {
+				prob.Delay[i] = s.cfg.WrapDelay(f, g, cancel)
+			}
+		}
+	}
 	opts := eval.SweepOptions{Qs: qs, Obs: s.sc}
 	if req.Delta {
 		opts.Memo = s.memo
@@ -326,18 +339,12 @@ func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	resp := map[string]any{
-		"policy":  prob.Policy,
-		"qs":      qs,
-		"results": res,
-		"steps":   g.Steps(),
-	}
+	var reused, recomputed int
 	if req.Delta {
 		// Mirror the sweep.analyzeset.{reused,recomputed} counters: only
 		// analyzed terms count — tasks without a delay function have
 		// nothing to compute, and undone (quarantined) points decided
 		// nothing.
-		var reused, recomputed int
 		for i, r := range res {
 			if i < len(prob.Delay) && prob.Delay[i] == nil {
 				continue
@@ -353,10 +360,27 @@ func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		resp["reused"] = reused
-		resp["recomputed"] = recomputed
 	}
-	writeJSON(w, http.StatusOK, resp)
+	jw := newBody()
+	jw.BeginObject()
+	jw.Key("policy")
+	jw.String(prob.Policy)
+	jw.Key("qs")
+	jw.Floats(qs)
+	if req.Delta {
+		jw.Key("recomputed")
+		jw.Int(recomputed)
+	}
+	jw.Key("results")
+	wire.Array(jw, res, func(jw *wire.Writer, r eval.SweepResult) { r.WriteJSON(jw) })
+	if req.Delta {
+		jw.Key("reused")
+		jw.Int(reused)
+	}
+	jw.Key("steps")
+	jw.Int64(g.Steps())
+	jw.EndObject()
+	respond(w, http.StatusOK, jw)
 }
 
 // acceptanceBody is an acceptance submission: the campaign parameters, plus
@@ -475,20 +499,24 @@ func (s *Server) handleCampaign(kind string) http.HandlerFunc {
 			s.fail(w, err)
 			return
 		}
+		status, ack := http.StatusAccepted, j
 		if prev := j.existing; prev != nil {
-			writeJSON(w, http.StatusOK, map[string]any{
-				"id":           prev.id,
-				"kind":         prev.kind,
-				"status":       "/v1/jobs/" + prev.id,
-				"deduplicated": true,
-			})
-			return
+			status, ack = http.StatusOK, prev
 		}
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"id":     j.id,
-			"kind":   j.kind,
-			"status": "/v1/jobs/" + j.id,
-		})
+		jw := newBody()
+		jw.BeginObject()
+		if ack != j {
+			jw.Key("deduplicated")
+			jw.Bool(true)
+		}
+		jw.Key("id")
+		jw.String(ack.id)
+		jw.Key("kind")
+		jw.String(ack.kind)
+		jw.Key("status")
+		jw.String("/v1/jobs/" + ack.id)
+		jw.EndObject()
+		respond(w, status, jw)
 	}
 }
 
@@ -536,10 +564,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.jobByID(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]any{
-			"error": fmt.Sprintf("unknown job %q", id),
-			"code":  "invalid",
-		})
+		respondErr(w, http.StatusNotFound, "invalid", fmt.Sprintf("unknown job %q", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, j.view())

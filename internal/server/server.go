@@ -121,9 +121,9 @@ type Config struct {
 	// Registry receives the server's metrics; nil means obs.Default().
 	Registry *obs.Registry
 	// WrapDelay, when non-nil, wraps every delay function built for
-	// /v1/analyze — the chaos-injection seam of the fault tests. It
-	// receives the request's guard scope and cancel func so faults can
-	// burn its budget or cancel it.
+	// /v1/analyze and /v1/analyzeset — the chaos-injection seam of the
+	// fault tests. It receives the request's guard scope and cancel func so
+	// faults can burn its budget or cancel it.
 	WrapDelay func(f delay.Function, g *guard.Ctx, cancel context.CancelFunc) delay.Function
 }
 

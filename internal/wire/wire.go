@@ -1,5 +1,6 @@
 // Package wire decodes the service's JSON request bodies and spec files in
-// one pass, without reflection.
+// one pass, without reflection, and writes its responses the same way: a
+// Writer appends the bytes encoding/json would write (see Writer).
 //
 // A Reader walks a byte slice once. Each value is read by a typed method
 // (Float, Int, Int64, Bool, String, Floats) or through a Fields table that
