@@ -16,10 +16,12 @@ package fnpr
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"fnpr/internal/cache"
 	"fnpr/internal/cfg"
@@ -28,10 +30,12 @@ import (
 	"fnpr/internal/eval"
 	"fnpr/internal/exact"
 	"fnpr/internal/fixednpr"
+	"fnpr/internal/guard"
 	"fnpr/internal/memo"
 	"fnpr/internal/npr"
 	"fnpr/internal/obs"
 	"fnpr/internal/sched"
+	"fnpr/internal/server"
 	"fnpr/internal/sim"
 	"fnpr/internal/spec"
 	"fnpr/internal/synth"
@@ -542,6 +546,31 @@ func BenchmarkAcceptanceCampaign(b *testing.B) {
 			trials := float64(points * p.SetsPerPoint)
 			b.ReportMetric(trials*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 		})
+	}
+}
+
+// BenchmarkAcceptanceJob is AcceptanceCampaign/workers=1 run the way the
+// analysis service runs a campaign job: under a guard with a cancelable
+// context, a 30 s deadline, the service's default campaign budget and a
+// live scope on a registry of its own. The campaign charges that guard
+// through a lane, so the row covers what the nil-guard row never runs:
+// the analyses' entry checks on a lane and their metric flushes into a
+// live registry. testdata/bench.golden gates it.
+func BenchmarkAcceptanceJob(b *testing.B) {
+	p := eval.DefaultAcceptanceParams()
+	p.SetsPerPoint = 20
+	p.UEnd = 0.80
+	p.Workers = 1
+	sc := obs.NewScope(obs.NewRegistry())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		g := guard.New(ctx).WithTimeout(30 * time.Second).WithBudget(server.DefaultCampaignBudget).WithObs(sc)
+		_, err := eval.Acceptance(g, p)
+		cancel()
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

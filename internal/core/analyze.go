@@ -216,7 +216,7 @@ func analyzeEq4(g *guard.Ctx, sc *obs.Scope, f delay.Function, q float64) (Resul
 // analyzeNaive is the demonstration-only naive bound under Analyze; it
 // accepts a *delay.Piecewise directly or through its indexed view.
 func analyzeNaive(g *guard.Ctx, sc *obs.Scope, f delay.Function, q float64) (Result, error) {
-	sc.Counter("core.naive.runs").Inc()
+	mNaiveRuns.On(sc).Inc()
 	v, err := naivePointSelection(g, piecewiseOf(f), q)
 	if err != nil {
 		return Result{}, err
@@ -268,9 +268,9 @@ func kernelQueryCounter(sc *obs.Scope, f delay.Function) *obs.Counter {
 		return nil
 	}
 	if _, ok := f.(*delay.Indexed); ok {
-		return sc.Counter("delay.index.queries")
+		return mIndexQueries.On(sc)
 	}
-	return sc.Counter("delay.scan.queries")
+	return mScanQueries.On(sc)
 }
 
 // Eq4Fixpoint computes the Equation 4 fixpoint from raw parameters, for
@@ -304,8 +304,8 @@ func eq4Fixpoint(g *guard.Ctx, sc *obs.Scope, c, q, maxDelay float64, jumps bool
 		math.IsInf(c, 0) || math.IsInf(q, 0) || math.IsInf(maxDelay, 0) {
 		return 0, guard.Invalidf("core: invalid parameters C=%g Q=%g max=%g", c, q, maxDelay)
 	}
-	sc.Counter("core.eq4.runs").Inc()
-	itc := sc.Counter("core.eq4.iterations")
+	mEq4Runs.On(sc).Inc()
+	itc := mEq4Iterations.On(sc)
 	if maxDelay == 0 {
 		return 0, nil
 	}
@@ -328,10 +328,10 @@ func eq4Fixpoint(g *guard.Ctx, sc *obs.Scope, c, q, maxDelay float64, jumps bool
 	defer func() {
 		itc.Add(iters)
 		if cuts > 0 {
-			sc.Counter("core.eq4.cuts").Add(cuts)
+			mEq4Cuts.On(sc).Add(cuts)
 		}
 		if falls > 0 {
-			sc.Counter("core.eq4.fallbacks").Add(falls)
+			mEq4Fallbacks.On(sc).Add(falls)
 		}
 	}()
 	for i := 0; i < maxIterations; i++ {

@@ -124,12 +124,12 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 	if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
 		return Result{}, nil, guard.Invalidf("core: delay function has invalid domain %g", c)
 	}
-	if err := g.Err(); err != nil {
+	if err := g.EntryErr(); err != nil {
 		return Result{}, nil, err
 	}
 
-	sc.Counter("core.alg1.runs").Inc()
-	itc := sc.Counter("core.alg1.iterations")
+	mAlg1Runs.On(sc).Inc()
+	itc := mAlg1Iterations.On(sc)
 	qc := kernelQueryCounter(sc, f)
 	var iters int64
 
@@ -140,7 +140,7 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 		// the bound diverges.
 		res.TotalDelay = math.Inf(1)
 		res.Diverged = true
-		sc.Counter("core.alg1.diverged").Inc()
+		mAlg1Diverged.On(sc).Inc()
 		return res, charges, nil
 	}
 	prog := 0.0
@@ -208,7 +208,7 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 	qc.Add(2 * iters)
 	cur.Flush()
 	if res.Diverged {
-		sc.Counter("core.alg1.diverged").Inc()
+		mAlg1Diverged.On(sc).Inc()
 	}
 	return res, charges, nil
 }

@@ -12,6 +12,12 @@ import (
 // atomic bool load per query and nothing else. Queries accumulate plain local
 // counters and flush once per call, never inside the bisection loop; a walk
 // Cursor accumulates them across its steps and flushes once per walk.
+var (
+	mIndexBuilds  = obs.NewCounter("delay.index.builds", "builds", "sparse-index constructions")
+	mIndexBuildNs = obs.NewHistogram("delay.index.build_ns", "ns", "time to build one sparse index")
+	mRechecks     = obs.NewCounter("delay.index.rechecks", "checks", "exactness re-checks inside the indexed kernel")
+	mBisections   = obs.NewCounter("delay.index.bisections", "steps", "range-maximum bisection steps inside the indexed kernel")
+)
 
 var (
 	delayInstOnce sync.Once
@@ -26,10 +32,10 @@ var (
 func delayInstruments() {
 	delayInstOnce.Do(func() {
 		r := obs.Default()
-		cIndexBuilds = r.Counter("delay.index.builds")
-		hIndexBuildNs = r.Histogram("delay.index.build_ns")
-		cRechecks = r.Counter("delay.index.rechecks")
-		cBisections = r.Counter("delay.index.bisections")
+		cIndexBuilds = mIndexBuilds.In(r)
+		hIndexBuildNs = mIndexBuildNs.In(r)
+		cRechecks = mRechecks.In(r)
+		cBisections = mBisections.In(r)
 	})
 }
 

@@ -347,14 +347,14 @@ func Acceptance(g *guard.Ctx, p AcceptanceParams) (*textplot.Table, error) {
 	sc := p.scope(g)
 	total := len(pts) * p.SetsPerPoint
 	sc.Emit(obs.Event{Type: obs.CampaignStarted, Spec: "acceptance", Total: total})
-	sc.Gauge("campaign.workers").Set(float64(workers))
+	mCampaignWorkers.On(sc).Set(float64(workers))
 
 	admits := make([][4]int, len(pts))
 	restored := make([]bool, len(pts))
 	if n, err := p.restore(pts, admits, restored); err != nil {
 		return nil, err
 	} else if n > 0 {
-		sc.Counter("campaign.points.restored").Add(int64(n))
+		mCampaignRestored.On(sc).Add(int64(n))
 		sc.Emit(obs.Event{Type: obs.CampaignResumed, Spec: "acceptance",
 			Restored: n * p.SetsPerPoint, Total: total})
 	}
@@ -405,7 +405,7 @@ func Acceptance(g *guard.Ctx, p AcceptanceParams) (*textplot.Table, error) {
 // the campaign.
 func (p AcceptanceParams) runSharded(g *guard.Ctx, sc *obs.Scope, pts []float64, workers int,
 	admits [][4]int, restored []bool, checkpoint func(int, float64, [4]int) error) error {
-	trialsDone := sc.Counter("campaign.trials")
+	trialsDone := mCampaignTrials.On(sc)
 	total := len(pts) * p.SetsPerPoint
 	verdicts := make([]acceptanceVerdict, total)
 	// pointLeft counts each utilization point's outstanding trials so the

@@ -83,8 +83,8 @@ func AnalyzeSet(g *guard.Ctx, ts task.Set, fns []delay.Function, opts SweepOptio
 			}
 		}
 	}
-	sc.Counter("sweep.analyzeset.reused").Add(reused)
-	sc.Counter("sweep.analyzeset.recomputed").Add(recomputed)
+	mSetReused.On(sc).Add(reused)
+	mSetRecomputed.On(sc).Add(recomputed)
 	return out, err
 }
 

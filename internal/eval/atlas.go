@@ -155,8 +155,8 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 	sc := p.scope(g)
 	cellsTotal := len(synth.AtlasFamilies()) * len(p.Qs)
 	sc.Emit(obs.Event{Type: obs.CampaignStarted, Spec: "atlas", Total: cellsTotal})
-	sc.Gauge("campaign.workers").Set(float64(workers))
-	cellsDone := sc.Counter("campaign.trials")
+	mCampaignWorkers.On(sc).Set(float64(workers))
+	cellsDone := mCampaignTrials.On(sc)
 
 	cells := make([]atlasCell, cellsTotal)
 	var completed atomic.Int64

@@ -176,8 +176,8 @@ func MonteCarlo(g *guard.Ctx, p MonteCarloParams) (*MonteCarloReport, error) {
 	}
 	sc := p.scope(g)
 	sc.Emit(obs.Event{Type: obs.CampaignStarted, Spec: "montecarlo", Total: p.Trials})
-	sc.Gauge("campaign.workers").Set(float64(workers))
-	trialsDone := sc.Counter("campaign.trials")
+	mCampaignWorkers.On(sc).Set(float64(workers))
+	trialsDone := mCampaignTrials.On(sc)
 	// Progress granularity: ten CampaignPoint events across the run.
 	chunk := p.Trials / 10
 	if chunk == 0 {

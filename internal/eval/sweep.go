@@ -433,7 +433,7 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 		}
 		sc.Emit(obs.Event{Type: obs.SweepResumed, Restored: restorable, Total: total})
 	}
-	sc.Gauge("sweep.workers").Set(float64(workers))
+	mSweepWorkers.On(sc).Set(float64(workers))
 
 	type job struct{ si, qi int }
 	jobs := make(chan job)
@@ -486,15 +486,15 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 		pt.Done = true
 		switch {
 		case restored:
-			sc.Counter("sweep.points.restored").Inc()
+			mPointsRestored.On(sc).Inc()
 		case pt.Quarantined:
-			sc.Counter("sweep.points.quarantined").Inc()
+			mPointsQuarantine.On(sc).Inc()
 			sc.Emit(obs.Event{Type: obs.PointQuarantined, Spec: results[jb.si].Name, Q: pt.Q, Code: pt.Code(), Err: pt.Note})
 		case pt.Degraded:
-			sc.Counter("sweep.points.degraded").Inc()
+			mPointsDegraded.On(sc).Inc()
 			sc.Emit(obs.Event{Type: obs.PointDegraded, Spec: results[jb.si].Name, Q: pt.Q, Code: pt.Code(), Err: pt.Note})
 		default:
-			sc.Counter("sweep.points.clean").Inc()
+			mPointsClean.On(sc).Inc()
 		}
 		sc.Emit(obs.Event{Type: obs.PointDone, Spec: results[jb.si].Name, Q: pt.Q, Code: pt.Code()})
 		if !restored {
@@ -548,7 +548,7 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 					if timed {
 						busyNs += time.Since(jobStart).Nanoseconds()
 						points++
-						sc.Histogram("sweep.point.ns").Observe(time.Since(jobStart).Nanoseconds())
+						mPointNs.On(sc).Observe(time.Since(jobStart).Nanoseconds())
 						idleSince = time.Now()
 					}
 					continue
@@ -592,16 +592,16 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 				if timed {
 					busyNs += time.Since(jobStart).Nanoseconds()
 					points++
-					sc.Histogram("sweep.point.ns").Observe(time.Since(jobStart).Nanoseconds())
+					mPointNs.On(sc).Observe(time.Since(jobStart).Nanoseconds())
 					idleSince = time.Now()
 				}
 			}
 			if timed {
-				sc.Histogram("sweep.worker.busy_ns").Observe(busyNs)
-				sc.Histogram("sweep.worker.wait_ns").Observe(waitNs)
-				sc.Histogram("sweep.worker.points").Observe(points)
+				mWorkerBusyNs.On(sc).Observe(busyNs)
+				mWorkerWaitNs.On(sc).Observe(waitNs)
+				mWorkerPoints.On(sc).Observe(points)
 				if busyNs+waitNs > 0 {
-					sc.Histogram("sweep.worker.utilization_pct").Observe(100 * busyNs / (busyNs + waitNs))
+					mWorkerUtil.On(sc).Observe(100 * busyNs / (busyNs + waitNs))
 				}
 			}
 		}()

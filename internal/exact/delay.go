@@ -88,11 +88,11 @@ func (ex *Explorer) Delay(g *guard.Ctx, f *delay.Piecewise, q float64, opts Opti
 	if q <= 0 || math.IsNaN(q) || math.IsInf(q, 0) {
 		return DelayResult{}, guard.Invalidf("exact: Q must be positive and finite, got %g", q)
 	}
-	if err := g.Err(); err != nil {
+	if err := g.EntryErr(); err != nil {
 		return DelayResult{}, err
 	}
 	sc := opts.Obs
-	sc.Counter("exact.runs").Inc()
+	mRuns.On(sc).Inc()
 
 	var key uint64
 	var verify string
@@ -102,7 +102,7 @@ func (ex *Explorer) Delay(g *guard.Ctx, f *delay.Piecewise, q float64, opts Opti
 		if memoOK {
 			if v, ok := opts.Memo.Get(key, verify); ok {
 				if r, ok := v.(DelayResult); ok {
-					sc.Counter("exact.memo.hits").Inc()
+					mMemoHits.On(sc).Inc()
 					r.Cached = true
 					return r, nil
 				}
@@ -122,12 +122,12 @@ func (ex *Explorer) Delay(g *guard.Ctx, f *delay.Piecewise, q float64, opts Opti
 			return DelayResult{}, err
 		}
 	}
-	sc.Counter("exact.states").Add(int64(res.States))
-	sc.Counter("exact.merges").Add(int64(res.Merges))
-	sc.Counter("exact.prunes").Add(int64(res.Prunes))
+	mStates.On(sc).Add(int64(res.States))
+	mMerges.On(sc).Add(int64(res.Merges))
+	mPrunes.On(sc).Add(int64(res.Prunes))
 	if memoOK {
 		opts.Memo.Put(key, verify, res, int64(len(verify))+64)
-		sc.Counter("exact.memo.stores").Inc()
+		mMemoStores.On(sc).Inc()
 	}
 	return res, nil
 }

@@ -92,11 +92,11 @@ func ResponseTimes(g *guard.Ctx, ts task.Set, opts Options) (*SAGResult, error) 
 	if len(ts) == 0 {
 		return nil, guard.Invalidf("exact: empty task set")
 	}
-	if err := g.Err(); err != nil {
+	if err := g.EntryErr(); err != nil {
 		return nil, err
 	}
 	sc := opts.Obs
-	sc.Counter("exact.runs").Inc()
+	mRuns.On(sc).Inc()
 
 	horizon := opts.Horizon
 	if horizon == 0 {
@@ -118,7 +118,7 @@ func ResponseTimes(g *guard.Ctx, ts task.Set, opts Options) (*SAGResult, error) 
 		memoOK = true
 		if v, ok := opts.Memo.Get(key, verify); ok {
 			if r, ok := v.(*SAGResult); ok {
-				sc.Counter("exact.memo.hits").Inc()
+				mMemoHits.On(sc).Inc()
 				out := *r
 				out.Cached = true
 				return &out, nil
@@ -140,12 +140,12 @@ func ResponseTimes(g *guard.Ctx, ts task.Set, opts Options) (*SAGResult, error) 
 			res.Schedulable = false
 		}
 	}
-	sc.Counter("exact.states").Add(int64(res.States))
-	sc.Counter("exact.merges").Add(int64(res.Merges))
-	sc.Counter("exact.prunes").Add(int64(res.Prunes))
+	mStates.On(sc).Add(int64(res.States))
+	mMerges.On(sc).Add(int64(res.Merges))
+	mPrunes.On(sc).Add(int64(res.Prunes))
 	if memoOK {
 		opts.Memo.Put(key, verify, res, int64(len(verify))+int64(16*len(ts))+96)
-		sc.Counter("exact.memo.stores").Inc()
+		mMemoStores.On(sc).Inc()
 	}
 	return res, nil
 }

@@ -168,15 +168,15 @@ func (in *Injector) nextWrite() writeAction {
 	switch in.writes {
 	case in.plan.FailWrite:
 		in.fired++
-		obs.Default().Counter("fsfault.write_errors").Inc()
+		mWriteErrors.In(obs.Default()).Inc()
 		return writeFail
 	case in.plan.ShortWrite:
 		in.fired++
-		obs.Default().Counter("fsfault.short_writes").Inc()
+		mShortWrites.In(obs.Default()).Inc()
 		return writeShort
 	case in.plan.FlipBit:
 		in.fired++
-		obs.Default().Counter("fsfault.bit_flips").Inc()
+		mBitFlips.In(obs.Default()).Inc()
 		return writeFlip
 	}
 	return writePass
@@ -188,7 +188,7 @@ func (in *Injector) nextSync() bool {
 	in.syncs++
 	if in.syncs == in.plan.FailSync {
 		in.fired++
-		obs.Default().Counter("fsfault.sync_errors").Inc()
+		mSyncErrors.In(obs.Default()).Inc()
 		return true
 	}
 	return false

@@ -115,6 +115,9 @@ type Ctx struct {
 	// the steps the parent counts, end-pos are the lane's unspent lease.
 	parent   *Ctx
 	pos, end int64
+	// polled is the cancellation cause the lane's last poll found, nil
+	// while its polls have found none; EntryErr serves it.
+	polled error
 }
 
 // New returns a guarded scope observing ctx. A nil ctx means no cancellation
@@ -217,9 +220,16 @@ func (g *Ctx) TickN(n int64) error {
 	if g.parent != nil {
 		return g.laneTick(n)
 	}
+	err, _ := g.tick(n)
+	return err
+}
+
+// tick is TickN on a scope that is not a lane. When the batch reaches a
+// poll point it also returns the cancellation cause the poll found.
+func (g *Ctx) tick(n int64) (err, cause error) {
 	s := g.steps.Add(n)
 	if g.budget > 0 && s > g.budget {
-		return g.overBudget(s, n)
+		return g.overBudget(s, n), nil
 	}
 	// Amortised: context and clock are polled every pollEvery steps. With
 	// TickN the poll can only be late by one call's worth of steps.
@@ -227,9 +237,11 @@ func (g *Ctx) TickN(n int64) error {
 		if g.checkpoint != nil {
 			g.checkpoint(s)
 		}
-		return g.poll(s)
+		if cause = g.cause(); cause != nil {
+			return canceledAfter(s, cause), cause
+		}
 	}
-	return nil
+	return nil, nil
 }
 
 // overBudget settles a batch of n steps that took the counter to s, past
@@ -287,7 +299,11 @@ func (g *Ctx) laneTick(n int64) error {
 		return nil
 	}
 	g.settle()
-	if err := g.parent.TickN(n); err != nil {
+	err, cause := g.parent.tick(n)
+	if cause != nil {
+		g.polled = cause
+	}
+	if err != nil {
 		return err
 	}
 	g.lease()
@@ -357,16 +373,48 @@ func (g *Ctx) Err() error {
 	return g.poll(g.Steps())
 }
 
+// EntryErr is the entry check of an analysis that runs many times inside
+// one job. On a lane it reads neither the clock nor the context: it
+// reports the cancellation its last poll found, with Err's text, and nil
+// while none has, so a cancellation or a passed deadline is seen no later
+// than the lane's next poll point. On any other scope it is Err.
+func (g *Ctx) EntryErr() error {
+	if g == nil || g.parent == nil {
+		return g.Err()
+	}
+	if g.polled != nil {
+		return canceledAfter(g.Steps(), g.polled)
+	}
+	return nil
+}
+
+// errDeadline is the cause a poll reports once the deadline has passed.
+var errDeadline = errors.New("wall-clock deadline passed")
+
 func (g *Ctx) poll(steps int64) error {
+	if cause := g.cause(); cause != nil {
+		return canceledAfter(steps, cause)
+	}
+	return nil
+}
+
+// cause returns why the scope is canceled: its context's error first, then
+// errDeadline once the deadline has passed; nil while neither holds.
+func (g *Ctx) cause() error {
 	if g.ctx != nil {
 		if err := g.ctx.Err(); err != nil {
-			return fmt.Errorf("%w after %d steps: %v", ErrCanceled, steps, err)
+			return err
 		}
 	}
 	if !g.deadline.IsZero() && time.Now().After(g.deadline) {
-		return fmt.Errorf("%w after %d steps: wall-clock deadline passed", ErrCanceled, steps)
+		return errDeadline
 	}
 	return nil
+}
+
+// canceledAfter is the ErrCanceled error for a cause found at steps.
+func canceledAfter(steps int64, cause error) error {
+	return fmt.Errorf("%w after %d steps: %v", ErrCanceled, steps, cause)
 }
 
 // Run executes fn inside a panic-isolating scope: a panic in fn (or anything

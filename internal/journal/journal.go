@@ -122,9 +122,9 @@ func OpenWith(path string, opts Options) (*Journal, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	obs.Default().Counter("journal.records_replayed").Add(int64(len(recs)))
+	mRecordsReplayed.In(obs.Default()).Add(int64(len(recs)))
 	if validLen < len(raw) {
-		obs.Default().Counter("journal.truncations").Inc()
+		mTruncations.In(obs.Default()).Inc()
 		if err := rewrite(fs, path, raw[:validLen]); err != nil {
 			return nil, nil, err
 		}
@@ -260,7 +260,7 @@ func (j *Journal) Append(key string, v any) error {
 	if _, err := io.WriteString(j.f, line); err != nil {
 		return guard.Storagef(err, "journal: appending %q", key)
 	}
-	obs.Default().Counter("journal.appends").Inc()
+	mAppends.In(obs.Default()).Inc()
 	if j.every > 0 {
 		j.unsynced++
 		if j.unsynced >= j.every {
@@ -289,7 +289,7 @@ func (j *Journal) Sync() error {
 
 // syncLocked fsyncs under j.mu and resets the per-policy record count.
 func (j *Journal) syncLocked() error {
-	obs.Default().Counter("journal.syncs").Inc()
+	mSyncs.In(obs.Default()).Inc()
 	j.unsynced = 0
 	return j.f.Sync()
 }

@@ -115,13 +115,13 @@ func New(opts Options) *Cache {
 		mask:       uint64(p - 1),
 		max:        perShard,
 		codec:      opts.Codec,
-		hits:       opts.Obs.Counter("memo.hits"),
-		misses:     opts.Obs.Counter("memo.misses"),
-		puts:       opts.Obs.Counter("memo.puts"),
-		evictions:  opts.Obs.Counter("memo.evictions"),
-		collisions: opts.Obs.Counter("memo.collisions"),
-		entries:    opts.Obs.Gauge("memo.entries"),
-		bytes:      opts.Obs.Gauge("memo.bytes"),
+		hits:       mHits.On(opts.Obs),
+		misses:     mMisses.On(opts.Obs),
+		puts:       mPuts.On(opts.Obs),
+		evictions:  mEvictions.On(opts.Obs),
+		collisions: mCollisions.On(opts.Obs),
+		entries:    mEntries.On(opts.Obs),
+		bytes:      mBytes.On(opts.Obs),
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]*list.Element)

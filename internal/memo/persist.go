@@ -93,7 +93,7 @@ func (c *Cache) Persist(path string, opts journal.Options) error {
 	if cerr := j.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	obs.Default().Counter("memo.persist.saved").Add(saved)
+	mSaved.In(obs.Default()).Add(saved)
 	return err
 }
 
@@ -157,7 +157,7 @@ func (c *Cache) Warm(path string, opts journal.Options) (int, error) {
 		c.Put(pk, rec.Verify, v, size)
 		loaded++
 	}
-	obs.Default().Counter("memo.persist.loaded").Add(int64(loaded))
-	obs.Default().Counter("memo.persist.rejected").Add(rejected)
+	mLoaded.In(obs.Default()).Add(int64(loaded))
+	mRejected.In(obs.Default()).Add(rejected)
 	return loaded, nil
 }

@@ -270,3 +270,54 @@ func TestDebugServer(t *testing.T) {
 		t.Fatalf("/debug/pprof/ status %d", resp2.StatusCode)
 	}
 }
+
+var (
+	testCounter   = NewCounter("test.def.counter", "things", "a counter defined by the tests")
+	testGauge     = NewGauge("test.def.gauge", "things", "a gauge defined by the tests")
+	testHistogram = NewHistogram("test.def.histogram", "ns", "a histogram defined by the tests")
+	testFamily    = NewFamily(KindCounter, "test.<a>.family.<b>x", "things", "a family defined by the tests")
+)
+
+// TestDefinitionsResolveBySlot: a definition and its name reach the same
+// instrument in either order of first use, resolution by definition does
+// not allocate, a nil scope or registry hands out nil, and the catalogue
+// lists the definitions with their kinds.
+func TestDefinitionsResolveBySlot(t *testing.T) {
+	r := NewRegistry()
+	c := testCounter.In(r)
+	if c == nil || c != r.Counter("test.def.counter") {
+		t.Fatal("a counter's definition and its name resolve to different instruments")
+	}
+	if g := r.Gauge("test.def.gauge"); g != testGauge.In(r) {
+		t.Fatal("a gauge first resolved by name was not found by its definition")
+	}
+	sc := NewScope(r)
+	if testHistogram.On(sc) != r.Histogram("test.def.histogram") {
+		t.Fatal("histogram definition and name differ")
+	}
+	if n := testing.AllocsPerRun(100, func() { testCounter.On(sc).Inc() }); n != 0 {
+		t.Fatalf("resolving a defined counter allocates %v times", n)
+	}
+	if testCounter.On(nil) != nil || testGauge.In(nil) != nil || testHistogram.On(nil) != nil {
+		t.Fatal("nil scope or registry handed out a live instrument")
+	}
+	if _, ok := NewRegistry().Snapshot().Counters["test.def.counter"]; ok {
+		t.Fatal("a definition created its instrument before any resolution")
+	}
+	if got := testFamily.Expand("x", "4"); got != "test.x.family.4x" {
+		t.Fatalf("family expands to %q", got)
+	}
+	kinds := map[string]Kind{}
+	for _, d := range Catalogue() {
+		kinds[d.Name] = d.Kind
+	}
+	if kinds["test.def.gauge"] != KindGauge || kinds["test.def.histogram"] != KindHistogram || kinds["span.<name>.ns"] != KindHistogram {
+		t.Fatalf("catalogue kinds: %v", kinds)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second definition of one name did not panic")
+		}
+	}()
+	NewCounter("test.def.gauge", "things", "a duplicate")
+}

@@ -11,11 +11,16 @@
 //  1. A nil *Scope, *Counter, *Gauge or *Histogram is valid everywhere and
 //     means "not collecting": every method is a nil-check away from free, so
 //     un-instrumented runs pay nothing and instrumented hot loops stay
-//     allocation-free (resolve the instrument once per analysis, accumulate
-//     locally, flush once at the end).
-//  2. Everything is safe for concurrent use — the guarded sweep pool hammers
+//     allocation-free (accumulate locally, flush once at the end).
+//  2. Metrics are declared once, as package-level definitions (CounterDef,
+//     GaugeDef, HistogramDef) that carry a name, kind, unit and description;
+//     together they form the catalogue (Catalogue). Resolving a defined
+//     instrument on a scope is an index into the registry's slots, not a
+//     lookup by name. Names built at run time (the families) resolve by
+//     name.
+//  3. Everything is safe for concurrent use — the guarded sweep pool hammers
 //     one Registry from every worker.
-//  3. The process-global registry (Default) is a convenience, not a
+//  4. The process-global registry (Default) is a convenience, not a
 //     requirement: tests inject their own Registry through a Scope
 //     (TestRecorder) and assert on it in isolation.
 package obs
@@ -140,23 +145,39 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Registry is a concurrent name → instrument table. Instruments are created
-// on first use and live for the registry's lifetime; looking one up never
-// allocates or locks after creation, so per-analysis resolution is cheap
-// enough for the sweep hot path. The nil Registry hands out nil instruments.
+// Registry is a concurrent table of instruments. Instruments are created
+// on first use and live for the registry's lifetime. A defined instrument
+// (see Def) also sits in a slot indexed by its definition, so resolving it
+// is one atomic load: no hashing, no lock, no allocation. Names outside the
+// catalogue (the dynamic families, and reads by name in tests) resolve
+// through a lock-free name map; a name and its definition always resolve
+// to the same instrument. The nil Registry hands out nil instruments.
 type Registry struct {
 	counters   table[Counter]
 	gauges     table[Gauge]
 	histograms table[Histogram]
 }
 
-// table is a copy-on-write name → instrument map: a lookup is one atomic
-// load of the current map, and creating an instrument (under mu) publishes a
-// copy with the new entry. Instrument names are a bounded set, so the copies
-// stop once every name has been seen.
+// table is one instrument kind's storage: slots indexed by definition, and
+// a copy-on-write name → instrument map that holds every instrument,
+// defined or not. A lookup by name is one atomic load of the current map,
+// and creating an instrument (under mu) publishes a copy with the new
+// entry. Instrument names are a bounded set, so the copies stop once every
+// name has been seen.
 type table[T any] struct {
-	mu sync.Mutex
-	m  atomic.Pointer[map[string]*T]
+	mu    sync.Mutex
+	m     atomic.Pointer[map[string]*T]
+	slots [maxDefs]atomic.Pointer[T]
+}
+
+// slot returns d's instrument, creating it (under its name) on first use.
+func (t *table[T]) slot(d *Def) *T {
+	if v := t.slots[d.idx].Load(); v != nil {
+		return v
+	}
+	v := t.get(d.Name)
+	t.slots[d.idx].Store(v)
+	return v
 }
 
 // load returns the current map; nil before the first creation.
@@ -219,7 +240,7 @@ func Enable() { enabled.Store(true) }
 func Enabled() bool { return enabled.Load() }
 
 // Counter returns the named counter, creating it on first use; nil on a nil
-// registry.
+// registry. Defined counters resolve faster through CounterDef.In.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil

@@ -105,7 +105,8 @@ func (s *Scope) Registry() *Registry {
 }
 
 // Counter resolves a named counter in the scope's registry; nil (discard) on
-// a nil scope. Resolve once per analysis, not per loop iteration.
+// a nil scope. It serves the dynamic families and reads in tests; a defined
+// counter resolves through CounterDef.On, by index.
 func (s *Scope) Counter(name string) *Counter {
 	if s == nil {
 		return nil
@@ -146,6 +147,9 @@ func (s *Scope) Span(name string) Span {
 	return Span{scope: s, name: name, start: time.Now()}
 }
 
+// spanNs is the family of span duration histograms, one per span name.
+var spanNs = NewFamily(KindHistogram, "span.<name>.ns", "ns", "duration of each Scope.Span region of that name")
+
 // Span is one in-flight timed region. The zero Span (from a nil scope) is
 // valid and End on it is a no-op.
 type Span struct {
@@ -162,7 +166,7 @@ func (sp Span) End() time.Duration {
 		return 0
 	}
 	d := time.Since(sp.start)
-	sp.scope.reg.Histogram("span." + sp.name + ".ns").Observe(d.Nanoseconds())
+	sp.scope.reg.Histogram(spanNs.Expand(sp.name)).Observe(d.Nanoseconds())
 	sp.scope.mu.Lock()
 	if len(sp.scope.spans) < maxSpans {
 		sp.scope.spans = append(sp.scope.spans, SpanRecord{Name: sp.name, Start: sp.start, Duration: d})

@@ -58,17 +58,35 @@ func rtaStepsBefore(t *testing.T, a FNPRAnalysis) int64 {
 	return g.Steps()
 }
 
-// checkRTACountsAtTrip asserts that a guard tripped inside the fixpoint,
-// after pre steps of effective-WCET bounds, and that the RTA flushed its
-// iteration counts on the error return: both counters equal the RTA's
-// successful ticks (the tick that trips runs no iteration).
-func checkRTACountsAtTrip(t *testing.T, g *guard.Ctx, reg *obs.Registry, pre int64) {
+// edfDemandAnalysis is a schedulable EDF set whose demand test checks about
+// 2000 deadlines, past the guard's first context poll, so a guard can trip
+// deep inside it.
+func edfDemandAnalysis(t *testing.T) FNPRAnalysis {
+	t.Helper()
+	a := longFixpointAnalysis(t)
+	a.Tasks = task.Set{
+		{Name: "fast", C: 0.3, T: 1, Q: 0.25},
+		{Name: "slow", C: 9, T: 2000, Q: 0.6},
+	}
+	return a
+}
+
+// rtaCounters are the counters a fixed-priority fixpoint flushes; an EDF
+// demand walk flushes only the solver's.
+var rtaCounters = []string{"sched.rta.iterations", "sched.rta.solver.iterations"}
+
+// checkRTACountsAtTrip asserts that a guard tripped inside the fixpoint or
+// demand walk, after pre steps of effective-WCET bounds, and that the walk
+// flushed its iteration counts on the error return: each named counter
+// equals the walk's successful ticks (the tick that trips runs no
+// iteration).
+func checkRTACountsAtTrip(t *testing.T, g *guard.Ctx, reg *obs.Registry, pre int64, names ...string) {
 	t.Helper()
 	ticks := g.Steps() - 1 - pre
 	if ticks <= 0 {
 		t.Fatalf("guard tripped after %d steps, before the fixpoint (%d steps of bounds)", g.Steps(), pre)
 	}
-	for _, name := range []string{"sched.rta.iterations", "sched.rta.solver.iterations"} {
+	for _, name := range names {
 		if got := reg.Counter(name).Value(); got != ticks {
 			t.Fatalf("%s = %d after the trip, want the %d ticks the RTA charged", name, got, ticks)
 		}
@@ -77,7 +95,8 @@ func checkRTACountsAtTrip(t *testing.T, g *guard.Ctx, reg *obs.Registry, pre int
 
 // TestResponseTimesFPCtxCanceled: a canceled context stops the RTA before it
 // runs the fixpoints; the error wraps guard.ErrCanceled. Canceled mid-fixpoint
-// it fails the same way, with its counts flushed.
+// it fails the same way, with its counts flushed, under Algorithm 1 and
+// Equation 4 bounds, and so does an EDF demand walk.
 func TestResponseTimesFPCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -87,10 +106,43 @@ func TestResponseTimesFPCtxCanceled(t *testing.T) {
 		t.Fatalf("canceled context: got %v, want ErrCanceled", err)
 	}
 
-	long := longFixpointAnalysis(t)
-	pre := rtaStepsBefore(t, long)
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
+	for _, m := range []DelayMethod{Algorithm1, Equation4} {
+		long := longFixpointAnalysis(t)
+		long.Method = m
+		reg, g, pre := cancelPastBounds(t, long)
+		if _, err := long.ResponseTimesFPCtx(g); !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("%v: canceled mid-fixpoint: got %v, want ErrCanceled", m, err)
+		}
+		checkRTACountsAtTrip(t, g, reg, pre, rtaCounters...)
+	}
+	edf := edfDemandAnalysis(t)
+	for _, monotone := range []bool{true, false} {
+		reg, g, pre := cancelPastBounds(t, edf)
+		if err := edfDemandWalk(edf, g, monotone); !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("EDF (monotone %v): canceled mid-walk: got %v, want ErrCanceled", monotone, err)
+		}
+		checkRTACountsAtTrip(t, g, reg, pre, "sched.rta.solver.iterations")
+	}
+}
+
+// edfDemandWalk runs a's EDF test through the enumeration (monotone) or
+// the QPA walk.
+func edfDemandWalk(a FNPRAnalysis, g *guard.Ctx, monotone bool) error {
+	cp, err := a.EffectiveWCETsCtx(g)
+	if err != nil {
+		return err
+	}
+	_, err = edfSchedulable(g, g.Obs(), a.Tasks, cp, monotone)
+	return err
+}
+
+// cancelPastBounds returns a guard on a fresh registry whose context is
+// canceled at the first poll past the effective-WCET bounds of a.
+func cancelPastBounds(t *testing.T, a FNPRAnalysis) (*obs.Registry, *guard.Ctx, int64) {
+	t.Helper()
+	pre := rtaStepsBefore(t, a)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	reg := obs.NewRegistry()
 	// The checkpoint runs just before the amortised context poll, so the
 	// first poll past the bounds' steps sees the cancellation.
@@ -99,15 +151,13 @@ func TestResponseTimesFPCtxCanceled(t *testing.T) {
 			cancel()
 		}
 	})
-	if _, err := long.ResponseTimesFPCtx(g); !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("canceled mid-fixpoint: got %v, want ErrCanceled", err)
-	}
-	checkRTACountsAtTrip(t, g, reg, pre)
+	return reg, g, pre
 }
 
 // TestResponseTimesFPCtxBudget: exhausting the step budget mid-RTA yields
 // ErrBudgetExceeded — not +Inf response times, not a hang — with the RTA's
-// counts flushed.
+// counts flushed, under Algorithm 1 and Equation 4 bounds, and likewise
+// mid-way through an EDF demand walk.
 func TestResponseTimesFPCtxBudget(t *testing.T) {
 	a := guardedAnalysis(t)
 	g := guard.New(context.Background()).WithBudget(1)
@@ -121,14 +171,27 @@ func TestResponseTimesFPCtxBudget(t *testing.T) {
 		}
 	}
 
-	long := longFixpointAnalysis(t)
-	pre := rtaStepsBefore(t, long)
-	reg := obs.NewRegistry()
-	g = guard.New(context.Background()).WithObs(obs.NewScope(reg)).WithBudget(pre + 100)
-	if _, err := long.ResponseTimesFPCtx(g); !errors.Is(err, guard.ErrBudgetExceeded) {
-		t.Fatalf("budget %d: got %v, want ErrBudgetExceeded", pre+100, err)
+	for _, m := range []DelayMethod{Algorithm1, Equation4} {
+		long := longFixpointAnalysis(t)
+		long.Method = m
+		pre := rtaStepsBefore(t, long)
+		reg := obs.NewRegistry()
+		g = guard.New(context.Background()).WithObs(obs.NewScope(reg)).WithBudget(pre + 100)
+		if _, err := long.ResponseTimesFPCtx(g); !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("%v: budget %d: got %v, want ErrBudgetExceeded", m, pre+100, err)
+		}
+		checkRTACountsAtTrip(t, g, reg, pre, rtaCounters...)
 	}
-	checkRTACountsAtTrip(t, g, reg, pre)
+	edf := edfDemandAnalysis(t)
+	pre := rtaStepsBefore(t, edf)
+	for _, monotone := range []bool{true, false} {
+		reg := obs.NewRegistry()
+		g = guard.New(context.Background()).WithObs(obs.NewScope(reg)).WithBudget(pre + 100)
+		if err := edfDemandWalk(edf, g, monotone); !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("EDF (monotone %v): budget %d: got %v, want ErrBudgetExceeded", monotone, pre+100, err)
+		}
+		checkRTACountsAtTrip(t, g, reg, pre, "sched.rta.solver.iterations")
+	}
 }
 
 func TestSchedulableEDFCtxCanceled(t *testing.T) {

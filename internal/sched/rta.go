@@ -148,18 +148,18 @@ func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int
 	if len(ts) == 0 {
 		return nil, guard.Invalidf("sched: empty task set")
 	}
-	if err := g.Err(); err != nil {
+	if err := g.EntryErr(); err != nil {
 		return nil, err
 	}
 	// Counts accumulate in locals and are flushed once per return, as in
 	// core.upperBoundFrom: the fixpoint loop performs no atomic operations.
 	var iters, seeded, cuts, falls int64
 	defer func() {
-		sc.Counter("sched.rta.iterations").Add(iters)
-		sc.Counter("sched.rta.solver.iterations").Add(iters)
-		sc.Counter("sched.rta.warm.seeded").Add(seeded)
-		sc.Counter("sched.rta.solver.cuts").Add(cuts)
-		sc.Counter("sched.rta.solver.fallbacks").Add(falls)
+		mRTAIterations.On(sc).Add(iters)
+		mSolverIterations.On(sc).Add(iters)
+		mWarmSeeded.On(sc).Add(seeded)
+		mSolverCuts.On(sc).Add(cuts)
+		mSolverFallbacks.On(sc).Add(falls)
 	}()
 	out := make([]float64, len(ts))
 	for i, tk := range ts {
@@ -323,8 +323,13 @@ func effectiveWCETs(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) ([]f
 	if len(opts.Delay) != len(ts) {
 		return nil, nil, guard.Invalidf("sched: %d delay functions for %d tasks", len(opts.Delay), len(ts))
 	}
-	cached := sc.Counter("sched.cprime.cached")
-	computed := sc.Counter("sched.cprime.computed")
+	// Cache outcomes count in locals and flush once per call, on every
+	// return path from here on.
+	var cached, computed int64
+	defer func() {
+		mCPrimeCached.On(sc).Add(cached)
+		mCPrimeComputed.On(sc).Add(computed)
+	}()
 	var degraded []bool
 	if opts.Method == Exact {
 		degraded = make([]bool, len(ts))
@@ -356,7 +361,7 @@ func effectiveWCETs(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) ([]f
 			}
 			// Degrade this task to Algorithm 1 (copts is already set up).
 			degraded[i] = true
-			sc.Counter("exact.degraded").Inc()
+			mExactDegraded.On(sc).Inc()
 		default:
 			return nil, nil, guard.Invalidf("sched: unknown delay method %v", opts.Method)
 		}
@@ -365,9 +370,9 @@ func effectiveWCETs(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) ([]f
 			return nil, nil, fmt.Errorf("sched: task %s: %w", tk.Name, err)
 		}
 		if r.Cached {
-			cached.Inc()
+			cached++
 		} else {
-			computed.Inc()
+			computed++
 		}
 		out[i] = tk.C + r.TotalDelay
 	}

@@ -173,7 +173,7 @@ func edfDemandTest(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64,
 	}
 	pts, ok := edfDeadlines(inflated, horizon)
 	if !ok {
-		sc.Counter("sched.rta.solver.fallbacks").Inc()
+		mSolverFallbacks.On(sc).Inc()
 		return edfDemandEnum(g, sc, inflated, cp, horizon)
 	}
 	return edfDemandQPA(g, sc, inflated, cp, pts)
@@ -183,13 +183,14 @@ func edfDemandTest(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64,
 // the reference walk, and the fallback when the deadline list is too long to
 // materialize.
 func edfDemandEnum(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64, horizon float64) (bool, error) {
-	solverIters := sc.Counter("sched.rta.solver.iterations")
+	var iters int64
+	defer func() { mSolverIterations.On(sc).Add(iters) }()
 	for _, tk := range inflated {
 		for d := tk.Deadline(); d <= horizon; d += tk.T {
 			if err := g.Tick(); err != nil {
 				return false, err
 			}
-			solverIters.Inc()
+			iters++
 			demand := npr.DemandBound(inflated, d)
 			if demand+edfBlocking(inflated, cp, d) > d+1e-9 {
 				return false, nil
@@ -228,7 +229,8 @@ func edfBlocking(inflated task.Set, cp []float64, d float64) float64 {
 // violation-free and every other point is checked with the enumeration's
 // exact predicate, so the verdict is identical.
 func edfDemandQPA(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64, pts []float64) (bool, error) {
-	solverIters := sc.Counter("sched.rta.solver.iterations")
+	var iters int64
+	defer func() { mSolverIterations.On(sc).Add(iters) }()
 	var dmax float64
 	for _, tk := range inflated {
 		if d := tk.Deadline(); d > dmax {
@@ -242,7 +244,7 @@ func edfDemandQPA(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64, 
 		if err := g.Tick(); err != nil {
 			return false, err
 		}
-		solverIters.Inc()
+		iters++
 		demand := npr.DemandBound(inflated, t)
 		if demand > t+1e-9 {
 			return false, nil
@@ -256,7 +258,7 @@ func edfDemandQPA(g *guard.Ctx, sc *obs.Scope, inflated task.Set, cp []float64, 
 		if err := g.Tick(); err != nil {
 			return false, err
 		}
-		solverIters.Inc()
+		iters++
 		d := pts[k]
 		demand := npr.DemandBound(inflated, d)
 		if demand+edfBlocking(inflated, cp, d) > d+1e-9 {

@@ -93,7 +93,7 @@ func writeErr(w http.ResponseWriter, err error) {
 // rather than endpoints (recovered analysis panics).
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	if errors.Is(err, guard.ErrPanic) {
-		s.sc.Counter("server.panics_recovered").Inc()
+		mPanics.On(s.sc).Inc()
 	}
 	writeErr(w, err)
 }

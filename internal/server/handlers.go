@@ -152,15 +152,15 @@ func (s *Server) reqGuard(r *http.Request, defBudget int64) (*guard.Ctx, context
 // release func is non-nil exactly when admission succeeded.
 func (s *Server) admitAnalyze() (func(), error) {
 	if s.draining.Load() || !s.ready.Load() {
-		s.sc.Counter("server.shed").Inc()
+		mShed.On(s.sc).Inc()
 		return nil, guard.Overloadf("server: draining, not admitting requests")
 	}
 	select {
 	case s.analyzeSem <- struct{}{}:
-		s.sc.Counter("server.admitted").Inc()
+		mAdmitted.On(s.sc).Inc()
 		return func() { <-s.analyzeSem }, nil
 	default:
-		s.sc.Counter("server.rejected").Inc()
+		mRejected.On(s.sc).Inc()
 		return nil, guard.Overloadf("server: analyze concurrency limit (%d) saturated", cap(s.analyzeSem))
 	}
 }

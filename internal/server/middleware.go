@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"fnpr/internal/guard"
@@ -39,9 +40,15 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // request's programming error never takes the process down or leaks into
 // another request.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.Handler {
-	requests := s.sc.Counter("server." + name + ".requests")
-	inflight := s.sc.Gauge("server." + name + ".inflight")
-	latency := s.sc.Histogram("server." + name + ".latency_ns")
+	requests := s.sc.Counter(mRouteRequests.Expand(name))
+	inflight := s.sc.Gauge(mRouteInflight.Expand(name))
+	latency := s.sc.Histogram(mRouteLatency.Expand(name))
+	// Status-class names are built here; each class's counter is created
+	// by the first response of that class.
+	var status [10]string
+	for c := range status {
+		status[c] = mRouteStatus.Expand(name, strconv.Itoa(c))
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		inflight.Add(1)
@@ -49,13 +56,13 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.Handler {
 		rec := &statusRecorder{ResponseWriter: w}
 		defer func() {
 			if p := recover(); p != nil {
-				s.sc.Counter("server.panics_recovered").Inc()
+				mPanics.On(s.sc).Inc()
 				if !rec.wrote {
 					writeErr(rec, fmt.Errorf("handler %s: %w: %v", name, guard.ErrPanic, p))
 				}
 			}
 			latency.Observe(time.Since(start).Nanoseconds())
-			s.sc.Counter(fmt.Sprintf("server.%s.status.%dxx", name, rec.status/100)).Inc()
+			s.sc.Counter(status[rec.status/100]).Inc()
 			inflight.Add(-1)
 		}()
 		h(rec, r)

@@ -43,10 +43,10 @@ func (s *Server) recoverStore() error {
 			s.idem[j.idemKey] = j.id
 		}
 		if r.terminal() {
-			s.sc.Counter("server.jobs.reloaded").Inc()
+			mJobsReloaded.On(s.sc).Inc()
 			continue
 		}
-		s.sc.Counter("server.jobs.recovered").Inc()
+		mJobsRecovered.On(s.sc).Inc()
 		pending = append(pending, j)
 	}
 	s.mu.Unlock()
@@ -125,7 +125,7 @@ func (s *Server) enqueueRecovered(jobs []*job) {
 			}
 			select {
 			case s.queue <- j:
-				s.sc.Gauge("server.queue.depth").Add(1)
+				mQueueDepth.On(s.sc).Add(1)
 				s.mu.Unlock()
 			default:
 				s.mu.Unlock()

@@ -241,8 +241,8 @@ func New(cfg Config) *Server {
 // The server runs until Shutdown or Close.
 func (s *Server) Start() error {
 	obs.Enable()
-	s.sc.Gauge("server.queue.capacity").Set(float64(s.cfg.QueueCap))
-	s.sc.Gauge("server.workers").Set(float64(s.cfg.Workers))
+	mQueueCapacity.On(s.sc).Set(float64(s.cfg.QueueCap))
+	mWorkers.On(s.sc).Set(float64(s.cfg.Workers))
 	if err := s.recoverStore(); err != nil {
 		return err
 	}
@@ -361,7 +361,7 @@ func (s *Server) submit(j *job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.qclosed || s.draining.Load() {
-		s.sc.Counter("server.shed").Inc()
+		mShed.On(s.sc).Inc()
 		return guard.Overloadf("server: draining, not admitting campaigns")
 	}
 	if j.idemKey != "" {
@@ -371,14 +371,14 @@ func (s *Server) submit(j *job) error {
 				return guard.Invalidf("server: Idempotency-Key already used by job %s with different parameters", id)
 			}
 			if ok {
-				s.sc.Counter("server.jobs.deduplicated").Inc()
+				mJobsDedup.On(s.sc).Inc()
 				j.existing = prev
 				return nil
 			}
 		}
 	}
 	if len(s.queue) == cap(s.queue) {
-		s.sc.Counter("server.rejected").Inc()
+		mRejected.On(s.sc).Inc()
 		return guard.Overloadf("server: campaign queue full (%d queued)", s.cfg.QueueCap)
 	}
 	s.evictLocked(time.Now())
@@ -394,7 +394,7 @@ func (s *Server) submit(j *job) error {
 	}
 	if s.store != nil {
 		if err := s.store.record(j.rec()); err != nil {
-			s.sc.Counter("server.store.errors").Inc()
+			mStoreErrors.On(s.sc).Inc()
 			return err
 		}
 	}
@@ -403,8 +403,8 @@ func (s *Server) submit(j *job) error {
 	if j.idemKey != "" {
 		s.idem[j.idemKey] = j.id
 	}
-	s.sc.Counter("server.admitted").Inc()
-	s.sc.Gauge("server.queue.depth").Add(1)
+	mAdmitted.On(s.sc).Inc()
+	mQueueDepth.On(s.sc).Add(1)
 	return nil
 }
 
@@ -433,12 +433,12 @@ func (s *Server) evictLocked(now time.Time) {
 		if c.j.idemKey != "" && s.idem[c.j.idemKey] == c.j.id {
 			delete(s.idem, c.j.idemKey)
 		}
-		s.sc.Counter("server.jobs.evicted").Inc()
+		mJobsEvicted.On(s.sc).Inc()
 		if s.store != nil {
 			if err := s.store.record(jobRecord{
 				ID: c.j.id, Kind: c.j.kind, State: jobEvicted, Fingerprint: c.j.fingerprint,
 			}); err != nil {
-				s.sc.Counter("server.store.errors").Inc()
+				mStoreErrors.On(s.sc).Inc()
 			}
 		}
 	}
@@ -468,7 +468,7 @@ func (s *Server) jobByID(id string) (*job, bool) {
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for j := range s.queue {
-		s.sc.Gauge("server.queue.depth").Add(-1)
+		mQueueDepth.On(s.sc).Add(-1)
 		s.runJob(j)
 	}
 }
@@ -481,7 +481,7 @@ func (s *Server) worker() {
 // failure is counted (server.store.errors), never silent, and does not take
 // the in-memory job down with it.
 func (s *Server) runJob(j *job) {
-	running := s.sc.Gauge("server.jobs.running")
+	running := mJobsRunning.On(s.sc)
 	running.Add(1)
 	defer running.Add(-1)
 	j.setState(jobRunning)
@@ -518,7 +518,7 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	if errors.Is(err, guard.ErrPanic) {
-		s.sc.Counter("server.panics_recovered").Inc()
+		mPanics.On(s.sc).Inc()
 	}
 	j.finish(sanitizeResult(res), err)
 	s.persist(j)
@@ -532,6 +532,6 @@ func (s *Server) persist(j *job) {
 		return
 	}
 	if err := s.store.record(j.rec()); err != nil {
-		s.sc.Counter("server.store.errors").Inc()
+		mStoreErrors.On(s.sc).Inc()
 	}
 }
