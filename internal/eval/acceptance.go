@@ -278,9 +278,11 @@ func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, tri
 		}
 		fns[i+1] = &w.curves[i+1]
 	}
+	// The analyses count into the campaign's scope, which p.Obs overrides.
+	sc := p.scope(g)
 	// No-delay envelope first: its response times seed the others.
 	var ndRTs []float64
-	nd, err := sched.Analyze(g, ts, sched.Options{Delay: w.none[:len(ts)], Method: sched.Algorithm1})
+	nd, err := sched.Analyze(g, ts, sched.Options{Obs: sc, Delay: w.none[:len(ts)], Method: sched.Algorithm1})
 	if err == nil {
 		v.admit[3] = nd.Schedulable
 		ndRTs = nd.Response
@@ -288,14 +290,14 @@ func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, tri
 		return v, err
 	}
 	var a1RTs []float64
-	a1, err := sched.Analyze(g, ts, sched.Options{Delay: fns, Method: sched.Algorithm1, Warm: ndRTs})
+	a1, err := sched.Analyze(g, ts, sched.Options{Obs: sc, Delay: fns, Method: sched.Algorithm1, Warm: ndRTs})
 	if err == nil {
 		v.admit[0] = a1.Schedulable
 		a1RTs = a1.Response
 	} else if guard.Abortive(err) {
 		return v, err
 	}
-	if lim, err := sched.Analyze(g, ts, sched.Options{Delay: fns, Method: sched.Algorithm1, Limited: true, Warm: ndRTs}); err == nil {
+	if lim, err := sched.Analyze(g, ts, sched.Options{Obs: sc, Delay: fns, Method: sched.Algorithm1, Limited: true, Warm: ndRTs}); err == nil {
 		v.admit[1] = lim.Schedulable
 	} else if guard.Abortive(err) {
 		return v, err
@@ -304,7 +306,7 @@ func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, tri
 	if a1RTs != nil {
 		e4Warm = a1RTs // Algorithm 1 lower-bounds Equation 4
 	}
-	if e4, err := sched.Analyze(g, ts, sched.Options{Delay: fns, Method: sched.Equation4, Warm: e4Warm}); err == nil {
+	if e4, err := sched.Analyze(g, ts, sched.Options{Obs: sc, Delay: fns, Method: sched.Equation4, Warm: e4Warm}); err == nil {
 		v.admit[2] = e4.Schedulable
 	} else if guard.Abortive(err) {
 		return v, err

@@ -105,11 +105,11 @@ func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, ex *exact.Explor
 		if err != nil {
 			return cell, fmt.Errorf("eval: atlas %s Q=%g trial %d: %w", name, q, trial, err)
 		}
-		alg1, err := core.Analyze(g, f, q, core.Options{})
+		alg1, err := core.Analyze(g, f, q, core.Options{Obs: sc})
 		if err != nil {
 			return cell, err
 		}
-		eq4, err := core.Analyze(g, f, q, core.Options{Method: core.Equation4})
+		eq4, err := core.Analyze(g, f, q, core.Options{Method: core.Equation4, Obs: sc})
 		if err != nil {
 			return cell, err
 		}

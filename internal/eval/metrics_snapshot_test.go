@@ -81,3 +81,46 @@ func TestMetricSnapshotsPinned(t *testing.T) {
 		t.Fatalf("metric snapshots drifted from %s\ngolden:\n%s\ngot:\n%s", golden, want, got)
 	}
 }
+
+// TestCampaignObsMatchesGuardScope: a campaign whose scope comes from its
+// params (p.Obs) and not from the guard reports every metric, the analyses'
+// core.* and sched.* counters included, exactly as one run under a guard
+// that carries the scope.
+func TestCampaignObsMatchesGuardScope(t *testing.T) {
+	campaigns := []struct {
+		name     string
+		analyses []string // metric prefixes the campaign's analyses report
+		run      func(g *guard.Ctx, sc *obs.Scope) error
+	}{
+		{"acceptance", []string{"core.", "sched."}, func(g *guard.Ctx, sc *obs.Scope) error {
+			p := DefaultAcceptanceParams()
+			p.SetsPerPoint, p.UEnd, p.Workers, p.Obs = 10, 0.80, 1, sc
+			_, err := Acceptance(g, p)
+			return err
+		}},
+		{"atlas", []string{"core."}, func(g *guard.Ctx, sc *obs.Scope) error {
+			p := DefaultAtlasParams()
+			p.FuncsPerCell, p.Workers, p.Obs = 5, 1, sc
+			_, err := Atlas(g, p)
+			return err
+		}},
+	}
+	for _, c := range campaigns {
+		onGuard, onParams := obs.NewRegistry(), obs.NewRegistry()
+		if err := c.run(guard.New(context.Background()).WithObs(obs.NewScope(onGuard)), nil); err != nil {
+			t.Fatalf("%s, guard scope: %v", c.name, err)
+		}
+		if err := c.run(guard.New(context.Background()), obs.NewScope(onParams)); err != nil {
+			t.Fatalf("%s, params scope: %v", c.name, err)
+		}
+		want, got := snapshotText(onGuard.Snapshot()), snapshotText(onParams.Snapshot())
+		if got != want {
+			t.Fatalf("%s: metrics with p.Obs alone differ from the guard scope's\nguard scope:\n%s\np.Obs:\n%s", c.name, want, got)
+		}
+		for _, prefix := range c.analyses {
+			if !strings.Contains(got, "counter "+prefix) {
+				t.Fatalf("%s: no %s* counter reported", c.name, prefix)
+			}
+		}
+	}
+}

@@ -181,11 +181,18 @@ func RequestBound(ts task.Set, i int, t float64) float64 {
 // deadlines even without blocking.
 //
 // The points are merged from one cursor per higher-priority task (no point
-// list is built), and the level-i sweep runs under the guard scope g
-// (nil = no limits), charging one guard step per scheduling point.
+// list is built). Each level starts from the slack at Di and skips the
+// points that cannot raise it (see skipPoints), so only some points are
+// evaluated, yet β is the maximum over all of them bit for bit. The
+// level-i sweep runs under the guard scope g (nil = no limits), charging
+// one guard step per evaluated point and, per skip, one per point of its
+// longest cursor run: never more than one per scheduling point.
 func FPBlockingTolerance(g *guard.Ctx, ts task.Set) ([]float64, error) {
 	return fpBlockingTolerance(g, ts, len(ts))
 }
+
+// fpCursorBuf is how many cursors fpBlockingTolerance keeps on the stack.
+const fpCursorBuf = 16
 
 // fpBlockingTolerance validates the whole set and sweeps the tolerances of
 // its first n tasks only. AssignQ and ValidateQ pass n = len(ts) - 1: under
@@ -203,32 +210,83 @@ func fpBlockingTolerance(g *guard.Ctx, ts task.Set, n int) ([]float64, error) {
 	// len(ts) provable, and the hot loops free of bounds checks.
 	ts = ts[:n]
 	out := make([]float64, len(ts))
-	next := make([]float64, len(ts))
+	var buf [fpCursorBuf]float64
+	next := buf[:]
+	if len(ts) > fpCursorBuf {
+		next = make([]float64, len(ts))
+	}
 	for i, tk := range ts {
 		limit := tk.Deadline()
+		// Di first: its slack seeds best, so the skip can pass over every
+		// point below it that cannot do better.
+		if err := g.Tick(); err != nil {
+			return nil, err
+		}
+		best := limit - RequestBound(ts, i, limit)
 		hp := next[:i]
 		for j := range hp {
 			hp[j] = ts[j].T
 		}
-		best := math.Inf(-1)
-		for {
-			t := mergeNext(ts, hp)
-			if t >= limit {
-				t = limit
-			}
+		for t := mergeNext(ts, hp); t < limit; t = mergeNext(ts, hp) {
 			if err := g.Tick(); err != nil {
 				return nil, err
 			}
-			if s := t - RequestBound(ts, i, t); s > best {
+			w := RequestBound(ts, i, t)
+			if s := t - w; s > best {
 				best = s
 			}
-			if t == limit {
-				break
+			if err := skipPoints(g, ts, hp, limit, w, best); err != nil {
+				return nil, err
 			}
 		}
 		out[i] = best
 	}
 	return out, nil
+}
+
+// skipTickBatch is how many skipped points skipPoints charges to the guard
+// at once, so a long run is polled about as often as the merge polled it.
+const skipTickBatch = 256
+
+// skipPoints advances every cursor of the level sweep past the points
+// whose slack cannot exceed best, given w = Wi(a) at the point a just
+// evaluated. All pending points t lie above a, and the float request bound
+// is non-decreasing in t (every term is a monotone float operation), so
+// fl(t − Wi(t)) ≤ fl(t − w); a point with t − w ≤ best therefore cannot
+// raise best, and skipping it leaves β unchanged. Each cursor stops at its
+// first point that might (t − w > best, which holds for all its later points
+// too) or at its first point at or past the deadline, which the sweep never
+// evaluates. A skipped cursor keeps accumulating by += Tj, so every point
+// still visited has the value the full merge gives it.
+//
+// The points skipped are distinct scheduling points below the next one
+// evaluated, so the longest cursor run is at most as many points as the
+// merge would have ticked for. skipPoints charges g that many steps, in
+// batches as the run grows, so a budget, a deadline or a cancellation stops
+// a long run; a cursor whose period no longer moves it (t + Tj == t) spins
+// here as it spun in the merge, stopped only by the guard.
+func skipPoints(g *guard.Ctx, ts task.Set, next []float64, limit, w, best float64) error {
+	var charged int64 // the longest run so far
+	for j, t := range next {
+		var n int64
+		for t < limit && t-w <= best {
+			t += ts[j].T
+			if n++; n-charged == skipTickBatch {
+				if err := g.TickN(skipTickBatch); err != nil {
+					return err
+				}
+				charged = n
+			}
+		}
+		next[j] = t
+		if n > charged {
+			if err := g.TickN(n - charged); err != nil {
+				return err
+			}
+			charged = n
+		}
+	}
+	return nil
 }
 
 // Policy selects the scheduling policy Q is derived for.
