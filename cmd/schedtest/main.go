@@ -26,7 +26,6 @@ import (
 	"fnpr/internal/cli"
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
-	"fnpr/internal/npr"
 	"fnpr/internal/sched"
 	"fnpr/internal/sim"
 	"fnpr/internal/spec"
@@ -52,23 +51,13 @@ func main() {
 	if *specPath == "" {
 		fatal(cli.Usagef("missing -spec (or use -example)"))
 	}
-	p, err := spec.LoadFile(*specPath)
+	p, err := spec.LoadFile(g, *specPath)
 	if err != nil {
 		fatal(err)
 	}
 	if *assignQ {
-		policy := npr.FixedPriority
-		if p.Policy == "edf" {
-			policy = npr.EDF
-		}
-		qs, err := npr.AssignQCtx(g, p.Tasks, policy)
-		if err != nil {
+		if err := p.AssignQ(g); err != nil {
 			fatal(err)
-		}
-		for i := range p.Tasks {
-			if p.Tasks[i].Q == 0 {
-				p.Tasks[i].Q = qs[i].Q
-			}
 		}
 	}
 

@@ -2,7 +2,7 @@
 // defined by programs rather than hand-written delay functions:
 //
 //	CFGs + memory accesses
-//	  -> loop collapsing, execution intervals, WCET     (cfg, wcet)
+//	  -> loop collapsing, execution intervals, WCET     (cfg)
 //	  -> UCB/ECB cache analysis, CRPD per block          (cache)
 //	  -> preemption delay functions fi(t)                (delay)
 //	  -> floating NPR lengths Qi from blocking tolerance (npr)

@@ -14,8 +14,8 @@ import (
 //
 //   - Must analysis: upper bounds on ages; a line with bounded age < Assoc is
 //     GUARANTEED to be cached — the basis for classifying memory accesses as
-//     always-hit, which the cache-aware WCET estimation of package wcet uses
-//     to derive per-block execution intervals.
+//     always-hit, from which a cache-aware WCET estimation derives per-block
+//     execution intervals.
 //
 //   - May analysis: lower bounds on ages; a line absent from the may state is
 //     GUARANTEED NOT cached — usable to classify always-miss and to tighten

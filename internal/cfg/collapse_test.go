@@ -37,6 +37,53 @@ func TestCollapseSimpleLoop(t *testing.T) {
 	}
 }
 
+// collapseAndAnalyze is the task-level estimate: CollapseLoops, then
+// AnalyzeOffsets on the loop-free result.
+func collapseAndAnalyze(g *Graph) (*Offsets, error) {
+	col, err := g.CollapseLoops()
+	if err != nil {
+		return nil, err
+	}
+	return col.Graph.AnalyzeOffsets()
+}
+
+func TestCollapseAnalyzeFigure1(t *testing.T) {
+	o, err := collapseAndAnalyze(Figure1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.BCET != 80 || o.WCET != 205 {
+		t.Fatalf("estimate = [%g,%g], want [80,205]", o.BCET, o.WCET)
+	}
+}
+
+func TestCollapseAnalyzeWithLoop(t *testing.T) {
+	o, err := collapseAndAnalyze(SimpleLoop(Bound{Min: 1, Max: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// entry [1,2] + loop [4,18] + exit [2,2].
+	if o.BCET != 7 || o.WCET != 22 {
+		t.Fatalf("estimate = [%g,%g], want [7,22]", o.BCET, o.WCET)
+	}
+}
+
+func TestCollapseAnalyzeIrreducible(t *testing.T) {
+	g := New()
+	e := g.AddSimple("e", 1, 1)
+	a := g.AddSimple("a", 1, 1)
+	b := g.AddSimple("b", 1, 1)
+	x := g.AddSimple("x", 1, 1)
+	g.MustEdge(e, a)
+	g.MustEdge(e, b)
+	g.MustEdge(a, b)
+	g.MustEdge(b, a)
+	g.MustEdge(a, x)
+	if _, err := collapseAndAnalyze(g); err == nil {
+		t.Fatal("accepted irreducible graph")
+	}
+}
+
 func TestCollapseZeroMinIterations(t *testing.T) {
 	g := SimpleLoop(Bound{Min: 0, Max: 2})
 	col, err := g.CollapseLoops()

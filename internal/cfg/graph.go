@@ -42,7 +42,7 @@ type Block struct {
 
 	// EMin and EMax bound the execution time of one traversal of the
 	// block in isolation (no preemption). They come from a WCET tool in a
-	// real flow; here from package wcet or from test fixtures.
+	// real flow; here from the program generators or test fixtures.
 	EMin, EMax float64
 
 	// Call names a function invoked by this block, or "" for none. Calls

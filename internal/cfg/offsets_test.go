@@ -1,6 +1,8 @@
 package cfg
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -253,6 +255,137 @@ func TestWindowBoundsFinite(t *testing.T) {
 		lo, hi := o.Window(BlockID(id))
 		if math.IsInf(lo, 0) || math.IsInf(hi, 0) || lo > hi {
 			t.Fatalf("block %d window [%g,%g] invalid", id, lo, hi)
+		}
+	}
+}
+
+// enumeratePaths lists every entry-to-exit path of an acyclic graph by block
+// ID, up to maxPaths: the path-enumeration oracle of AnalyzeOffsets' BCET
+// and WCET, usable on small graphs only.
+func enumeratePaths(g *Graph, maxPaths int) ([][]BlockID, error) {
+	if !g.IsAcyclic() {
+		return nil, errors.New("path enumeration requires an acyclic graph")
+	}
+	var out [][]BlockID
+	var cur []BlockID
+	var walk func(BlockID) error
+	walk = func(b BlockID) error {
+		cur = append(cur, b)
+		defer func() { cur = cur[:len(cur)-1] }()
+		if len(g.Succs(b)) == 0 {
+			if len(out) >= maxPaths {
+				return fmt.Errorf("more than %d paths", maxPaths)
+			}
+			out = append(out, append([]BlockID(nil), cur...))
+			return nil
+		}
+		for _, s := range g.Succs(b) {
+			if err := walk(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(g.Entry()); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// pathTime is the [min, max] execution time of one path: the sum of its
+// blocks' intervals.
+func pathTime(g *Graph, p []BlockID) (lo, hi float64) {
+	for _, b := range p {
+		lo += g.Block(b).EMin
+		hi += g.Block(b).EMax
+	}
+	return lo, hi
+}
+
+// exhaustiveBounds is [BCET, WCET] over every path enumeratePaths lists.
+func exhaustiveBounds(g *Graph) (bcet, wcet float64, err error) {
+	paths, err := enumeratePaths(g, 1<<20)
+	if err != nil {
+		return 0, 0, err
+	}
+	bcet, wcet = math.Inf(1), math.Inf(-1)
+	for _, p := range paths {
+		lo, hi := pathTime(g, p)
+		bcet, wcet = math.Min(bcet, lo), math.Max(wcet, hi)
+	}
+	return bcet, wcet, nil
+}
+
+func TestEnumeratePathsDiamond(t *testing.T) {
+	g := Diamond([2]float64{1, 1}, [2]float64{2, 3}, [2]float64{4, 5}, [2]float64{1, 1})
+	paths, err := enumeratePaths(g, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 2 {
+		t.Fatalf("paths = %d, want 2", len(paths))
+	}
+	for _, p := range paths {
+		if len(p) != 3 {
+			t.Fatalf("path length %d, want 3", len(p))
+		}
+	}
+}
+
+func TestEnumeratePathsRejectsCycles(t *testing.T) {
+	if _, err := enumeratePaths(SimpleLoop(Bound{Min: 1, Max: 2}), 1<<20); err == nil {
+		t.Fatal("accepted cyclic graph")
+	}
+}
+
+func TestPathTime(t *testing.T) {
+	g := Diamond([2]float64{1, 1}, [2]float64{2, 3}, [2]float64{4, 5}, [2]float64{1, 1})
+	lo, hi := pathTime(g, []BlockID{0, 1, 3})
+	if lo != 4 || hi != 5 {
+		t.Fatalf("path time = [%g,%g], want [4,5]", lo, hi)
+	}
+}
+
+func TestExhaustiveBoundsDiamond(t *testing.T) {
+	g := Diamond([2]float64{1, 1}, [2]float64{2, 3}, [2]float64{4, 5}, [2]float64{1, 1})
+	bcet, wcet, err := exhaustiveBounds(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bcet != 4 || wcet != 7 {
+		t.Fatalf("bounds = [%g,%g], want [4,7]", bcet, wcet)
+	}
+}
+
+// Property: on random DAGs, the interval analysis agrees exactly with
+// exhaustive path enumeration.
+func TestAnalysisMatchesExhaustive(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + r.Intn(10)
+		g := New()
+		ids := make([]BlockID, n)
+		for i := 0; i < n; i++ {
+			emin := float64(r.Intn(10) + 1)
+			ids[i] = g.AddSimple("", emin, emin+float64(r.Intn(10)))
+		}
+		for i := 1; i < n; i++ {
+			k := 1 + r.Intn(2)
+			for j := 0; j < k; j++ {
+				g.MustEdge(ids[r.Intn(i)], ids[i])
+			}
+		}
+		o, err := g.AnalyzeOffsets()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		bcet, wcet, err := exhaustiveBounds(g)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if o.BCET != bcet || o.WCET != wcet {
+			t.Fatalf("trial %d: analysis [%g,%g] != exhaustive [%g,%g]",
+				trial, o.BCET, o.WCET, bcet, wcet)
 		}
 	}
 }

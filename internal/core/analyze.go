@@ -75,10 +75,6 @@ type Options struct {
 	// else computes as usual. Build the cache with NewResultCache so it can
 	// persist across runs.
 	Memo *memo.Cache
-
-	// buf, when non-nil with Trace set, receives the iteration records in
-	// place of a fresh slice — the Walker reuse hook.
-	buf *[]Iteration
 }
 
 // Analyze is the single entry point of this package: it computes the selected
@@ -94,7 +90,7 @@ type Options struct {
 // request was analyzed before; hits are bit-identical to a fresh computation
 // and marked Result.Cached. See memo.go.
 func Analyze(g *guard.Ctx, f delay.Function, q float64, opts Options) (Result, error) {
-	if opts.Memo != nil && !opts.Trace && opts.buf == nil {
+	if opts.Memo != nil && !opts.Trace {
 		if key, verify, ok := memoKeyFor(f, q, opts); ok {
 			if v, hit := opts.Memo.Get(key, verify); hit {
 				res := v.(Result)
@@ -162,14 +158,11 @@ func analyze(g *guard.Ctx, f delay.Function, q float64, opts Options) (Result, e
 // the stack.
 const limitChargeBuf = 32
 
-// traceBuf returns the iteration destination: the Walker's reusable buffer,
-// a fresh slice for Trace, or nil for the allocation-free walk.
+// traceBuf returns the iteration destination: a fresh slice for Trace, or
+// nil for the allocation-free walk.
 func (o Options) traceBuf() *[]Iteration {
 	if !o.Trace {
 		return nil
-	}
-	if o.buf != nil {
-		return o.buf
 	}
 	return new([]Iteration)
 }

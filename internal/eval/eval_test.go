@@ -1,12 +1,17 @@
 package eval
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"fnpr/internal/delay"
+	"fnpr/internal/guard"
 	"fnpr/internal/obs"
+	"fnpr/internal/textplot"
 )
 
 func TestFigure4Shape(t *testing.T) {
@@ -95,30 +100,57 @@ func TestFigure5SOAConstantAcrossFunctions(t *testing.T) {
 	}
 }
 
-// TestFigure5CountersDeterministicAcrossWorkers: the work counters of a
-// parallel Figure 5 sweep are a function of the input alone, not of worker
-// scheduling, so they can be gated exactly.
+// TestFigure5CountersDeterministicAcrossWorkers: the table, the work
+// counters and the guard's step count of a Figure 5 sweep are a function of
+// the input alone, not of the worker count or scheduling, so they can be
+// gated exactly. The budgeted runs leave room for every lane's unspent
+// lease (at most 255 steps each), so no worker count trips it.
 func TestFigure5CountersDeterministicAcrossWorkers(t *testing.T) {
 	obs.Enable()
 	def := obs.Default()
 	rechecks, bisections := def.Counter("delay.index.rechecks"), def.Counter("delay.index.bisections")
-	type counts struct{ rechecks, bisections, iterations int64 }
-	var first counts
-	for run := 0; run < 3; run++ {
+	type run struct {
+		rechecks, bisections, iterations, steps int64
+		table                                   *textplot.Table
+	}
+	sweep := func(g *guard.Ctx, workers int) run {
 		reg := obs.NewRegistry()
 		r0, b0 := rechecks.Value(), bisections.Value()
-		if _, err := Figure5(nil, delay.LiteralParams(), SweepOptions{Workers: 2, Obs: obs.NewScope(reg)}); err != nil {
-			t.Fatal(err)
+		tbl, err := Figure5(g, delay.LiteralParams(), SweepOptions{Workers: workers, Obs: obs.NewScope(reg)})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		got := counts{rechecks.Value() - r0, bisections.Value() - b0, reg.Counter("core.alg1.iterations").Value()}
-		if got.rechecks == 0 || got.bisections == 0 || got.iterations == 0 {
-			t.Fatalf("run %d: counters did not move: %+v", run, got)
+		got := run{rechecks.Value() - r0, bisections.Value() - b0, reg.Counter("core.alg1.iterations").Value(), g.Steps(), tbl}
+		if got.rechecks == 0 || got.bisections == 0 || got.iterations == 0 || got.steps == 0 {
+			t.Fatalf("workers=%d: counters did not move: %+v", workers, got)
 		}
-		if run == 0 {
-			first = got
-		} else if got != first {
-			t.Fatalf("run %d: counters %+v, run 0 read %+v", run, got, first)
+		return got
+	}
+	first := sweep(guard.New(context.Background()), 2)
+	for _, workers := range []int{1, 2, 4} {
+		got := sweep(guard.New(context.Background()).WithBudget(first.steps+4*256), workers)
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("workers=%d: %+v, the unbudgeted run read %+v", workers, got, first)
 		}
+	}
+
+	// A point's own budget error, raised while lanes hold leases up to the
+	// sweep's budget, degrades that point; only a tick past the budget
+	// aborts the sweep.
+	g := guard.New(context.Background()).WithBudget(300)
+	fatal := sweepFatal(g)
+	a, b := g.Lane(), g.Lane()
+	if err := errors.Join(a.Tick(), b.Tick()); err != nil {
+		t.Fatal(err)
+	}
+	if g.Remaining() != 0 {
+		t.Fatalf("leases left %d steps of the budget, want none", g.Remaining())
+	}
+	if own := guard.Budgetf("eval: point's own limit"); fatal(own) {
+		t.Fatal("a point's own budget error aborts the sweep while lanes merely hold leases")
+	}
+	if err := b.TickN(300); !errors.Is(err, guard.ErrBudgetExceeded) || !fatal(err) {
+		t.Fatalf("tick past the budget: err = %v, fatal = %v, want a fatal ErrBudgetExceeded", err, fatal(err))
 	}
 }
 

@@ -15,10 +15,6 @@ var (
 	mPointsQuarantine = obs.NewCounter("sweep.points.quarantined", "points", "sweep points whose fallback failed too")
 	mPointsRestored   = obs.NewCounter("sweep.points.restored", "points", "sweep points restored from the journal")
 	mPointNs          = obs.NewHistogram("sweep.point.ns", "ns", "wall time per grid point")
-	mWorkerBusyNs     = obs.NewHistogram("sweep.worker.busy_ns", "ns", "time a sweep worker spent on points (one observation per worker)")
-	mWorkerWaitNs     = obs.NewHistogram("sweep.worker.wait_ns", "ns", "time a sweep worker waited for points (one observation per worker)")
-	mWorkerPoints     = obs.NewHistogram("sweep.worker.points", "points", "points one sweep worker analysed (one observation per worker)")
-	mWorkerUtil       = obs.NewHistogram("sweep.worker.utilization_pct", "%", "busy share of one sweep worker (one observation per worker)")
 	mSetReused        = obs.NewCounter("sweep.analyzeset.reused", "points", "task-set sweep points reused from the previous result")
 	mSetRecomputed    = obs.NewCounter("sweep.analyzeset.recomputed", "points", "task-set sweep points recomputed")
 )

@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"fnpr/internal/core"
@@ -335,7 +334,7 @@ type SweepOptions struct {
 
 	// Obs is the observability scope the sweep reports into: progress
 	// events (SweepStarted, PointDone, PointDegraded, PointQuarantined,
-	// SweepResumed, SweepFinished), per-worker utilisation and the
+	// SweepResumed, SweepFinished), the per-point wall time and the
 	// ladder-transition counters (DESIGN.md §10).
 	// When nil the guard's attached scope is used; a nil scope collects
 	// nothing and costs nothing beyond a few nil checks.
@@ -366,8 +365,9 @@ type gridMeta struct {
 }
 
 // QSweep evaluates the Algorithm 1 bound of every spec at every Q of
-// opts.Qs on a pool of worker goroutines sharing one guard scope:
-// cancellation, deadline and step budget are global to the sweep.
+// opts.Qs on the campaigns' worker pool (runPool), grid point i being spec
+// i/len(Qs) at Q i%len(Qs). Each worker charges g through its own lane, so
+// cancellation, deadline and step budget stay global to the sweep.
 //
 // Each grid point walks the degradation ladder documented on SweepPoint:
 // primary analysis, Equation 4 fallback, quarantine — every rung under its
@@ -435,184 +435,94 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 	}
 	mSweepWorkers.On(sc).Set(float64(workers))
 
-	type job struct{ si, qi int }
-	jobs := make(chan job)
 	results := make([]SweepResult, len(specs))
 	for i, s := range specs {
 		results[i] = SweepResult{Name: s.Name, Points: make([]SweepPoint, len(qs))}
 	}
-
-	var (
-		mu       sync.Mutex
-		abortErr error
-	)
-	abort := func(err error) {
-		mu.Lock()
-		if abortErr == nil {
-			abortErr = err
-		}
-		mu.Unlock()
-	}
-	aborted := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return abortErr != nil
-	}
-	// fatal classifies errors that must stop the whole sweep: a caller
-	// abort, or exhaustion of the sweep's own shared budget (once it is
-	// gone, every remaining point would fail the same way).
-	fatal := func(err error) bool {
-		if guard.Abortive(err) {
-			return true
-		}
-		return errors.Is(err, guard.ErrBudgetExceeded) && g.Remaining() == 0
-	}
-	// checkpoint appends the completed point to the journal. A journal
-	// write failure is sweep-fatal: continuing would break the crash-
-	// safety contract the caller asked for.
-	checkpoint := func(jb job, pt *SweepPoint) {
-		if opts.Journal == nil {
-			return
-		}
-		key := gridKey(specs[jb.si].Name, jb.qi, qs[jb.qi])
-		if err := opts.Journal.Append(key, *pt); err != nil {
-			abort(err)
-		}
-	}
+	fatal := sweepFatal(g)
 	// finish settles a point: ladder counters, the point's progress events
 	// and the checkpoint write. Every rung of the ladder funnels through
-	// here exactly once per point.
-	finish := func(jb job, pt *SweepPoint, restored bool) {
+	// here exactly once per point. A journal write failure is sweep-fatal:
+	// continuing would break the crash-safety contract the caller asked for.
+	finish := func(si, qi int, pt *SweepPoint, restored bool) error {
 		pt.Done = true
 		switch {
 		case restored:
 			mPointsRestored.On(sc).Inc()
 		case pt.Quarantined:
 			mPointsQuarantine.On(sc).Inc()
-			sc.Emit(obs.Event{Type: obs.PointQuarantined, Spec: results[jb.si].Name, Q: pt.Q, Code: pt.Code(), Err: pt.Note})
+			sc.Emit(obs.Event{Type: obs.PointQuarantined, Spec: results[si].Name, Q: pt.Q, Code: pt.Code(), Err: pt.Note})
 		case pt.Degraded:
 			mPointsDegraded.On(sc).Inc()
-			sc.Emit(obs.Event{Type: obs.PointDegraded, Spec: results[jb.si].Name, Q: pt.Q, Code: pt.Code(), Err: pt.Note})
+			sc.Emit(obs.Event{Type: obs.PointDegraded, Spec: results[si].Name, Q: pt.Q, Code: pt.Code(), Err: pt.Note})
 		default:
 			mPointsClean.On(sc).Inc()
 		}
-		sc.Emit(obs.Event{Type: obs.PointDone, Spec: results[jb.si].Name, Q: pt.Q, Code: pt.Code()})
-		if !restored {
-			checkpoint(jb, pt)
+		sc.Emit(obs.Event{Type: obs.PointDone, Spec: results[si].Name, Q: pt.Q, Code: pt.Code()})
+		if restored || opts.Journal == nil {
+			return nil
 		}
+		return opts.Journal.Append(gridKey(specs[si].Name, qi, qs[qi]), *pt)
 	}
-
-	timed := sc != nil
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var busyNs, waitNs, points int64
-			var idleSince time.Time
-			if timed {
-				idleSince = time.Now()
-			}
-			for jb := range jobs {
-				var jobStart time.Time
-				if timed {
-					jobStart = time.Now()
-					waitNs += jobStart.Sub(idleSince).Nanoseconds()
-				}
-				if aborted() {
-					if timed {
-						idleSince = time.Now()
-					}
-					continue // drain
-				}
-				spec, q := specs[jb.si], qs[jb.qi]
-				pt := &results[jb.si].Points[jb.qi]
-				pt.Q = q
-				if restorePoint(opts.Resume, spec.Name, jb.qi, q, pt) {
-					finish(jb, pt, true)
-					if timed {
-						idleSince = time.Now()
-					}
-					continue
-				}
-				// Built only when a rung recovers a panic.
-				label := func() string { return fmt.Sprintf("%s at Q=%g", spec.Name, q) }
-				pt.Attempts = 1
-				v, err := guard.Run(g, label, func() (core.Result, error) {
-					return core.Analyze(g, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo})
-				})
-				if err == nil {
-					pt.Value = v.TotalDelay
-					pt.Cached = v.Cached
-					finish(jb, pt, false)
-					if timed {
-						busyNs += time.Since(jobStart).Nanoseconds()
-						points++
-						mPointNs.On(sc).Observe(time.Since(jobStart).Nanoseconds())
-						idleSince = time.Now()
-					}
-					continue
-				}
-				if fatal(err) {
-					abort(err)
-					if timed {
-						idleSince = time.Now()
-					}
-					continue
-				}
-				// Rung 2: degrade to the Equation 4 bound, itself under
-				// a recovery scope (a poisoned function can panic in
-				// Domain/MaxOn too).
-				fb, ferr := guard.Run(g, func() string { return label() + " (Eq.4 fallback)" }, func() (core.Result, error) {
-					return core.Analyze(g, spec.F, q, core.Options{Method: core.Equation4, Obs: sc, Memo: opts.Memo})
-				})
-				if ferr != nil {
-					if fatal(ferr) {
-						abort(ferr)
-						if timed {
-							idleSince = time.Now()
-						}
-						continue
-					}
-					// Rung 3: quarantine.
-					pt.Value = math.NaN()
-					pt.Degraded = true
-					pt.Quarantined = true
-					pt.Primary = ReasonOf(err)
-					pt.Fallback = ReasonOf(ferr)
-					pt.Note = fmt.Sprintf("%v; fallback: %v", err, ferr)
-				} else {
-					pt.Value = fb.TotalDelay
-					pt.Cached = fb.Cached
-					pt.Degraded = true
-					pt.Primary = ReasonOf(err)
-					pt.Note = err.Error()
-				}
-				finish(jb, pt, false)
-				if timed {
-					busyNs += time.Since(jobStart).Nanoseconds()
-					points++
-					mPointNs.On(sc).Observe(time.Since(jobStart).Nanoseconds())
-					idleSince = time.Now()
-				}
-			}
-			if timed {
-				mWorkerBusyNs.On(sc).Observe(busyNs)
-				mWorkerWaitNs.On(sc).Observe(waitNs)
-				mWorkerPoints.On(sc).Observe(points)
-				if busyNs+waitNs > 0 {
-					mWorkerUtil.On(sc).Observe(100 * busyNs / (busyNs + waitNs))
-				}
-			}
-		}()
-	}
-	for si := range specs {
-		for qi := range qs {
-			jobs <- job{si, qi}
+	// point walks grid point i, (spec i/len(qs), Q i%len(qs)), down the
+	// ladder on the worker's lane. It returns only what stops the sweep.
+	point := func(lane *guard.Ctx, i int) error {
+		si, qi := i/len(qs), i%len(qs)
+		spec, q := specs[si], qs[qi]
+		pt := &results[si].Points[qi]
+		pt.Q = q
+		if restorePoint(opts.Resume, spec.Name, qi, q, pt) {
+			return finish(si, qi, pt, true)
 		}
+		var start time.Time
+		if sc != nil {
+			start = time.Now()
+		}
+		// Built only when a rung recovers a panic.
+		label := func() string { return fmt.Sprintf("%s at Q=%g", spec.Name, q) }
+		pt.Attempts = 1
+		v, err := guard.Run(lane, label, func() (core.Result, error) {
+			return core.Analyze(lane, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo})
+		})
+		switch {
+		case err == nil:
+			pt.Value = v.TotalDelay
+			pt.Cached = v.Cached
+		case fatal(err):
+			return err
+		default:
+			// Rung 2: degrade to the Equation 4 bound, itself under a
+			// recovery scope (a poisoned function can panic in
+			// Domain/MaxOn too).
+			fb, ferr := guard.Run(lane, func() string { return label() + " (Eq.4 fallback)" }, func() (core.Result, error) {
+				return core.Analyze(lane, spec.F, q, core.Options{Method: core.Equation4, Obs: sc, Memo: opts.Memo})
+			})
+			switch {
+			case ferr == nil:
+				pt.Value = fb.TotalDelay
+				pt.Cached = fb.Cached
+				pt.Degraded = true
+				pt.Primary = ReasonOf(err)
+				pt.Note = err.Error()
+			case fatal(ferr):
+				return ferr
+			default:
+				// Rung 3: quarantine.
+				pt.Value = math.NaN()
+				pt.Degraded = true
+				pt.Quarantined = true
+				pt.Primary = ReasonOf(err)
+				pt.Fallback = ReasonOf(ferr)
+				pt.Note = fmt.Sprintf("%v; fallback: %v", err, ferr)
+			}
+		}
+		err = finish(si, qi, pt, false)
+		if sc != nil {
+			mPointNs.On(sc).Observe(time.Since(start).Nanoseconds())
+		}
+		return err
 	}
-	close(jobs)
-	wg.Wait()
+	abortErr := runPool(g, workers, total, func() func(*guard.Ctx, int) error { return point })
 
 	completed := 0
 	for _, r := range results {
@@ -633,6 +543,25 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 	}
 	sc.Emit(obs.Event{Type: obs.SweepFinished, Completed: completed, Total: total})
 	return results, nil
+}
+
+// sweepFatal returns the classification of errors that stop a sweep
+// under g: a caller abort, or a budget error once the sweep's own budget is
+// spent (every remaining point would fail the same way). Any other budget
+// error is the point's own and degrades that point. Spent means g's counter
+// has passed the budget, where the first tick past it leaves the counter
+// for good (DESIGN §7); Remaining() == 0 is not the same, because lanes
+// lease steps up to the budget and hold them unspent. The budget's place
+// on g's Steps scale is read once, here, before any lane leases.
+func sweepFatal(g *guard.Ctx) func(error) bool {
+	left := g.Remaining()
+	limit := g.Steps() + left
+	return func(err error) bool {
+		if guard.Abortive(err) {
+			return true
+		}
+		return left >= 0 && errors.Is(err, guard.ErrBudgetExceeded) && g.Steps() > limit
+	}
 }
 
 // checkGridMeta verifies a resumed journal belongs to this sweep's grid and

@@ -333,6 +333,11 @@ func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
 		opts.Memo = s.memo
 	}
 	res, err := guard.Run(g, func() string { return "analyzeset" }, func() ([]eval.SweepResult, error) {
+		if req.Spec.AssignQ {
+			if err := prob.AssignQ(g); err != nil {
+				return nil, err
+			}
+		}
 		return eval.AnalyzeSet(g, prob.Tasks, prob.Delay, opts)
 	})
 	if err != nil {

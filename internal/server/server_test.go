@@ -200,6 +200,37 @@ func TestAnalyzeSetEndpoint(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSetAssignQUnderRequestGuard: an assign_q body derives its Q
+// values under the request's guard. On this set the fixed-priority
+// tolerance sweep of task b walks about 1e12 scheduling points of task a,
+// so only the request's budget or its ?timeout= deadline can stop it.
+func TestAnalyzeSetAssignQUnderRequestGuard(t *testing.T) {
+	_, base := newTestServer(t, nil)
+	body := `{"spec":{"policy":"fp","assign_q":true,"tasks":[` +
+		`{"name":"a","c":1e-7,"t":1e-6},{"name":"b","c":1,"t":1e6},{"name":"c","c":1,"t":2e6}]}}`
+	client := &http.Client{Timeout: 10 * time.Second}
+	start := time.Now()
+	resp, err := client.Post(base+"/v1/analyzeset?timeout=200ms", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("answered after %v, want within about 1 s of the 200ms timeout", el)
+	}
+	var v map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	// The default analysis budget usually trips first; the deadline backs it.
+	switch {
+	case resp.StatusCode == http.StatusUnprocessableEntity && v["code"] == "budget":
+	case resp.StatusCode == http.StatusGatewayTimeout && v["code"] == "canceled":
+	default:
+		t.Fatalf("status %d body %v, want 422 budget or 504 canceled", resp.StatusCode, v)
+	}
+}
+
 func TestCampaignJobs(t *testing.T) {
 	_, base := newTestServer(t, nil)
 

@@ -24,7 +24,8 @@ type File struct {
 	Policy string `json:"policy"`
 	// AssignQ, when true, derives missing Q values (tasks with q = 0)
 	// from the blocking-tolerance analysis of package npr under the
-	// file's policy.
+	// file's policy (Problem.AssignQ). Load and LoadFile apply it; Build
+	// leaves it to its caller, which runs it under its own guard.
 	AssignQ bool   `json:"assign_q,omitempty"`
 	Tasks   []Task `json:"tasks"`
 }
@@ -112,8 +113,9 @@ type Problem struct {
 	Delay  []delay.Function
 }
 
-// Load reads and decodes a specification.
-func Load(r io.Reader) (*Problem, error) {
+// Load reads, decodes and builds a specification, deriving the missing Q
+// values under g when the file asks for it (nil means no limits).
+func Load(g *guard.Ctx, r io.Reader) (*Problem, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
@@ -122,21 +124,30 @@ func Load(r io.Reader) (*Problem, error) {
 	if err := wire.Decode(data, &f, fileFields); err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
-	return f.Build()
+	p, err := f.Build()
+	if err != nil {
+		return nil, err
+	}
+	if f.AssignQ {
+		if err := p.AssignQ(g); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
-// LoadFile reads a specification from a path.
-func LoadFile(path string) (*Problem, error) {
+// LoadFile is Load from a path.
+func LoadFile(g *guard.Ctx, path string) (*Problem, error) {
 	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer fh.Close()
-	return Load(fh)
+	return Load(g, fh)
 }
 
 // Build validates the file and materialises the task set and delay
-// functions.
+// functions. It does not derive Q values (see File.AssignQ).
 func (f File) Build() (*Problem, error) {
 	switch f.Policy {
 	case "fp", "edf":
@@ -170,22 +181,28 @@ func (f File) Build() (*Problem, error) {
 	if f.Policy == "fp" {
 		p.sortByPriority()
 	}
-	if f.AssignQ {
-		policy := npr.FixedPriority
-		if f.Policy == "edf" {
-			policy = npr.EDF
-		}
-		qs, err := npr.AssignQ(p.Tasks, policy)
-		if err != nil {
-			return nil, fmt.Errorf("spec: assign_q: %w", err)
-		}
-		for i := range p.Tasks {
-			if p.Tasks[i].Q == 0 {
-				p.Tasks[i].Q = qs[i].Q
-			}
+	return p, nil
+}
+
+// AssignQ sets the Q of every task with q = 0 from the blocking-tolerance
+// analysis of package npr (npr.AssignQCtx) under p's policy, charging g.
+// The analysis can run long on sets with widely spread periods, so callers
+// serving requests pass a guard with a deadline or budget.
+func (p *Problem) AssignQ(g *guard.Ctx) error {
+	policy := npr.FixedPriority
+	if p.Policy == "edf" {
+		policy = npr.EDF
+	}
+	qs, err := npr.AssignQCtx(g, p.Tasks, policy)
+	if err != nil {
+		return fmt.Errorf("spec: assign_q: %w", err)
+	}
+	for i := range p.Tasks {
+		if p.Tasks[i].Q == 0 {
+			p.Tasks[i].Q = qs[i].Q
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // sortByPriority orders tasks and their delay functions together.

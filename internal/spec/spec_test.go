@@ -18,7 +18,7 @@ const sample = `{
 }`
 
 func TestLoadBasic(t *testing.T) {
-	p, err := Load(strings.NewReader(sample))
+	p, err := Load(nil, strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestLoadSortsByPriority(t *testing.T) {
 	    {"name": "hi", "c": 5, "t": 50, "prio": 1}
 	  ]
 	}`
-	p, err := Load(strings.NewReader(in))
+	p, err := Load(nil, strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		{"not json", `hello`},
 	}
 	for _, c := range cases {
-		if _, err := Load(strings.NewReader(c.in)); err == nil {
+		if _, err := Load(nil, strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -89,7 +89,7 @@ func TestLoadPiecewiseAndGaussian(t *testing.T) {
 	     "delay": {"kind": "gaussian", "amp": 3, "mu": 10, "sigma2": 4, "pieces": 100}}
 	  ]
 	}`
-	p, err := Load(strings.NewReader(in))
+	p, err := Load(nil, strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestLoadPiecewiseAndGaussian(t *testing.T) {
 
 func TestDefaultNames(t *testing.T) {
 	in := `{"policy":"edf","tasks":[{"c":1,"t":5}]}`
-	p, err := Load(strings.NewReader(in))
+	p, err := Load(nil, strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSaveRoundTrip(t *testing.T) {
 	if err := Save(&b, f); err != nil {
 		t.Fatal(err)
 	}
-	p, err := Load(strings.NewReader(b.String()))
+	p, err := Load(nil, strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestLoadLinearDelay(t *testing.T) {
 	     "delay": {"kind": "linear", "breakpoints": [0, 5, 10], "values": [0, 8, 0]}}
 	  ]
 	}`
-	p, err := Load(strings.NewReader(in))
+	p, err := Load(nil, strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestLoadLinearDelay(t *testing.T) {
 		t.Fatalf("linear Eval(2.5) = %g, want 4", got)
 	}
 	bad := strings.Replace(in, `[0, 5, 10]`, `[0, 5, 9]`, 1)
-	if _, err := Load(strings.NewReader(bad)); err == nil {
+	if _, err := Load(nil, strings.NewReader(bad)); err == nil {
 		t.Fatal("accepted linear domain mismatch")
 	}
 }
@@ -164,7 +164,7 @@ func TestAssignQFromFile(t *testing.T) {
 	    {"name": "c", "c": 4, "t": 16, "prio": 2, "q": 1.5}
 	  ]
 	}`
-	p, err := Load(strings.NewReader(in))
+	p, err := Load(nil, strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // which every task carries its control-flow graph and memory accesses, and
 // drives the complete analysis pipeline of the paper end to end:
 //
-//  1. loop-collapse each task's CFG and compute execution intervals
-//     (package cfg) and [BCET, WCET] (package wcet);
+//  1. loop-collapse each task's CFG and compute execution intervals and
+//     [BCET, WCET] (package cfg);
 //  2. run the UCB analysis per task and the ECB analysis of its preempters
 //     (package cache);
 //  3. assemble each task's preemption delay function fi(t) (package delay),
