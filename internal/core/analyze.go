@@ -171,7 +171,10 @@ func (o Options) traceBuf() *[]Iteration {
 // and its per-iteration charges: the cumulative delay of a job preemptible at
 // most n times is bounded by the sum of the n largest charges, added largest
 // first. A divergent (truncated) walk only supports the charge-free n × max f
-// bound. The charges are sorted in place.
+// bound. The charges are sorted in place. Summed in another order than the
+// walk's, the n largest can round one ulp above the walk's total when only
+// zero charges are dropped; the min keeps the bound at or below Algorithm
+// 1's in floats, which the acceptance trial's verdict order relies on.
 func limitCharges(f delay.Function, res Result, charges []float64, n int) float64 {
 	if res.Diverged {
 		_, maxF := f.MaxOn(0, f.Domain())
@@ -185,7 +188,7 @@ func limitCharges(f delay.Function, res Result, charges []float64, n int) float6
 	for k := len(charges) - 1; k >= len(charges)-n; k-- {
 		total += charges[k]
 	}
-	return total
+	return min(total, res.TotalDelay)
 }
 
 // analyzeEq4 is the Equation 4 baseline under Analyze: validation, the global

@@ -22,9 +22,10 @@ import (
 // while an iteration window spans Q execution time), and each absorbed
 // preemption is charged at most that iteration's delaymax. With at most n
 // preemptions, at most n iterations absorb anything, so the total is bounded
-// by the n largest charges. The result is also trivially <= min(full
-// Algorithm 1 bound, n x max f). The test suite validates the bound against
-// adversarial scenarios restricted to n preemptions.
+// by the n largest charges. The result is also <= n x max f, and <= the
+// full Algorithm 1 bound in floats too: limitCharges caps the sum by the
+// walk's total. The test suite validates the bound against adversarial
+// scenarios restricted to n preemptions.
 
 // PreemptionCount bounds the number of preemptions a job with response time
 // r can suffer from higher-priority tasks with the given periods (and

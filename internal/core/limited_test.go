@@ -182,8 +182,8 @@ func TestPreemptionCount(t *testing.T) {
 
 // limitedOracle is the preemption-count refinement as first written: a
 // Trace walk, its charges sorted descending with sort.Reverse, the n largest
-// summed in that order. Analyze's traceless limited path must match it bit
-// for bit.
+// summed in that order and capped by the walk's total (the sum can round one
+// ulp above it). Analyze's traceless limited path must match it bit for bit.
 func limitedOracle(t *testing.T, f delay.Function, q float64, n int) float64 {
 	t.Helper()
 	res, err := Analyze(nil, f, q, Options{Trace: true})
@@ -206,7 +206,7 @@ func limitedOracle(t *testing.T, f delay.Function, q float64, n int) float64 {
 	for i := 0; i < n; i++ {
 		total += charges[i]
 	}
-	return total
+	return min(total, res.TotalDelay)
 }
 
 // limitedFixture draws a step function whose values are sevenths: windows
@@ -230,8 +230,9 @@ func limitedFixture(r *rand.Rand, k int) (*delay.Piecewise, error) {
 
 // TestLimitedMatchesSortedTraceOracle: for walks of 1 to over 100 windows,
 // crossing the 32-entry stack buffer, and for every n in 0..len+1, the
-// limited bound is bit-identical to limitedOracle, with and without a trace;
-// a divergent walk keeps the n × max f answer.
+// limited bound is bit-identical to limitedOracle, with and without a trace,
+// and at or below the full bound; a divergent walk keeps the n × max f
+// answer.
 func TestLimitedMatchesSortedTraceOracle(t *testing.T) {
 	const q = 10.0
 	r := rand.New(rand.NewSource(32))
@@ -250,6 +251,11 @@ func TestLimitedMatchesSortedTraceOracle(t *testing.T) {
 				}
 				if math.Float64bits(got.TotalDelay) != math.Float64bits(want) {
 					t.Fatalf("%s, %d windows, n=%d, trace=%v: %v, oracle %v", label, full.Preemptions, n, trace, got.TotalDelay, want)
+				}
+				// Non-negative floats order as their bits: the limited
+				// bound never rounds above the full one.
+				if math.Float64bits(got.TotalDelay) > math.Float64bits(full.TotalDelay) {
+					t.Fatalf("%s, n=%d: limited %v above full %v", label, n, got.TotalDelay, full.TotalDelay)
 				}
 				if got.Diverged != math.IsInf(want, 1) || trace != (len(got.Iterations) == full.Preemptions) {
 					t.Fatalf("%s, n=%d, trace=%v: Diverged=%v with %d trace records", label, n, trace, got.Diverged, len(got.Iterations))

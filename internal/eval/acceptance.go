@@ -14,6 +14,7 @@ import (
 	"fnpr/internal/obs"
 	"fnpr/internal/sched"
 	"fnpr/internal/synth"
+	"fnpr/internal/task"
 	"fnpr/internal/textplot"
 )
 
@@ -226,21 +227,25 @@ func newAcceptanceWorker(tasks int) *acceptanceWorker {
 }
 
 // acceptanceTrial draws the (point, trial) shard's task set from its own RNG
-// sub-stream and runs the four analyses. Analysis failures count as
-// rejections (the set is not admitted) unless the guard aborted, which stops
-// the campaign.
-//
-// The response-time fixpoints are warm-chained: delay bounds are
-// non-negative, so the no-delay response times lower-bound every delay-aware
-// variant, and Algorithm 1's response times lower-bound Equation 4's (its C'
-// vector is pointwise smaller). Seeding is sound in that direction and keeps
-// every result bit-identical (see sched.Options.Warm); it only trims
-// fixpoint iterations.
+// sub-stream and decides the four verdicts on it (acceptanceVerdicts).
+// Analysis failures count as rejections (the set is not admitted) unless
+// the guard aborted, which stops the campaign.
 func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, trial int, w *acceptanceWorker) (acceptanceVerdict, error) {
-	var v acceptanceVerdict
 	if err := g.Tick(); err != nil {
-		return v, err
+		return acceptanceVerdict{}, err
 	}
+	ts, fns, err := w.draw(p, point, u, trial)
+	if err != nil || ts == nil {
+		return acceptanceVerdict{}, err
+	}
+	// The analyses count into the campaign's scope, which p.Obs overrides.
+	return acceptanceVerdicts(g, p.scope(g), ts, fns, w.none[:len(ts)])
+}
+
+// draw builds the (point, trial) shard's task set and its front-loaded delay
+// curves in the worker's buffers. A nil set means a set infeasible even
+// fully preemptively: it counts as a rejection everywhere.
+func (w *acceptanceWorker) draw(p AcceptanceParams, point int, u float64, trial int) (task.Set, []delay.Function, error) {
 	r := w.st.Sub(p.Seed, point, trial)
 	ts, err := synth.TaskSet(r, synth.TaskSetParams{
 		N: p.Tasks, Utilization: u,
@@ -248,22 +253,21 @@ func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, tri
 		QFraction: p.QFraction, MinQ: 0.1,
 	})
 	if err != nil {
-		return v, err
+		return nil, nil, err
 	}
 	// Clamp each Q by the blocking tolerance of the higher-priority tasks
-	// (the paper assumes Q comes from such an analysis); sets that are
-	// infeasible even fully preemptively count as rejections everywhere.
-	if qs, err := npr.AssignQ(ts, npr.FixedPriority); err == nil {
-		for i := range ts {
-			if qs[i].Q < ts[i].Q {
-				ts[i].Q = qs[i].Q
-			}
-			if ts[i].Q <= 0 {
-				ts[i].Q = 1e-3
-			}
+	// (the paper assumes Q comes from such an analysis).
+	qs, err := npr.AssignQ(ts, npr.FixedPriority)
+	if err != nil {
+		return nil, nil, nil
+	}
+	for i := range ts {
+		if qs[i].Q < ts[i].Q {
+			ts[i].Q = qs[i].Q
 		}
-	} else {
-		return v, nil
+		if ts[i].Q <= 0 {
+			ts[i].Q = 1e-3
+		}
 	}
 	fns := w.fns[:len(ts)] // fns[0] stays nil: the highest priority is never preempted
 	for i, tk := range ts[1:] {
@@ -274,44 +278,63 @@ func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, tri
 			peak = tk.Q * 0.8
 		}
 		if err := w.curves[i+1].ResetFrontLoaded(peak, peak/5, tk.C); err != nil {
-			return v, err
+			return nil, nil, err
 		}
 		fns[i+1] = &w.curves[i+1]
 	}
-	// The analyses count into the campaign's scope, which p.Obs overrides.
-	sc := p.scope(g)
-	// No-delay envelope first: its response times seed the others.
-	var ndRTs []float64
-	nd, err := sched.Analyze(g, ts, sched.Options{Obs: sc, Delay: w.none[:len(ts)], Method: sched.Algorithm1})
-	if err == nil {
-		v.admit[3] = nd.Schedulable
-		ndRTs = nd.Response
-	} else if guard.Abortive(err) {
+	return ts, fns, nil
+}
+
+// acceptanceVerdicts decides which of the four analyses admit ts under the
+// delay curves fns (none is the all-nil slice of the no-delay envelope).
+// It runs only the analyses whose verdict the bound ordering leaves open
+// (DESIGN §11.3): delays are non-negative, the limited C' never exceeds
+// Algorithm 1's, Algorithm 1's never exceeds Equation 4's, and the
+// response-time recurrence is monotone in C'. Algorithm 1 runs first:
+//
+//   - if it admits, so do the no-delay and the limited analyses, and only
+//     Equation 4 runs;
+//   - if it rejects (a divergent bound included), so does Equation 4, and
+//     the no-delay analysis runs;
+//   - if that rejects too, so does the limited analysis; if it admits,
+//     the limited analysis runs.
+//
+// Equation 4 is warm-started from Algorithm 1's response times and the
+// limited analysis from the no-delay ones, both lower bounds. Seeding keeps
+// every result bit-identical (see sched.Options.Warm); it only trims
+// iterations.
+func acceptanceVerdicts(g *guard.Ctx, sc *obs.Scope, ts task.Set, fns, none []delay.Function) (acceptanceVerdict, error) {
+	var v acceptanceVerdict
+	a1, a1RTs, err := admits(g, ts, sched.Options{Obs: sc, Delay: fns, Method: sched.Algorithm1})
+	if err != nil {
 		return v, err
 	}
-	var a1RTs []float64
-	a1, err := sched.Analyze(g, ts, sched.Options{Obs: sc, Delay: fns, Method: sched.Algorithm1, Warm: ndRTs})
-	if err == nil {
-		v.admit[0] = a1.Schedulable
-		a1RTs = a1.Response
-	} else if guard.Abortive(err) {
+	if a1 {
+		v.admit[0], v.admit[1], v.admit[3] = true, true, true
+		v.admit[2], _, err = admits(g, ts, sched.Options{Obs: sc, Delay: fns, Method: sched.Equation4, Warm: a1RTs})
 		return v, err
 	}
-	if lim, err := sched.Analyze(g, ts, sched.Options{Obs: sc, Delay: fns, Method: sched.Algorithm1, Limited: true, Warm: ndRTs}); err == nil {
-		v.admit[1] = lim.Schedulable
-	} else if guard.Abortive(err) {
+	nd, ndRTs, err := admits(g, ts, sched.Options{Obs: sc, Delay: none, Method: sched.Algorithm1})
+	if !nd || err != nil {
 		return v, err
 	}
-	e4Warm := ndRTs
-	if a1RTs != nil {
-		e4Warm = a1RTs // Algorithm 1 lower-bounds Equation 4
+	v.admit[3] = true
+	v.admit[1], _, err = admits(g, ts, sched.Options{Obs: sc, Delay: fns, Method: sched.Algorithm1, Limited: true, Warm: ndRTs})
+	return v, err
+}
+
+// admits runs one analysis and reports whether it admits ts, with its
+// response times. An error is a rejection unless it is abortive, which it
+// returns.
+func admits(g *guard.Ctx, ts task.Set, opts sched.Options) (bool, []float64, error) {
+	res, err := sched.Analyze(g, ts, opts)
+	switch {
+	case err == nil:
+		return res.Schedulable, res.Response, nil
+	case guard.Abortive(err):
+		return false, nil, err
 	}
-	if e4, err := sched.Analyze(g, ts, sched.Options{Obs: sc, Delay: fns, Method: sched.Equation4, Warm: e4Warm}); err == nil {
-		v.admit[2] = e4.Schedulable
-	} else if guard.Abortive(err) {
-		return v, err
-	}
-	return v, nil
+	return false, nil, nil
 }
 
 // Acceptance runs the experiment and returns the acceptance ratio of each

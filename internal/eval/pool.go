@@ -15,8 +15,11 @@ import (
 // charges g through its own lane (guard.Ctx.Lane), so no channel send and no
 // shared step counter sits on the per-item path; the lanes give their
 // unspent leases back as the workers finish. An error stops every worker
-// before its next claim. With one worker the items run in index order on
-// the caller's goroutine.
+// before its next claim. So does a cancellation of g: before each item a
+// worker takes one non-blocking receive on g.Done(), which reads no clock,
+// so a cancel lands at the next item even when the items are too short for
+// a lane to reach its next poll. With one worker the items run in index
+// order on the caller's goroutine.
 //
 // A worker yields once per item. The trial loops allocate but rarely reach
 // a scheduling point of their own, and without the yield a GC cycle's mark
@@ -29,6 +32,15 @@ func runPool(g *guard.Ctx, workers, n int, newWorker func() func(lane *guard.Ctx
 		mu     sync.Mutex
 		first  error
 	)
+	fail := func(err error) {
+		mu.Lock()
+		if first == nil {
+			first = err
+		}
+		mu.Unlock()
+		failed.Store(true)
+	}
+	done := g.Done()
 	work := func() {
 		lane := g.Lane()
 		defer lane.Close()
@@ -38,13 +50,14 @@ func runPool(g *guard.Ctx, workers, n int, newWorker func() func(lane *guard.Ctx
 			if i >= int64(n) {
 				return
 			}
+			select {
+			case <-done:
+				fail(g.Err())
+				return
+			default:
+			}
 			if err := item(lane, int(i)); err != nil {
-				mu.Lock()
-				if first == nil {
-					first = err
-				}
-				mu.Unlock()
-				failed.Store(true)
+				fail(err)
 				return
 			}
 			runtime.Gosched()

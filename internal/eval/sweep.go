@@ -435,9 +435,14 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 	}
 	mSweepWorkers.On(sc).Set(float64(workers))
 
+	// Every point carries its Q from the start, so the points an aborted
+	// sweep never reaches still say where they sit in the grid.
 	results := make([]SweepResult, len(specs))
 	for i, s := range specs {
 		results[i] = SweepResult{Name: s.Name, Points: make([]SweepPoint, len(qs))}
+		for j, q := range qs {
+			results[i].Points[j].Q = q
+		}
 	}
 	fatal := sweepFatal(g)
 	// finish settles a point: ladder counters, the point's progress events
@@ -470,7 +475,6 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 		si, qi := i/len(qs), i%len(qs)
 		spec, q := specs[si], qs[qi]
 		pt := &results[si].Points[qi]
-		pt.Q = q
 		if restorePoint(opts.Resume, spec.Name, qi, q, pt) {
 			return finish(si, qi, pt, true)
 		}

@@ -183,6 +183,12 @@ func TestQSweepBudgetAborts(t *testing.T) {
 	if !first.Done || first.Degraded || first.Value <= 0 {
 		t.Fatalf("first point not completed cleanly before abort: %+v", first)
 	}
+	// Reached or not, every point carries its Q.
+	for i, want := range []float64{15, 20, 25} {
+		if q := results[0].Points[i].Q; q != want {
+			t.Fatalf("point %d: Q = %g, want %g", i, q, want)
+		}
+	}
 	var done int
 	for _, pt := range results[0].Points {
 		if pt.Done {
