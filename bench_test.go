@@ -330,6 +330,21 @@ func BenchmarkQAssignment(b *testing.B) {
 			}
 		}
 	})
+	// FP-clamp is the acceptance trial's derivation: each Q starts at a
+	// quarter of C, as the trial draws it, and is clamped in place.
+	drawn := ts.Clone()
+	for i := range drawn {
+		drawn[i].Q = drawn[i].C / 4
+	}
+	work := drawn.Clone()
+	b.Run("FP-clamp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(work, drawn)
+			if err := npr.ClampQ(nil, work, npr.FixedPriority); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkDelayAwareRTA measures the FNPR response-time analysis with both

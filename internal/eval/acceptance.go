@@ -257,14 +257,10 @@ func (w *acceptanceWorker) draw(p AcceptanceParams, point int, u float64, trial 
 	}
 	// Clamp each Q by the blocking tolerance of the higher-priority tasks
 	// (the paper assumes Q comes from such an analysis).
-	qs, err := npr.AssignQ(ts, npr.FixedPriority)
-	if err != nil {
+	if err := npr.ClampQ(nil, ts, npr.FixedPriority); err != nil {
 		return nil, nil, nil
 	}
 	for i := range ts {
-		if qs[i].Q < ts[i].Q {
-			ts[i].Q = qs[i].Q
-		}
 		if ts[i].Q <= 0 {
 			ts[i].Q = 1e-3
 		}

@@ -188,28 +188,41 @@ func RequestBound(ts task.Set, i int, t float64) float64 {
 // one guard step per evaluated point and, per skip, one per point of its
 // longest cursor run: never more than one per scheduling point.
 func FPBlockingTolerance(g *guard.Ctx, ts task.Set) ([]float64, error) {
-	return fpBlockingTolerance(g, ts, len(ts))
-}
-
-// fpCursorBuf is how many cursors fpBlockingTolerance keeps on the stack.
-const fpCursorBuf = 16
-
-// fpBlockingTolerance validates the whole set and sweeps the tolerances of
-// its first n tasks only. AssignQ and ValidateQ pass n = len(ts) - 1: under
-// fixed priority they read βj only for tasks that have a lower-priority task
-// to be blocked by, so the last task's sweep, the longest one, is skipped.
-func fpBlockingTolerance(g *guard.Ctx, ts task.Set, n int) ([]float64, error) {
-	if err := ts.Validate(); err != nil {
+	out := make([]float64, len(ts))
+	if err := fpBlockingTolerance(g, ts, out, nil); err != nil {
 		return nil, err
 	}
-	if len(ts) == 0 {
-		return nil, guard.Invalidf("npr: empty task set")
+	return out, nil
+}
+
+// fpCursorBuf is how many cursors fpBlockingTolerance keeps on the stack,
+// and how many tolerances and caps ClampQ does.
+const fpCursorBuf = 16
+
+// fpLevels is how many levels the Q derivations sweep under fixed
+// priority: they read βj only for tasks that have a lower-priority task to
+// be blocked by, so the last task's sweep, the longest one, is skipped.
+func fpLevels(ts task.Set) int { return max(len(ts)-1, 0) }
+
+// fpBlockingTolerance validates the whole set and writes the tolerances of
+// its first len(out) tasks into out.
+//
+// caps, when not nil, holds one cap per level: level i stops as soon as its
+// best slack reaches caps[i] and writes that slack, which lies in
+// [caps[i], βi]. best only rises during a sweep, so the written value is
+// βi itself whenever it is below caps[i]; a caller that reads βi only
+// through min(βi, x) with x ≤ caps[i] gets the same bits either way.
+func fpBlockingTolerance(g *guard.Ctx, ts task.Set, out, caps []float64) error {
+	if err := ts.Validate(); err != nil {
+		return err
 	}
-	// βi depends on tasks 0…i only, so the sweep needs no task past n.
-	// Cutting ts itself (not just the loop) keeps every index below
-	// len(ts) provable, and the hot loops free of bounds checks.
-	ts = ts[:n]
-	out := make([]float64, len(ts))
+	if len(ts) == 0 {
+		return guard.Invalidf("npr: empty task set")
+	}
+	// βi depends on tasks 0…i only, so the sweep needs no task past the
+	// last level. Cutting ts itself (not just the loop) keeps every index
+	// below len(ts) provable, and the hot loops free of bounds checks.
+	ts = ts[:len(out)]
 	var buf [fpCursorBuf]float64
 	next := buf[:]
 	if len(ts) > fpCursorBuf {
@@ -217,31 +230,38 @@ func fpBlockingTolerance(g *guard.Ctx, ts task.Set, n int) ([]float64, error) {
 	}
 	for i, tk := range ts {
 		limit := tk.Deadline()
+		stop := math.Inf(1)
+		if caps != nil {
+			stop = caps[i]
+		}
 		// Di first: its slack seeds best, so the skip can pass over every
 		// point below it that cannot do better.
 		if err := g.Tick(); err != nil {
-			return nil, err
+			return err
 		}
 		best := limit - RequestBound(ts, i, limit)
 		hp := next[:i]
 		for j := range hp {
 			hp[j] = ts[j].T
 		}
-		for t := mergeNext(ts, hp); t < limit; t = mergeNext(ts, hp) {
+		for t := mergeNext(ts, hp); t < limit && best < stop; t = mergeNext(ts, hp) {
 			if err := g.Tick(); err != nil {
-				return nil, err
+				return err
 			}
 			w := RequestBound(ts, i, t)
 			if s := t - w; s > best {
 				best = s
 			}
+			if best >= stop {
+				break
+			}
 			if err := skipPoints(g, ts, hp, limit, w, best); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		out[i] = best
 	}
-	return out, nil
+	return nil
 }
 
 // skipTickBatch is how many skipped points skipPoints charges to the guard
@@ -338,7 +358,8 @@ func AssignQCtx(g *guard.Ctx, ts task.Set, p Policy) (task.Set, error) {
 	case EDF:
 		tol, err = EDFBlockingTolerance(g, ts)
 	case FixedPriority:
-		tol, err = fpBlockingTolerance(g, ts, len(ts)-1)
+		tol = make([]float64, fpLevels(ts))
+		err = fpBlockingTolerance(g, ts, tol, nil)
 	default:
 		return nil, guard.Invalidf("npr: unknown policy %v", p)
 	}
@@ -346,28 +367,92 @@ func AssignQCtx(g *guard.Ctx, ts task.Set, p Policy) (task.Set, error) {
 		return nil, err
 	}
 	out := ts.Clone()
-	for i := range out {
-		var q float64
+	if err := setQ(out, p, tol, false); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ClampQ lowers, in place, each task's Q to the value AssignQ would give
+// it wherever that is smaller: afterwards Qi = min(Qi, AssignQ's Qi), bit
+// for bit, and the error is AssignQ's. On an error no Q changes. The
+// tolerance sweeps run under the guard scope g (nil = no limits).
+//
+// Under fixed priority a task's new Q reads βj only through
+// min(βj, min(Qk, Ck)) for the tasks k below j, so level j's sweep stops
+// once its slack reaches cap_j = max over k > j of min(Qk, Ck) (see
+// fpBlockingTolerance): it evaluates fewer points, and charges g no more
+// steps than AssignQCtx does. A level whose βj is negative never reaches
+// its cap, since caps are non-negative, so the error fires on exactly the
+// sets AssignQ rejects. Up to fpCursorBuf tasks ClampQ allocates nothing.
+// Under EDF it sweeps in full, as AssignQ does, and then clamps.
+func ClampQ(g *guard.Ctx, ts task.Set, p Policy) error {
+	var tol []float64
+	var err error
+	switch p {
+	case EDF:
+		tol, err = EDFBlockingTolerance(g, ts)
+	case FixedPriority:
+		var tolBuf, capBuf [fpCursorBuf]float64
+		n := fpLevels(ts)
+		caps := capBuf[:]
+		tol = tolBuf[:]
+		if n > fpCursorBuf {
+			tol, caps = make([]float64, n), make([]float64, n)
+		}
+		tol, caps = tol[:n], caps[:n]
+		// cap_j is a suffix maximum over the tasks below level j. A Q
+		// that Validate rejects yields a meaningless cap, which the sweep
+		// never reads: it validates the set first.
+		m := 0.0
+		for k := n; k > 0; k-- {
+			m = max(m, min(ts[k].Q, ts[k].C))
+			caps[k-1] = m
+		}
+		err = fpBlockingTolerance(g, ts, tol, caps)
+	default:
+		return guard.Invalidf("npr: unknown policy %v", p)
+	}
+	if err != nil {
+		return err
+	}
+	return setQ(ts, p, tol, true)
+}
+
+// setQ is the tolerance→Q mapping of AssignQ and ClampQ. It sets each Qi of
+// ts to the policy's bound over the blocking tolerances tol (EDF: βi; FP:
+// the least βj of the tasks above τi, so tol may stop one task short),
+// clamped to Ci; with lower set, only where the bound is below Qi. A
+// negative tolerance is an error naming the first task it binds, and is
+// reported before any Q changes.
+func setQ(ts task.Set, p Policy, tol []float64, lower bool) error {
+	for j, b := range tol {
+		if b < 0 {
+			if p == FixedPriority {
+				j++ // βj binds the task below τj first
+			}
+			return guard.Invalidf("npr: task %s faces negative blocking tolerance %g", ts[j].Name, b)
+		}
+	}
+	least := math.Inf(1) // under FP, the least βj over the tasks so far
+	for i := range ts {
+		q := least
 		switch p {
 		case EDF:
 			q = tol[i]
 		case FixedPriority:
-			q = math.Inf(1)
-			for j := 0; j < i; j++ {
-				if tol[j] < q {
-					q = tol[j]
-				}
+			if i < len(tol) && tol[i] < least {
+				least = tol[i]
 			}
 		}
-		if q < 0 {
-			return nil, guard.Invalidf("npr: task %s faces negative blocking tolerance %g", out[i].Name, q)
+		if q > ts[i].C {
+			q = ts[i].C
 		}
-		if q > out[i].C {
-			q = out[i].C
+		if !lower || q < ts[i].Q {
+			ts[i].Q = q
 		}
-		out[i].Q = q
 	}
-	return out, nil
+	return nil
 }
 
 // ValidateQ checks that the Q values carried by the task set are admissible
@@ -382,7 +467,8 @@ func ValidateQ(g *guard.Ctx, ts task.Set, p Policy) error {
 	case EDF:
 		tol, err = EDFBlockingTolerance(g, ts)
 	case FixedPriority:
-		tol, err = fpBlockingTolerance(g, ts, len(ts)-1)
+		tol = make([]float64, fpLevels(ts))
+		err = fpBlockingTolerance(g, ts, tol, nil)
 	default:
 		return guard.Invalidf("npr: unknown policy %v", p)
 	}

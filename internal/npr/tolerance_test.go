@@ -132,6 +132,13 @@ func oracleFPTolerance(g *guard.Ctx, ts task.Set) ([]float64, error) {
 // strict > keeps it), the number of points, and the longest run of skipped
 // points before that index.
 func oracleSkipLevel(ts task.Set, i int) (steps int64, argmax, points, run int) {
+	return oracleCappedLevel(ts, i, math.Inf(1))
+}
+
+// oracleCappedLevel is oracleSkipLevel for a level that stops as soon as
+// its best slack reaches stop, as ClampQ's capped sweep does: the steps
+// count up to and including the evaluated point that reaches it.
+func oracleCappedLevel(ts task.Set, i int, stop float64) (steps int64, argmax, points, run int) {
 	limit := ts[i].Deadline()
 	pts := oracleSchedulingPoints(ts, i, limit)
 	top := math.Inf(-1)
@@ -157,6 +164,9 @@ func oracleSkipLevel(ts task.Set, i int) (steps int64, argmax, points, run int) 
 	steps = 1
 	w, evaluated, cur := 0.0, 1, 0
 	for k, t := range pts[:len(pts)-1] { // the last point is Di
+		if best >= stop {
+			return steps, argmax, len(pts), run
+		}
 		if evaluated > 1 && t-w <= best {
 			if k < argmax {
 				cur++

@@ -162,6 +162,7 @@ func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int
 		mSolverFallbacks.On(sc).Add(falls)
 	}()
 	out := make([]float64, len(ts))
+	var segBuf cutScratch // lent to every cutRoot call below
 	for i, tk := range ts {
 		base := tk.C
 		if blocking != nil {
@@ -239,7 +240,7 @@ func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int
 				continue
 			}
 			if jumps || (refute && !speculative) {
-				root, found, unsat := cutRoot(ts, gamma, i, base, r, deadline-tk.Jitter)
+				root, found, unsat := cutRoot(ts, gamma, i, base, r, deadline-tk.Jitter, &segBuf)
 				if unsat && !speculative {
 					// The relaxation stays above the diagonal all the way to
 					// the deadline: no fixpoint exists at or below it, so the

@@ -33,8 +33,18 @@ const (
 	cutSlopeCap = 0.999
 )
 
-// cutSegBuf is how many segments cutRoot keeps on the stack.
+// cutSegBuf is how many segments fit in a cutScratch.
 const cutSegBuf = 16
+
+// cutSeg is one term of cutRoot's relaxation: its breakpoint, and the
+// intercept and slope it adds to the relaxation past it.
+type cutSeg struct{ bp, linD, slopeD float64 }
+
+// cutScratch is the segment buffer cutRoot works in. responseTimes owns
+// one on its stack and lends it to every cutRoot call it makes, so the
+// buffer is zeroed once per analysis, not once per cut; cutRoot writes every
+// segment before it reads it.
+type cutScratch [cutSegBuf]cutSeg
 
 // cutRoot analyses the linear relaxation of task i's response-time
 // recurrence anchored at a:
@@ -62,15 +72,13 @@ const cutSegBuf = 16
 //
 // The walk visits the segments in stable breakpoint order: the smallest
 // breakpoint first, the earliest task on ties. Up to cutSegBuf
-// higher-priority tasks the segments live in a stack buffer and the walk
+// higher-priority tasks the segments live in the caller's buf and the walk
 // selects each next one in place as it advances, so it builds the order
 // only as far as it goes and allocates nothing. Longer lists are allocated
 // once at their full size and sorted up front instead: a walk over all of
 // them, as every refutation is, would make the selection quadratic in the
 // number of tasks.
-func cutRoot(ts task.Set, gamma func(i, j int) float64, i int, base, a, limit float64) (root float64, found, unsat bool) {
-	type cutSeg struct{ bp, linD, slopeD float64 }
-	var buf [cutSegBuf]cutSeg
+func cutRoot(ts task.Set, gamma func(i, j int) float64, i int, base, a, limit float64, buf *cutScratch) (root float64, found, unsat bool) {
 	segs := buf[:0]
 	if i > cutSegBuf {
 		segs = make([]cutSeg, 0, i)

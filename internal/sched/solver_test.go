@@ -219,8 +219,8 @@ func TestSolverDifferential(t *testing.T) {
 	}
 }
 
-// TestCutRootAllocs pins cutRoot's segment buffer on the stack: no
-// allocation for up to cutSegBuf higher-priority tasks.
+// TestCutRootAllocs pins cutRoot's segment buffer to its caller's scratch:
+// no allocation for up to cutSegBuf higher-priority tasks.
 func TestCutRootAllocs(t *testing.T) {
 	ts, _, err := tiedFixture(synth.SubRand(1811, 2, 0))
 	if err != nil {
@@ -228,8 +228,9 @@ func TestCutRootAllocs(t *testing.T) {
 	}
 	i := min(len(ts)-1, cutSegBuf)
 	gamma := func(i, j int) float64 { return 0.1 }
+	var buf cutScratch
 	allocs := testing.AllocsPerRun(100, func() {
-		cutRoot(ts, gamma, i, ts[i].C, ts[i].C, ts[i].Deadline())
+		cutRoot(ts, gamma, i, ts[i].C, ts[i].C, ts[i].Deadline(), &buf)
 	})
 	if allocs != 0 {
 		t.Fatalf("cutRoot with %d higher-priority tasks: %v allocs/op, want 0", i, allocs)
@@ -292,7 +293,9 @@ func cutRootSorted(ts task.Set, gamma func(i, j int) float64, i int, base, a, li
 // (past cutSegBuf), periods from a small harmonic menu so breakpoints tie,
 // optional jitter and preemption costs, anchors and limits wide enough to
 // reach every verdict — and fails unless cutRoot matches cutRootSorted bit
-// for bit. It reports whether two breakpoints tied and which verdict came out.
+// for bit. cutRoot works in a scratch buffer full of stale NaN segments, as
+// a reused one holds, so reading a segment it did not write shows. It
+// reports whether two breakpoints tied and which verdict came out.
 func cutRootTrial(t *testing.T, r *rand.Rand) (tied, found, unsat bool) {
 	t.Helper()
 	i := 1 + r.Intn(24)
@@ -316,7 +319,11 @@ func cutRootTrial(t *testing.T, r *rand.Rand) (tied, found, unsat bool) {
 	base := 0.5 + 20*r.Float64()
 	a := base + 100*r.Float64()
 	limit := a + 400*r.Float64()
-	root, found, unsat := cutRoot(ts, gamma, i, base, a, limit)
+	var buf cutScratch
+	for k := range buf {
+		buf[k] = cutSeg{math.NaN(), math.NaN(), math.NaN()}
+	}
+	root, found, unsat := cutRoot(ts, gamma, i, base, a, limit, &buf)
 	wroot, wfound, wunsat := cutRootSorted(ts, gamma, i, base, a, limit)
 	if math.Float64bits(root) != math.Float64bits(wroot) || found != wfound || unsat != wunsat {
 		t.Fatalf("cutRoot(i=%d, base=%v, a=%v, limit=%v) = (%v, %v, %v), sorted oracle (%v, %v, %v); set %v",

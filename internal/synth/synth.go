@@ -63,6 +63,24 @@ type TaskSetParams struct {
 	MinQ      float64
 }
 
+// taskNames holds the names TaskSet gives its first tasks, "t0"…"t63",
+// built once so that drawing a set allocates no name.
+var taskNames = func() []string {
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = "t" + strconv.Itoa(i)
+	}
+	return names
+}()
+
+// taskName returns the name of task i of a drawn set: "t" and its index.
+func taskName(i int) string {
+	if i < len(taskNames) {
+		return taskNames[i]
+	}
+	return "t" + strconv.Itoa(i)
+}
+
 // TaskSet draws a random task set with rate-monotonic priorities.
 func TaskSet(r *rand.Rand, p TaskSetParams) (task.Set, error) {
 	if p.N <= 0 {
@@ -90,7 +108,7 @@ func TaskSet(r *rand.Rand, p TaskSetParams) (task.Set, error) {
 			}
 		}
 		ts = append(ts, task.Task{
-			Name: "t" + strconv.Itoa(i),
+			Name: taskName(i),
 			C:    c, T: periods[i], Q: q,
 		})
 	}

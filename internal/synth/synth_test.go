@@ -3,6 +3,7 @@ package synth
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"fnpr/internal/cache"
@@ -74,6 +75,26 @@ func TestTaskSetGeneration(t *testing.T) {
 	for i := 1; i < len(ts); i++ {
 		if ts[i-1].T > ts[i].T {
 			t.Fatal("not RM sorted")
+		}
+	}
+}
+
+// TestTaskSetNames: every drawn task is named "t" and its draw index, on
+// both sides of the name table's 64 entries.
+func TestTaskSetNames(t *testing.T) {
+	ts, err := TaskSet(rand.New(rand.NewSource(5)), TaskSetParams{
+		N: 70, Utilization: 0.5, PeriodLo: 10, PeriodHi: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, tk := range ts {
+		seen[tk.Name] = true
+	}
+	for i := range ts {
+		if name := "t" + strconv.Itoa(i); !seen[name] {
+			t.Fatalf("no task named %s among %d", name, len(ts))
 		}
 	}
 }
