@@ -7,10 +7,10 @@ GO ?= go
 BENCH_OUT ?= bench.out
 # BENCH is the gated row set: the analysis kernels, the result cache, the
 # fixpoint solver, the fixed-priority Q assignment, the exact explorer, the
-# serial campaign layer (unguarded, and as a service job under a guard and a
+# serial campaign layer (unguarded, and as service jobs under a guard and a
 # live scope), the request decoder and the response writer. The workers>1
 # campaign rows stay out: their ns/op depends on the core count.
-BENCH = Figure5Sweep/kernel=|IndexedKernel|MemoSweep|AnalyzeSetEdit|RTASolver|QAssignment/FP|Exact(Delay|SAG|Memo)|AcceptanceCampaign/workers=1$$|AcceptanceJob|SimTrial|DecodeBody|EncodeResponse
+BENCH = Figure5Sweep/kernel=|IndexedKernel|MemoSweep|AnalyzeSetEdit|RTASolver|QAssignment/FP|Exact(Delay|SAG|Memo)|AcceptanceCampaign/workers=1$$|AcceptanceJob|AtlasJob|SimTrial|DecodeBody|EncodeResponse
 
 .PHONY: build test check race vet lint-api bench bench-gate bench-e2e-test nfr figures
 

@@ -589,6 +589,30 @@ func BenchmarkAcceptanceJob(b *testing.B) {
 	}
 }
 
+// BenchmarkAtlasJob is one pessimism-atlas job on the end-to-end
+// benchmark's grid (C = 80, Q from 4 to 32) at 100 curves per cell and one
+// worker, run the way the analysis service runs a campaign job: under a
+// guard with a cancelable context, a 30 s deadline, the service's default
+// campaign budget and a live scope on a registry of its own. states/op is
+// the exact explorer's settled states per job, read from that registry.
+// testdata/bench.golden gates it.
+func BenchmarkAtlasJob(b *testing.B) {
+	p := eval.AtlasParams{Seed: 1, Qs: []float64{4, 6, 8, 12, 16, 24, 32}, FuncsPerCell: 100, C: 80, Workers: 1}
+	reg := obs.NewRegistry()
+	sc := obs.NewScope(reg)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		g := guard.New(ctx).WithTimeout(30 * time.Second).WithBudget(server.DefaultCampaignBudget).WithObs(sc)
+		_, err := eval.Atlas(g, p)
+		cancel()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(reg.Counter("exact.states").Value())/float64(b.N), "states/op")
+}
+
 // BenchmarkSimTrial measures one Monte-Carlo simulation trial, fresh
 // simulator per run (mode=unpooled, the package-level sim.Run) vs a reused
 // sim.Runner (mode=pooled, the campaign configuration). testdata/bench.golden
@@ -969,7 +993,8 @@ func exactBenchFunctions(n int, c, q float64) []*delay.Piecewise {
 // exploration with and without interval merging + dominance pruning on the
 // same instances, with a reused (slab-pooled) Explorer. The states/op and
 // merges/op metrics quantify the reduction; successors/op counts the
-// successors emitted, one per breakpoint and layer in mode=pruned.
+// successors emitted, at most one per breakpoint and exploration in
+// mode=pruned.
 // testdata/bench.golden gates all three counters exactly.
 func BenchmarkExactDelay(b *testing.B) {
 	fns := exactBenchFunctions(16, 40, 6)

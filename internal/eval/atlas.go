@@ -183,20 +183,23 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 		YLabel: "mean delay / pessimism gap",
 		X:      append([]float64(nil), p.Qs...),
 	}
+	// One backing array holds every series' Y, each capped to its own
+	// window of len(p.Qs) values.
+	nq := len(p.Qs)
+	tbl.Series = make([]textplot.Series, len(atlasSeriesNames))
+	ys := make([]float64, len(atlasSeriesNames)*nq)
+	for i, name := range atlasSeriesNames {
+		tbl.Series[i] = textplot.Series{Name: name, Y: ys[i*nq : (i+1)*nq : (i+1)*nq]}
+	}
 	totalStates, totalNaive := 0, 0
-	for fam, name := range synth.AtlasFamilies() {
-		ex := textplot.Series{Name: name + "/exact"}
-		a1 := textplot.Series{Name: name + "/alg1-gap"}
-		e4 := textplot.Series{Name: name + "/eq4-gap"}
+	for fam := range synth.AtlasFamilies() {
+		ex, a1, e4 := tbl.Series[3*fam].Y, tbl.Series[3*fam+1].Y, tbl.Series[3*fam+2].Y
 		for qi := range p.Qs {
-			c := cells[fam*len(p.Qs)+qi]
-			ex.Y = append(ex.Y, c.exact)
-			a1.Y = append(a1.Y, c.alg1Gap)
-			e4.Y = append(e4.Y, c.eq4Gap)
+			c := cells[fam*nq+qi]
+			ex[qi], a1[qi], e4[qi] = c.exact, c.alg1Gap, c.eq4Gap
 			totalStates += c.states
 			totalNaive += c.naiveStates
 		}
-		tbl.Series = append(tbl.Series, ex, a1, e4)
 	}
 	tbl.Notes = append(tbl.Notes, fmt.Sprintf(
 		"explored %d states (naive tree bound %d, %.0fx reduction)",
@@ -208,6 +211,16 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 		Completed: cellsTotal, Total: cellsTotal})
 	return tbl, nil
 }
+
+// atlasSeriesNames names the atlas table's series in order: each family's
+// exact delay, Algorithm 1 gap and Equation 4 gap.
+var atlasSeriesNames = func() []string {
+	var names []string
+	for _, name := range synth.AtlasFamilies() {
+		names = append(names, name+"/exact", name+"/alg1-gap", name+"/eq4-gap")
+	}
+	return names
+}()
 
 // AtlasChecks enforces the bound ordering on an atlas table: for every
 // family and Q, exact <= Algorithm 1 <= Equation 4 — both pessimism gaps

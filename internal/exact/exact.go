@@ -1,7 +1,7 @@
 // Package exact implements bounded exact schedule-graph explorations for
 // floating-NPR analysis, the third bound alongside Algorithm 1 and the
-// Equation 4 state of the art: a breadth-first enumeration of schedule
-// states engineered so the combinatorial frontier stays tractable.
+// Equation 4 state of the art: enumerations of schedule states engineered
+// so the combinatorial frontier stays tractable.
 //
 // Two engines share the machinery:
 //
@@ -12,7 +12,8 @@
 //     attainable future delay is a nonincreasing function of the
 //     progression alone, which licenses the dominance pruning and
 //     same-progression merging that collapse the naive exponential tree to
-//     a pareto frontier per layer (see DESIGN.md §16 for the proof).
+//     one pareto staircase, settled in a single sweep in progression order
+//     (see DESIGN.md §16 for the proof).
 //
 //   - ResponseTimes explores the schedule graph of a non-preemptive
 //     periodic job set over one hyperperiod, per Vlk/Jaroš/Hanzálek's
@@ -53,14 +54,15 @@ const DefaultMaxStates = 1 << 20
 
 // Options configures an exploration (both engines).
 type Options struct {
-	// MaxStates caps the number of expanded states; the exploration fails
-	// with a *StateSpaceError beyond it. Zero selects DefaultMaxStates;
-	// negative means unbounded.
+	// MaxStates caps the number of expanded (for Delay: settled) states;
+	// the exploration fails with a *StateSpaceError beyond it. Zero
+	// selects DefaultMaxStates; negative means unbounded.
 	MaxStates int
 
-	// Naive disables state merging, dominance pruning and the visited
-	// frontier — the brute-force enumeration the benchmarks compare
-	// against. Results are identical where the budget allows completion.
+	// Naive disables state merging, dominance pruning and the
+	// one-successor-per-breakpoint rule — the layered brute-force
+	// enumeration the benchmarks compare against. Results are identical
+	// where the budget allows completion.
 	Naive bool
 
 	// Horizon is the analysis window of ResponseTimes; zero selects one

@@ -152,65 +152,55 @@ func (o *fullOracle) frontInsert(s dstate) {
 }
 
 // checkFullExpansion compares the engine against fullExpansion on (f, q):
-// every DelayResult field bit for bit, Successors no more than the
-// oracle's, and identical failures when a state budget or a guard step
-// budget cuts the exploration short.
+// Delay and Depth bit for bit, and States and Successors no more than the
+// oracle's, unless the oracle runs out of states first. It then cuts the
+// engine's own exploration short: a state budget or a guard step budget one
+// below the states it settled must fail with the typed error, and one equal
+// to them must not.
 func checkFullExpansion(t *testing.T, ex *Explorer, f *delay.Piecewise, q float64, label string) {
 	t.Helper()
 	opts := Options{MaxStates: 200_000}
-	want, wantErr := fullExpansion(nil, f, q, opts)
-	got, gotErr := ex.Delay(nil, f, q, opts)
-	if !sameErr(gotErr, wantErr) {
-		t.Fatalf("%s: err %v, oracle %v", label, gotErr, wantErr)
+	got, err := ex.Delay(nil, f, q, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	if wantErr != nil {
-		return
-	}
-	if got.Successors > want.Successors {
-		t.Fatalf("%s: %d successors, oracle emitted %d", label, got.Successors, want.Successors)
-	}
-	if math.Float64bits(got.Delay) != math.Float64bits(want.Delay) {
+	var sse *StateSpaceError
+	switch want, err := fullExpansion(nil, f, q, opts); {
+	case errors.As(err, &sse):
+	case err != nil:
+		t.Fatalf("%s: oracle: %v", label, err)
+	case math.Float64bits(got.Delay) != math.Float64bits(want.Delay):
 		t.Fatalf("%s: delay %v, oracle %v", label, got.Delay, want.Delay)
+	case got.Depth != want.Depth:
+		t.Fatalf("%s: depth %d, oracle %d", label, got.Depth, want.Depth)
+	case got.States > want.States || got.Successors > want.Successors:
+		t.Fatalf("%s: %d states and %d successors, oracle %d and %d",
+			label, got.States, got.Successors, want.States, want.Successors)
 	}
-	got.Successors, want.Successors = 0, 0
-	if got != want {
-		t.Fatalf("%s: %+v, oracle %+v", label, got, want)
-	}
-	if want.States < 2 {
+	n := got.States
+	if n < 2 { // a budget of 0 means the default
 		return
 	}
-	cut := Options{MaxStates: want.States - 1}
-	_, wantErr = fullExpansion(nil, f, q, cut)
-	_, gotErr = ex.Delay(nil, f, q, cut)
-	if wantErr == nil || !sameErr(gotErr, wantErr) {
-		t.Fatalf("%s: MaxStates %d: err %v, oracle %v", label, cut.MaxStates, gotErr, wantErr)
+	if _, err := ex.Delay(nil, f, q, Options{MaxStates: n - 1}); !errors.As(err, &sse) || sse.States != n || sse.Limit != n-1 {
+		t.Fatalf("%s: MaxStates %d: err %v", label, n-1, err)
 	}
-	steps := int64(want.States / 2)
-	gw, gg := guard.New(nil).WithBudget(steps), guard.New(nil).WithBudget(steps)
-	_, wantErr = fullExpansion(gw, f, q, opts)
-	_, gotErr = ex.Delay(gg, f, q, opts)
-	if wantErr == nil || !sameErr(gotErr, wantErr) || gw.Steps() != gg.Steps() {
-		t.Fatalf("%s: guard budget %d: err %v after %d steps, oracle %v after %d",
-			label, steps, gotErr, gg.Steps(), wantErr, gw.Steps())
+	if again, err := ex.Delay(nil, f, q, Options{MaxStates: n}); err != nil || again != got {
+		t.Fatalf("%s: MaxStates %d: %+v, %v; want %+v", label, n, again, err, got)
+	}
+	g := guard.New(nil).WithBudget(int64(n - 1))
+	if _, err := ex.Delay(g, f, q, opts); !errors.Is(err, guard.ErrBudgetExceeded) || g.Steps() != int64(n) {
+		t.Fatalf("%s: guard budget %d: err %v after %d steps", label, n-1, err, g.Steps())
+	}
+	g = guard.New(nil).WithBudget(int64(n))
+	if again, err := ex.Delay(g, f, q, opts); err != nil || again != got || g.Steps() != int64(n) {
+		t.Fatalf("%s: guard budget %d: %+v, %v after %d steps; want %+v", label, n, again, err, g.Steps(), got)
 	}
 }
 
-// sameErr reports whether two exploration errors are the same failure.
-func sameErr(a, b error) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	var sa, sb *StateSpaceError
-	if errors.As(a, &sa) != errors.As(b, &sb) {
-		return false
-	}
-	return a.Error() == b.Error()
-}
-
-// TestDelayMatchesFullExpansion pins the per-breakpoint successor rule and
-// the one-pass frontier admission to the full expansion they replaced, on
-// the atlas families, on synth.DelayFunction curves and on hand-built
-// curves for the rule's corner cases.
+// TestDelayMatchesFullExpansion pins the progression-ordered sweep to the
+// layered full expansion it replaced, on the atlas families, on
+// synth.DelayFunction curves and on hand-built curves for the successor
+// rule's corner cases.
 func TestDelayMatchesFullExpansion(t *testing.T) {
 	ex := NewExplorer()
 	st := new(synth.Stream)

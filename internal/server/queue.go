@@ -30,7 +30,8 @@ const (
 
 // job is one queued or running campaign. The identity fields are written
 // once at submit (or at recovery); mu guards the mutable
-// state/result/err/finished quadruple.
+// state/result/err/finished quadruple. camp is read only by the worker that
+// runs the job, and finish drops it.
 type job struct {
 	id          string
 	kind        string
@@ -61,7 +62,6 @@ type job struct {
 	errText  string
 	code     string
 	finished time.Time
-	done     chan struct{}
 }
 
 func (j *job) setState(st string) {
@@ -70,9 +70,11 @@ func (j *job) setState(st string) {
 	j.mu.Unlock()
 }
 
-// finish records the terminal state and wakes anyone waiting on done.
+// finish records the terminal state and drops the campaign: a finished
+// job keeps only what its view and its manifest record need.
 func (j *job) finish(result any, err error) {
 	j.mu.Lock()
+	j.camp = nil
 	if err != nil {
 		j.state = jobFailed
 		j.err = err
@@ -82,7 +84,6 @@ func (j *job) finish(result any, err error) {
 	}
 	j.finished = time.Now()
 	j.mu.Unlock()
-	close(j.done)
 }
 
 // terminal reports whether the job reached done/failed, and when.

@@ -69,7 +69,6 @@ func (s *Server) jobFromRecord(r jobRecord) *job {
 		params: r.Params, journalPath: r.Journal,
 		timeout: time.Duration(r.TimeoutNS), budget: r.Budget,
 		recovered: true,
-		done:      make(chan struct{}),
 	}
 	if j.timeout <= 0 {
 		j.timeout = s.cfg.MaxTimeout
@@ -88,7 +87,6 @@ func (s *Server) jobFromRecord(r jobRecord) *job {
 			j.result = r.Result
 		}
 		j.finished = finished
-		close(j.done)
 		return j
 	}
 	camp, err := rebuildCampaign(r.Kind, r.Params)
@@ -96,7 +94,6 @@ func (s *Server) jobFromRecord(r jobRecord) *job {
 		j.state = jobFailed
 		j.finished = finished
 		j.err = guard.Invalidf("server: recovering job %s: %v", r.ID, err)
-		close(j.done)
 		s.persist(j)
 		return j
 	}

@@ -300,9 +300,13 @@ func (s *Server) Shutdown() error {
 		s.workers.Wait()
 		close(done)
 	}()
+	// A stopped timer, not time.After: under go 1.22 semantics an
+	// unfired time.After timer stays live until it fires.
+	drain := time.NewTimer(time.Until(deadline))
+	defer drain.Stop()
 	select {
 	case <-done:
-	case <-time.After(time.Until(deadline)):
+	case <-drain.C:
 		// Hard deadline: abort in-flight campaigns through their guard
 		// scopes and wait for the workers to observe it.
 		s.jobStop()
@@ -384,7 +388,6 @@ func (s *Server) submit(j *job) error {
 	s.evictLocked(time.Now())
 	s.jobSeq++
 	j.id = fmt.Sprintf("job-%06d", s.jobSeq)
-	j.done = make(chan struct{})
 	j.state = jobQueued
 	if s.store != nil && j.journalPath == "" && j.kind == "acceptance" {
 		// Auto-assign a checkpoint journal under the data dir so every

@@ -232,7 +232,7 @@ func TestAnalyzeSetAssignQUnderRequestGuard(t *testing.T) {
 }
 
 func TestCampaignJobs(t *testing.T) {
-	_, base := newTestServer(t, nil)
+	s, base := newTestServer(t, nil)
 
 	st, _, v := doJSON(t, "POST", base+"/v1/campaign/acceptance", map[string]any{
 		"sets_per_point": 5, "tasks": 3, "u_start": 0.5, "u_end": 0.6, "u_step": 0.1,
@@ -279,6 +279,17 @@ func TestCampaignJobs(t *testing.T) {
 	}
 	if _, ok := job["result"].(map[string]any); !ok {
 		t.Fatalf("atlas job result: %v", job["result"])
+	}
+	// A finished job keeps its result and manifest parameters, not its
+	// campaign.
+	s.mu.Lock()
+	fin := s.jobs[v["id"].(string)]
+	s.mu.Unlock()
+	fin.mu.Lock()
+	camp, params := fin.camp, fin.params
+	fin.mu.Unlock()
+	if camp != nil || len(params) == 0 {
+		t.Fatalf("finished atlas job holds campaign %v, params %q", camp, params)
 	}
 
 	// Validation failures are refused at submit time, not queued.
