@@ -20,12 +20,17 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also covers the bench/ module, which builds against the root module's
+# API, so a root change that breaks bench/ fails here.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
-# lint-api rejects new exported X/XCtx or X/XOpts pairs (the ladder
-# anti-pattern the consolidated core.Analyze / eval.QSweep APIs replaced).
-# Pre-existing pairs are allowlisted in tools/lintapi/main.go.
+# lint-api applies two rules to internal/ (see tools/lintapi/main.go): it
+# rejects new exported X/XCtx or X/XOpts pairs (the ladder anti-pattern the
+# consolidated core.Analyze / eval.QSweep APIs replaced; pre-existing pairs
+# are allowlisted), and exports that nothing but their own package's tests
+# use (no allowlist).
 lint-api:
 	$(GO) run ./tools/lintapi .
 

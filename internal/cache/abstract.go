@@ -52,9 +52,6 @@ func (s *AbstractState) Age(l Line) (int, bool) {
 	return a, ok
 }
 
-// Len returns the number of tracked lines.
-func (s *AbstractState) Len() int { return len(s.age) }
-
 // accessMust applies the LRU must-update: the accessed line gets age 0;
 // lines in the same set with age <= the accessed line's old age (or all
 // lines when it was absent) age by one, falling out at Assoc.
@@ -232,46 +229,4 @@ func AnalyzeAbstract(g *cfg.Graph, acc AccessMap, cc Config) (*AbstractResult, e
 		mayOut[b] = may
 	}
 	return res, nil
-}
-
-// BlockCost returns the memory-access time bounds [lo, hi] of one block
-// given per-access hit and miss costs: always-hit accesses cost hitCost on
-// both bounds, always-miss cost missCost on both, unclassified cost hitCost
-// at best and missCost at worst.
-func (r *AbstractResult) BlockCost(b cfg.BlockID, hitCost, missCost float64) (lo, hi float64) {
-	for _, c := range r.Class[b] {
-		switch c {
-		case AlwaysHit:
-			lo += hitCost
-			hi += hitCost
-		case AlwaysMiss:
-			lo += missCost
-			hi += missCost
-		default:
-			lo += hitCost
-			hi += missCost
-		}
-	}
-	return lo, hi
-}
-
-// GuaranteedCached returns the lines guaranteed resident at the entry of b.
-func (r *AbstractResult) GuaranteedCached(b cfg.BlockID) LineSet {
-	out := make(LineSet)
-	for l := range r.MustIn[b].age {
-		out.Add(l)
-	}
-	return out
-}
-
-// PossiblyCached returns the lines that may be resident at the entry of b
-// according to the age-tracking may analysis — a subset of the kill-free
-// ReachOut over-approximation used by AnalyzeUCB, hence usable to tighten
-// the UCB set: UCB'_b = UCB_b ∩ PossiblyCached(b) ∪ (lines loaded inside b).
-func (r *AbstractResult) PossiblyCached(b cfg.BlockID) LineSet {
-	out := make(LineSet)
-	for l := range r.MayIn[b].age {
-		out.Add(l)
-	}
-	return out
 }

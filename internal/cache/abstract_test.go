@@ -147,28 +147,6 @@ func TestAnalyzeAbstractValidation(t *testing.T) {
 	}
 }
 
-func TestBlockCost(t *testing.T) {
-	g := cfg.New()
-	a := g.AddSimple("a", 1, 1)
-	b := g.AddSimple("b", 1, 1)
-	g.MustEdge(a, b)
-	acc := AccessMap{a: {0}, b: {0, 1}}
-	res, err := AnalyzeAbstract(g, acc, abstractCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a: one always-miss -> [10,10]. b: 0 always-hit (1), 1 always-miss
-	// (10) -> [11, 11].
-	lo, hi := res.BlockCost(a, 1, 10)
-	if lo != 10 || hi != 10 {
-		t.Fatalf("a cost = [%g,%g], want [10,10]", lo, hi)
-	}
-	lo, hi = res.BlockCost(b, 1, 10)
-	if lo != 11 || hi != 11 {
-		t.Fatalf("b cost = [%g,%g], want [11,11]", lo, hi)
-	}
-}
-
 func TestGuaranteedAndPossiblyCached(t *testing.T) {
 	g := cfg.New()
 	a := g.AddSimple("a", 1, 1)
@@ -179,15 +157,19 @@ func TestGuaranteedAndPossiblyCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc := res.GuaranteedCached(b)
-	if !gc.Has(0) || !gc.Has(1) {
-		t.Fatalf("guaranteed = %v, want {0,1}", gc)
+	must, may := res.MustIn[b], res.MayIn[b]
+	for _, l := range []Line{0, 1} {
+		if _, ok := must.Age(l); !ok {
+			t.Fatalf("line %d not guaranteed at b: %v", l, must.age)
+		}
+		if _, ok := may.Age(l); !ok {
+			t.Fatalf("line %d not possibly cached at b: %v", l, may.age)
+		}
 	}
-	pc := res.PossiblyCached(b)
-	if !pc.Has(0) || !pc.Has(1) || pc.Len() != 2 {
-		t.Fatalf("possibly = %v, want {0,1}", pc)
+	if len(may.age) != 2 {
+		t.Fatalf("possibly cached at b = %v, want {0,1}", may.age)
 	}
-	if res.GuaranteedCached(a).Len() != 0 {
+	if len(res.MustIn[a].age) != 0 {
 		t.Fatal("entry must state should be empty (cold cache)")
 	}
 }
@@ -270,14 +252,14 @@ func TestMustSoundOnAllPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		must := res.GuaranteedCached(bot)
+		must := res.MustIn[bot].age
 		for _, path := range [][]cfg.BlockID{{top, l}, {top, rb}} {
 			sim, _ := NewSim(cc)
 			for _, id := range path {
 				sim.AccessAll(acc[id])
 			}
 			for line := range must {
-				if !sim.Contains(line) {
+				if !sim.contains(line) {
 					t.Fatalf("trial %d: must line %d absent on path %v", trial, line, path)
 				}
 			}

@@ -52,18 +52,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// LineOf maps a byte address to its cache line.
-func (c Config) LineOf(addr uint64) Line {
-	return Line(addr / uint64(c.LineBytes))
-}
-
 // SetOf maps a line to its cache set index.
 func (c Config) SetOf(l Line) int {
 	return int(uint64(l) % uint64(c.Sets))
 }
-
-// Capacity returns the total number of lines the cache can hold.
-func (c Config) Capacity() int { return c.Sets * c.Assoc }
 
 // LineSet is a set of cache lines, the common currency of the analyses.
 type LineSet map[Line]struct{}
@@ -105,15 +97,6 @@ func (s LineSet) Intersect(t LineSet) LineSet {
 		if t.Has(l) {
 			out.Add(l)
 		}
-	}
-	return out
-}
-
-// Clone returns a copy of the set.
-func (s LineSet) Clone() LineSet {
-	out := make(LineSet, len(s))
-	for l := range s {
-		out.Add(l)
 	}
 	return out
 }

@@ -8,50 +8,3 @@ package cache
 func ECB(acc AccessMap) LineSet {
 	return acc.Lines()
 }
-
-// ECBUnion merges the evicting cache blocks of several preempting tasks, the
-// quantity needed when any of a set of higher-priority tasks may preempt.
-func ECBUnion(tasks ...LineSet) LineSet {
-	out := make(LineSet)
-	for _, t := range tasks {
-		out.Union(t)
-	}
-	return out
-}
-
-// SetsTouched returns the cache sets the given lines map to.
-func SetsTouched(c Config, lines LineSet) map[int]bool {
-	out := make(map[int]bool, len(lines))
-	for l := range lines {
-		out[c.SetOf(l)] = true
-	}
-	return out
-}
-
-// WorstCaseEvictions bounds the number of line reloads a preemption by a
-// workload with the given ECBs can inflict on a victim with the given UCBs,
-// independent of program point:
-//
-//	Σ_s∈touched min(|UCB_s|, Assoc)
-//
-// multiplied by the reload cost. This is the "maximum damage a preempting
-// task may cause" in the sense of Petters and Färber (reference [1] of the
-// paper), evaluated against the victim's whole UCB set.
-func WorstCaseEvictions(c Config, ucb, ecb LineSet) float64 {
-	touched := SetsTouched(c, ecb)
-	perSet := make(map[int]int)
-	for l := range ucb {
-		perSet[c.SetOf(l)]++
-	}
-	var lines int
-	for s, n := range perSet {
-		if !touched[s] {
-			continue
-		}
-		if n > c.Assoc {
-			n = c.Assoc
-		}
-		lines += n
-	}
-	return float64(lines) * c.ReloadCost
-}

@@ -10,7 +10,7 @@ type Sim struct {
 	// the most recently used way.
 	sets [][]Line
 
-	hits, misses uint64
+	misses uint64
 }
 
 // NewSim creates an empty cache.
@@ -22,9 +22,6 @@ func NewSim(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// Config returns the simulator's cache configuration.
-func (s *Sim) Config() Config { return s.cfg }
-
 // Access touches one line, updating LRU state, and reports whether it hit.
 func (s *Sim) Access(l Line) bool {
 	idx := s.cfg.SetOf(l)
@@ -34,7 +31,6 @@ func (s *Sim) Access(l Line) bool {
 			// Hit: move to front.
 			copy(ways[1:i+1], ways[:i])
 			ways[0] = l
-			s.hits++
 			return true
 		}
 	}
@@ -58,45 +54,9 @@ func (s *Sim) AccessAll(trace []Line) uint64 {
 	return s.misses - before
 }
 
-// Contains reports whether a line is currently resident, without touching
-// LRU state.
-func (s *Sim) Contains(l Line) bool {
-	for _, w := range s.sets[s.cfg.SetOf(l)] {
-		if w == l {
-			return true
-		}
-	}
-	return false
-}
-
-// Resident returns the set of all currently cached lines.
-func (s *Sim) Resident() LineSet {
-	out := make(LineSet)
-	for _, ways := range s.sets {
-		for _, w := range ways {
-			out.Add(w)
-		}
-	}
-	return out
-}
-
-// Hits and Misses return the accumulated counters.
-func (s *Sim) Hits() uint64   { return s.hits }
-func (s *Sim) Misses() uint64 { return s.misses }
-
 // Flush empties the cache but keeps the counters.
 func (s *Sim) Flush() {
 	for i := range s.sets {
 		s.sets[i] = nil
 	}
-}
-
-// Snapshot returns a deep copy of the simulator, useful for exploring
-// preemption scenarios from a common warm state.
-func (s *Sim) Snapshot() *Sim {
-	c := &Sim{cfg: s.cfg, sets: make([][]Line, len(s.sets)), hits: s.hits, misses: s.misses}
-	for i, ways := range s.sets {
-		c.sets[i] = append([]Line(nil), ways...)
-	}
-	return c
 }

@@ -5,6 +5,37 @@ import (
 	"testing"
 )
 
+// contains reports whether a line is resident, without touching LRU state.
+func (s *Sim) contains(l Line) bool {
+	for _, w := range s.sets[s.cfg.SetOf(l)] {
+		if w == l {
+			return true
+		}
+	}
+	return false
+}
+
+// resident returns the set of all cached lines.
+func (s *Sim) resident() LineSet {
+	out := make(LineSet)
+	for _, ways := range s.sets {
+		for _, w := range ways {
+			out.Add(w)
+		}
+	}
+	return out
+}
+
+// snapshot returns a deep copy of the simulator, so that several preemption
+// scenarios can start from one warm state.
+func (s *Sim) snapshot() *Sim {
+	c := &Sim{cfg: s.cfg, sets: make([][]Line, len(s.sets)), misses: s.misses}
+	for i, ways := range s.sets {
+		c.sets[i] = append([]Line(nil), ways...)
+	}
+	return c
+}
+
 func TestSimRejectsBadConfig(t *testing.T) {
 	if _, err := NewSim(Config{Sets: 3, Assoc: 1, LineBytes: 16}); err == nil {
 		t.Fatal("NewSim accepted invalid config")
@@ -19,8 +50,8 @@ func TestSimColdMissThenHit(t *testing.T) {
 	if !s.Access(5) {
 		t.Fatal("warm access reported miss")
 	}
-	if s.Hits() != 1 || s.Misses() != 1 {
-		t.Fatalf("counters = %d hits, %d misses", s.Hits(), s.Misses())
+	if s.misses != 1 {
+		t.Fatalf("misses = %d, want 1", s.misses)
 	}
 }
 
@@ -30,10 +61,10 @@ func TestSimLRUEviction(t *testing.T) {
 	s.Access(0)
 	s.Access(8)
 	s.Access(16) // evicts 0 (LRU)
-	if s.Contains(0) {
+	if s.contains(0) {
 		t.Fatal("LRU line not evicted")
 	}
-	if !s.Contains(8) || !s.Contains(16) {
+	if !s.contains(8) || !s.contains(16) {
 		t.Fatal("wrong line evicted")
 	}
 }
@@ -44,7 +75,7 @@ func TestSimLRUOrderUpdatedOnHit(t *testing.T) {
 	s.Access(8)
 	s.Access(0)  // 0 becomes MRU
 	s.Access(16) // must evict 8, not 0
-	if !s.Contains(0) || s.Contains(8) {
+	if !s.contains(0) || s.contains(8) {
 		t.Fatal("hit did not refresh LRU order")
 	}
 }
@@ -53,7 +84,7 @@ func TestSimDirectMapped(t *testing.T) {
 	s, _ := NewSim(Config{Sets: 4, Assoc: 1, LineBytes: 16, ReloadCost: 1})
 	s.Access(0)
 	s.Access(4) // same set, evicts 0
-	if s.Contains(0) {
+	if s.contains(0) {
 		t.Fatal("direct-mapped conflict not evicted")
 	}
 }
@@ -64,14 +95,14 @@ func TestSimAccessAllAndFlush(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("AccessAll misses = %d, want 3", n)
 	}
-	if got := s.Resident().Len(); got != 3 {
+	if got := s.resident().Len(); got != 3 {
 		t.Fatalf("resident = %d lines, want 3", got)
 	}
 	s.Flush()
-	if s.Resident().Len() != 0 {
+	if s.resident().Len() != 0 {
 		t.Fatal("Flush left residents")
 	}
-	if s.Misses() != 3 {
+	if s.misses != 3 {
 		t.Fatal("Flush cleared counters")
 	}
 }
@@ -79,13 +110,13 @@ func TestSimAccessAllAndFlush(t *testing.T) {
 func TestSimSnapshotIndependence(t *testing.T) {
 	s, _ := NewSim(validCfg())
 	s.Access(1)
-	c := s.Snapshot()
+	c := s.snapshot()
 	c.Access(2)
-	if s.Contains(2) {
-		t.Fatal("Snapshot shares state")
+	if s.contains(2) {
+		t.Fatal("snapshot shares state")
 	}
-	if !c.Contains(1) {
-		t.Fatal("Snapshot lost state")
+	if !c.contains(1) {
+		t.Fatal("snapshot lost state")
 	}
 }
 
@@ -102,7 +133,7 @@ func TestSimCapacityAndWarmup(t *testing.T) {
 			trace[i] = Line(r.Intn(24))
 		}
 		cold := s.AccessAll(trace)
-		if s.Resident().Len() > cfg.Capacity() {
+		if s.resident().Len() > cfg.Sets*cfg.Assoc {
 			t.Fatalf("trial %d: residency exceeds capacity", trial)
 		}
 		warm := s.AccessAll(trace)
@@ -132,7 +163,7 @@ func TestSimPreemptionDamageBounded(t *testing.T) {
 		// Preempted run: preempter trashes the cache at the cut.
 		pre, _ := NewSim(cfg)
 		pre.AccessAll(victimTrace[:cut])
-		resident := pre.Resident().Len()
+		resident := pre.resident().Len()
 		preempter := make([]Line, 50)
 		for i := range preempter {
 			preempter[i] = Line(100 + r.Intn(16))

@@ -170,18 +170,6 @@ func (r *UCBResult) CRPDAgainst(b cfg.BlockID, ecb LineSet) float64 {
 	return float64(lines) * r.cc.ReloadCost
 }
 
-// MaxCRPD returns the largest per-block CRPD of the task and the block
-// attaining it (ties broken by lowest block ID).
-func (r *UCBResult) MaxCRPD() (cfg.BlockID, float64) {
-	best, bestID := -1.0, cfg.NoBlock
-	for id := 0; id < r.cfg.Len(); id++ {
-		if c := r.CRPD(cfg.BlockID(id)); c > best {
-			best, bestID = c, cfg.BlockID(id)
-		}
-	}
-	return bestID, best
-}
-
 // RemapAccesses lifts a per-original-block access map onto a loop-collapsed
 // graph: a collapsed loop node's trace is the concatenation (in block-ID
 // order) of the traces of the blocks it covers. Concatenation preserves the

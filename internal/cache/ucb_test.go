@@ -130,44 +130,11 @@ func TestCRPDAgainstUntouchedSets(t *testing.T) {
 	}
 }
 
-func TestMaxCRPD(t *testing.T) {
-	g, acc := lineChain([]Line{0, 1, 2}, nil, []Line{0, 1, 2})
-	res, err := AnalyzeUCB(g, acc, Config{Sets: 8, Assoc: 2, LineBytes: 16, ReloadCost: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, v := res.MaxCRPD()
-	if v != 3 {
-		t.Fatalf("MaxCRPD = %g, want 3", v)
-	}
-	if id == cfg.NoBlock {
-		t.Fatal("MaxCRPD returned no block")
-	}
-}
-
 func TestECBHelpers(t *testing.T) {
 	acc := AccessMap{0: {1, 2}, 1: {2, 3}}
 	ecb := ECB(acc)
 	if ecb.Len() != 3 {
 		t.Fatalf("ECB = %v, want 3 lines", ecb)
-	}
-	u := ECBUnion(NewLineSet(1), NewLineSet(2), NewLineSet(1, 3))
-	if u.Len() != 3 {
-		t.Fatalf("ECBUnion = %v, want 3 lines", u)
-	}
-	cc := Config{Sets: 4, Assoc: 1, LineBytes: 16, ReloadCost: 1}
-	touched := SetsTouched(cc, NewLineSet(0, 4, 1))
-	if !touched[0] || !touched[1] || touched[2] {
-		t.Fatalf("SetsTouched = %v", touched)
-	}
-}
-
-func TestWorstCaseEvictions(t *testing.T) {
-	cc := Config{Sets: 4, Assoc: 1, LineBytes: 16, ReloadCost: 2}
-	ucb := NewLineSet(0, 1, 2)                             // sets 0,1,2
-	ecb := NewLineSet(4, 5)                                // sets 0,1
-	if got := WorstCaseEvictions(cc, ucb, ecb); got != 4 { // 2 lines × 2
-		t.Fatalf("WorstCaseEvictions = %g, want 4", got)
 	}
 }
 
@@ -217,12 +184,12 @@ func TestStaticCRPDBoundsSimulatedDamage(t *testing.T) {
 			for _, id := range ids[:cut] {
 				base.AccessAll(acc[id])
 			}
-			pre := base.Snapshot()
+			pre := base.snapshot()
 			baseTail := full(cut, base)
 
 			// Preempter trashes the whole cache.
-			trash := make([]Line, 0, cc.Capacity()*2)
-			for i := 0; i < cc.Capacity()*2; i++ {
+			trash := make([]Line, 0, 2*cc.Sets*cc.Assoc)
+			for i := 0; i < 2*cc.Sets*cc.Assoc; i++ {
 				trash = append(trash, Line(1000+i))
 			}
 			pre.AccessAll(trash)

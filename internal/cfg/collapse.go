@@ -250,153 +250,3 @@ func (g *Graph) collapseOne(l Loop, emin, emax float64) (*Graph, map[BlockID]Blo
 	}
 	return next, remap, nil
 }
-
-// Program is a set of functions, each with its own control-flow graph,
-// related by an acyclic call graph. Blocks reference callees by name via
-// Block.Call. Analyze processes leaves first, folding each callee's
-// [BCET, WCET] into the calling block's execution interval, exactly as the
-// paper prescribes for tasks containing function calls.
-type Program struct {
-	funcs map[string]*Graph
-	root  string
-}
-
-// NewProgram creates a program with the given root (task entry) function.
-func NewProgram(root string) *Program {
-	return &Program{funcs: make(map[string]*Graph), root: root}
-}
-
-// AddFunc registers a function's CFG under the given name.
-func (p *Program) AddFunc(name string, g *Graph) error {
-	if name == "" {
-		return errors.New("cfg: empty function name")
-	}
-	if _, dup := p.funcs[name]; dup {
-		return fmt.Errorf("cfg: duplicate function %q", name)
-	}
-	p.funcs[name] = g
-	return nil
-}
-
-// Func returns the named function's graph, or nil.
-func (p *Program) Func(name string) *Graph { return p.funcs[name] }
-
-// Root returns the root function name.
-func (p *Program) Root() string { return p.root }
-
-// FuncInterval is a function's isolated execution-time interval.
-type FuncInterval struct{ BCET, WCET float64 }
-
-// ProgramResult is the outcome of Program.Analyze.
-type ProgramResult struct {
-	// Intervals holds each function's isolated execution interval.
-	Intervals map[string]FuncInterval
-
-	// Root holds the root function's offsets, computed on its
-	// loop-collapsed, call-inlined graph.
-	Root *Offsets
-
-	// RootCollapsed is the collapsed root graph the offsets refer to,
-	// with provenance back to the original root graph's blocks.
-	RootCollapsed *Collapsed
-}
-
-// Analyze processes the call graph bottom-up (leaves first). It fails on
-// recursive (cyclic) call graphs, unknown callees, or irreducible CFGs.
-func (p *Program) Analyze() (*ProgramResult, error) {
-	if _, ok := p.funcs[p.root]; !ok {
-		return nil, fmt.Errorf("cfg: root function %q not defined", p.root)
-	}
-	order, err := p.callOrder()
-	if err != nil {
-		return nil, err
-	}
-	res := &ProgramResult{Intervals: make(map[string]FuncInterval, len(order))}
-	inlined := make(map[string]*Collapsed, len(order))
-	for _, name := range order {
-		g := p.funcs[name].Clone()
-		// Fold callee intervals into calling blocks.
-		for id := 0; id < g.Len(); id++ {
-			b := g.Block(BlockID(id))
-			if b.Call == "" {
-				continue
-			}
-			iv, ok := res.Intervals[b.Call]
-			if !ok {
-				return nil, fmt.Errorf("cfg: function %q calls undefined or unanalysed %q", name, b.Call)
-			}
-			g.SetInterval(BlockID(id), b.EMin+iv.BCET, b.EMax+iv.WCET)
-		}
-		col, err := g.CollapseLoops()
-		if err != nil {
-			return nil, fmt.Errorf("cfg: function %q: %w", name, err)
-		}
-		off, err := col.Graph.AnalyzeOffsets()
-		if err != nil {
-			return nil, fmt.Errorf("cfg: function %q: %w", name, err)
-		}
-		res.Intervals[name] = FuncInterval{BCET: off.BCET, WCET: off.WCET}
-		inlined[name] = col
-		if name == p.root {
-			res.Root = off
-			res.RootCollapsed = col
-		}
-	}
-	return res, nil
-}
-
-// callOrder returns the function names in bottom-up (callee before caller)
-// order, or an error when the call graph is cyclic or references unknown
-// functions.
-func (p *Program) callOrder() ([]string, error) {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[string]int, len(p.funcs))
-	var order []string
-	var visit func(string) error
-	visit = func(name string) error {
-		switch color[name] {
-		case gray:
-			return fmt.Errorf("cfg: recursive call cycle through %q", name)
-		case black:
-			return nil
-		}
-		g, ok := p.funcs[name]
-		if !ok {
-			return fmt.Errorf("cfg: call to undefined function %q", name)
-		}
-		color[name] = gray
-		// Deterministic callee order.
-		var callees []string
-		seen := map[string]bool{}
-		for id := 0; id < g.Len(); id++ {
-			if c := g.Block(BlockID(id)).Call; c != "" && !seen[c] {
-				seen[c] = true
-				callees = append(callees, c)
-			}
-		}
-		sort.Strings(callees)
-		for _, c := range callees {
-			if err := visit(c); err != nil {
-				return err
-			}
-		}
-		color[name] = black
-		order = append(order, name)
-		return nil
-	}
-	if err := visit(p.root); err != nil {
-		return nil, err
-	}
-	return order, nil
-}
-
-// CallOrder returns the function names reachable from the root in bottom-up
-// (callee before caller) order — the order in which per-function analyses
-// must run. It fails on recursive call graphs or undefined callees.
-func (p *Program) CallOrder() ([]string, error) {
-	return p.callOrder()
-}

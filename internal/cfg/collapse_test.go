@@ -176,116 +176,3 @@ func TestCollapseSelfLoop(t *testing.T) {
 		t.Fatalf("BCET,WCET = %g,%g; want 6,14", off.BCET, off.WCET)
 	}
 }
-
-func TestProgramAnalyzeLeafFirst(t *testing.T) {
-	// leaf: two blocks [1,2] + [3,4] => [4,6].
-	leaf := New()
-	a := leaf.AddSimple("a", 1, 2)
-	b := leaf.AddSimple("b", 3, 4)
-	leaf.MustEdge(a, b)
-
-	// main: entry [1,1]; caller block [2,2] calling leaf; exit [1,1].
-	main := New()
-	e := main.AddSimple("entry", 1, 1)
-	c := main.AddBlock(Block{Name: "call", EMin: 2, EMax: 2, Call: "leaf"})
-	x := main.AddSimple("exit", 1, 1)
-	main.MustEdge(e, c)
-	main.MustEdge(c, x)
-
-	p := NewProgram("main")
-	if err := p.AddFunc("main", main); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddFunc("leaf", leaf); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv := res.Intervals["leaf"]; iv.BCET != 4 || iv.WCET != 6 {
-		t.Fatalf("leaf interval = %+v, want {4 6}", iv)
-	}
-	// main: 1 + (2+4..2+6) + 1 => [8, 10].
-	if iv := res.Intervals["main"]; iv.BCET != 8 || iv.WCET != 10 {
-		t.Fatalf("main interval = %+v, want {8 10}", iv)
-	}
-	if res.Root == nil || res.RootCollapsed == nil {
-		t.Fatal("root analysis missing")
-	}
-}
-
-func TestProgramRejectsRecursion(t *testing.T) {
-	f := New()
-	f.AddBlock(Block{Name: "self", EMin: 1, EMax: 1, Call: "f"})
-	p := NewProgram("f")
-	if err := p.AddFunc("f", f); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Analyze(); err == nil {
-		t.Fatal("Analyze accepted recursive program")
-	}
-}
-
-func TestProgramRejectsUnknownCallee(t *testing.T) {
-	f := New()
-	f.AddBlock(Block{Name: "c", EMin: 1, EMax: 1, Call: "ghost"})
-	p := NewProgram("f")
-	if err := p.AddFunc("f", f); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Analyze(); err == nil {
-		t.Fatal("Analyze accepted undefined callee")
-	}
-}
-
-func TestProgramRejectsMissingRoot(t *testing.T) {
-	p := NewProgram("nope")
-	if _, err := p.Analyze(); err == nil {
-		t.Fatal("Analyze accepted missing root")
-	}
-}
-
-func TestProgramDuplicateFunc(t *testing.T) {
-	p := NewProgram("f")
-	g := New()
-	g.AddSimple("a", 1, 1)
-	if err := p.AddFunc("f", g); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddFunc("f", g); err == nil {
-		t.Fatal("AddFunc accepted duplicate name")
-	}
-	if err := p.AddFunc("", g); err == nil {
-		t.Fatal("AddFunc accepted empty name")
-	}
-}
-
-func TestProgramCallInsideLoop(t *testing.T) {
-	// Loop body calls a leaf function; interval must multiply through.
-	leaf := New()
-	leaf.AddSimple("work", 2, 3)
-
-	main := New()
-	entry := main.AddSimple("entry", 0, 0)
-	h := main.AddSimple("h", 1, 1)
-	body := main.AddBlock(Block{Name: "body", EMin: 1, EMax: 1, Call: "leaf"})
-	exit := main.AddSimple("exit", 0, 0)
-	main.MustEdge(entry, h)
-	main.MustEdge(h, body)
-	main.MustEdge(body, h)
-	main.MustEdge(h, exit)
-	main.LoopBounds[h] = Bound{Min: 2, Max: 2}
-
-	p := NewProgram("main")
-	p.AddFunc("main", main)
-	p.AddFunc("leaf", leaf)
-	res, err := p.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Iteration: h [1,1] + body+leaf [3,4] => [4,5]; 2 iterations => [8,10].
-	if iv := res.Intervals["main"]; iv.BCET != 8 || iv.WCET != 10 {
-		t.Fatalf("main interval = %+v, want {8 10}", iv)
-	}
-}

@@ -263,12 +263,6 @@ func (g *Graph) reducibleGiven(byHeader map[BlockID]*Loop) bool {
 	return count == n
 }
 
-// IsReducible reports whether all cycles in the graph are natural loops.
-func (g *Graph) IsReducible() bool {
-	_, ok := g.NaturalLoops()
-	return ok
-}
-
 // CheckLoopBounds verifies that every loop header has an iteration bound in
 // g.LoopBounds and that the bounds are sane.
 func (g *Graph) CheckLoopBounds() error {

@@ -5,7 +5,7 @@ import (
 )
 
 func TestDominatorsDiamond(t *testing.T) {
-	g := Diamond([2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1})
+	g := diamond([2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1})
 	idom := g.Dominators()
 	// entry dominates itself; left/right dominated by top; bottom's idom is top.
 	if idom[0] != 0 {
@@ -129,9 +129,6 @@ func TestIrreducibleGraphDetected(t *testing.T) {
 	g.MustEdge(a, exit)
 	if _, ok := g.NaturalLoops(); ok {
 		t.Fatal("irreducible graph not detected")
-	}
-	if g.IsReducible() {
-		t.Fatal("IsReducible true for irreducible graph")
 	}
 }
 

@@ -71,21 +71,6 @@ func Figure1Offsets() [][2]float64 {
 	}
 }
 
-// Diamond builds the canonical 4-block if/else diamond with the given
-// intervals, a small reusable test fixture.
-func Diamond(top, left, right, bottom [2]float64) *Graph {
-	g := New()
-	a := g.AddSimple("top", top[0], top[1])
-	b := g.AddSimple("left", left[0], left[1])
-	c := g.AddSimple("right", right[0], right[1])
-	d := g.AddSimple("bottom", bottom[0], bottom[1])
-	g.MustEdge(a, b)
-	g.MustEdge(a, c)
-	g.MustEdge(b, d)
-	g.MustEdge(c, d)
-	return g
-}
-
 // SimpleLoop builds entry -> header -> body -> header (back edge), header ->
 // exit, with the given iteration bound — the smallest natural-loop fixture.
 func SimpleLoop(bound Bound) *Graph {

@@ -19,7 +19,7 @@ func FuzzParse(f *testing.F) {
 			return // rejected input is fine; panics are not
 		}
 		var b strings.Builder
-		if err := g.Format(&b); err != nil {
+		if err := g.format(&b); err != nil {
 			t.Fatalf("accepted graph failed to format: %v", err)
 		}
 		g2, err := Parse(strings.NewReader(b.String()))

@@ -135,21 +135,12 @@ func (g *Graph) SetEntry(id BlockID) error {
 	return nil
 }
 
-// Entry returns the entry block ID (NoBlock for an empty graph).
-func (g *Graph) Entry() BlockID { return g.entry }
-
 // Len returns the number of blocks.
 func (g *Graph) Len() int { return len(g.blocks) }
 
 // Block returns the block with the given ID.
 func (g *Graph) Block(id BlockID) Block {
 	return g.blocks[id]
-}
-
-// SetInterval updates a block's execution-time interval in place.
-func (g *Graph) SetInterval(id BlockID, emin, emax float64) {
-	g.blocks[id].EMin = emin
-	g.blocks[id].EMax = emax
 }
 
 // Succs returns the successor IDs of a block (shared slice; do not mutate).

@@ -6,6 +6,21 @@ import (
 	"testing"
 )
 
+// diamond builds the canonical 4-block if/else diamond with the given
+// intervals.
+func diamond(top, left, right, bottom [2]float64) *Graph {
+	g := New()
+	a := g.AddSimple("top", top[0], top[1])
+	b := g.AddSimple("left", left[0], left[1])
+	c := g.AddSimple("right", right[0], right[1])
+	d := g.AddSimple("bottom", bottom[0], bottom[1])
+	g.MustEdge(a, b)
+	g.MustEdge(a, c)
+	g.MustEdge(b, d)
+	g.MustEdge(c, d)
+	return g
+}
+
 func TestAddBlockAssignsIDsAndEntry(t *testing.T) {
 	g := New()
 	a := g.AddSimple("a", 1, 2)
@@ -13,8 +28,8 @@ func TestAddBlockAssignsIDsAndEntry(t *testing.T) {
 	if a != 0 || b != 1 {
 		t.Fatalf("IDs = %d, %d; want 0, 1", a, b)
 	}
-	if g.Entry() != a {
-		t.Fatalf("entry = %d, want %d", g.Entry(), a)
+	if g.entry != a {
+		t.Fatalf("entry = %d, want %d", g.entry, a)
 	}
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", g.Len())
@@ -53,8 +68,8 @@ func TestSetEntry(t *testing.T) {
 	if err := g.SetEntry(b); err != nil {
 		t.Fatal(err)
 	}
-	if g.Entry() != b {
-		t.Fatalf("entry = %d, want %d", g.Entry(), b)
+	if g.entry != b {
+		t.Fatalf("entry = %d, want %d", g.entry, b)
 	}
 	if err := g.SetEntry(42); err == nil {
 		t.Fatal("SetEntry accepted unknown block")
@@ -101,7 +116,7 @@ func TestValidateNoExit(t *testing.T) {
 }
 
 func TestExits(t *testing.T) {
-	g := Diamond([2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1})
+	g := diamond([2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1})
 	ex := g.Exits()
 	if len(ex) != 1 || g.Block(ex[0]).Name != "bottom" {
 		t.Fatalf("Exits = %v", ex)
@@ -109,7 +124,7 @@ func TestExits(t *testing.T) {
 }
 
 func TestTopoOrder(t *testing.T) {
-	g := Diamond([2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1})
+	g := diamond([2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1})
 	order, err := g.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +155,7 @@ func TestTopoOrderCycle(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	g := SimpleLoop(Bound{Min: 0, Max: 2})
 	c := g.Clone()
-	c.SetInterval(0, 42, 43)
+	c.blocks[0].EMin = 42
 	c.MustEdge(0, 3)
 	c.LoopBounds[1] = Bound{Min: 5, Max: 5}
 	if g.Block(0).EMin == 42 {
@@ -166,7 +181,7 @@ func TestBlockLabel(t *testing.T) {
 }
 
 func TestDOTOutput(t *testing.T) {
-	g := Diamond([2]float64{1, 2}, [2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1})
+	g := diamond([2]float64{1, 2}, [2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1})
 	dot := g.DOT("diamond")
 	for _, want := range []string{"digraph", "top", "bottom", "n0 -> n1"} {
 		if !strings.Contains(dot, want) {

@@ -172,7 +172,7 @@ func TestOffsetsInvariantsRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if o.SMin[g.Entry()] != 0 || o.SMax[g.Entry()] != 0 {
+		if o.SMin[g.entry] != 0 || o.SMax[g.entry] != 0 {
 			t.Fatalf("trial %d: entry offsets not [0,0]", trial)
 		}
 		for id := 0; id < g.Len(); id++ {
@@ -286,7 +286,7 @@ func enumeratePaths(g *Graph, maxPaths int) ([][]BlockID, error) {
 		}
 		return nil
 	}
-	if err := walk(g.Entry()); err != nil {
+	if err := walk(g.entry); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -317,7 +317,7 @@ func exhaustiveBounds(g *Graph) (bcet, wcet float64, err error) {
 }
 
 func TestEnumeratePathsDiamond(t *testing.T) {
-	g := Diamond([2]float64{1, 1}, [2]float64{2, 3}, [2]float64{4, 5}, [2]float64{1, 1})
+	g := diamond([2]float64{1, 1}, [2]float64{2, 3}, [2]float64{4, 5}, [2]float64{1, 1})
 	paths, err := enumeratePaths(g, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestEnumeratePathsRejectsCycles(t *testing.T) {
 }
 
 func TestPathTime(t *testing.T) {
-	g := Diamond([2]float64{1, 1}, [2]float64{2, 3}, [2]float64{4, 5}, [2]float64{1, 1})
+	g := diamond([2]float64{1, 1}, [2]float64{2, 3}, [2]float64{4, 5}, [2]float64{1, 1})
 	lo, hi := pathTime(g, []BlockID{0, 1, 3})
 	if lo != 4 || hi != 5 {
 		t.Fatalf("path time = [%g,%g], want [4,5]", lo, hi)
@@ -347,7 +347,7 @@ func TestPathTime(t *testing.T) {
 }
 
 func TestExhaustiveBoundsDiamond(t *testing.T) {
-	g := Diamond([2]float64{1, 1}, [2]float64{2, 3}, [2]float64{4, 5}, [2]float64{1, 1})
+	g := diamond([2]float64{1, 1}, [2]float64{2, 3}, [2]float64{4, 5}, [2]float64{1, 1})
 	bcet, wcet, err := exhaustiveBounds(g)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -20,49 +19,6 @@ import (
 //	loop <header> <min> <max>
 //
 // Block references are by name; the entry defaults to the first block.
-
-// Format renders the graph in the text format; Parse(Format(g)) reproduces
-// the graph up to block IDs.
-func (g *Graph) Format(w io.Writer) error {
-	for id := 0; id < g.Len(); id++ {
-		b := g.Block(BlockID(id))
-		if b.Call != "" {
-			if _, err := fmt.Fprintf(w, "block %s %g %g call=%s\n", b.Label(), b.EMin, b.EMax, b.Call); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "block %s %g %g\n", b.Label(), b.EMin, b.EMax); err != nil {
-			return err
-		}
-	}
-	if g.entry != NoBlock {
-		if _, err := fmt.Fprintf(w, "entry %s\n", g.Block(g.entry).Label()); err != nil {
-			return err
-		}
-	}
-	for from := 0; from < g.Len(); from++ {
-		succs := append([]BlockID(nil), g.Succs(BlockID(from))...)
-		sort.Slice(succs, func(i, j int) bool { return succs[i] < succs[j] })
-		for _, to := range succs {
-			if _, err := fmt.Fprintf(w, "edge %s %s\n", g.Block(BlockID(from)).Label(), g.Block(to).Label()); err != nil {
-				return err
-			}
-		}
-	}
-	headers := make([]BlockID, 0, len(g.LoopBounds))
-	for h := range g.LoopBounds {
-		headers = append(headers, h)
-	}
-	sort.Slice(headers, func(i, j int) bool { return headers[i] < headers[j] })
-	for _, h := range headers {
-		b := g.LoopBounds[h]
-		if _, err := fmt.Fprintf(w, "loop %s %d %d\n", g.Block(h).Label(), b.Min, b.Max); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // parseFinite parses a float and rejects NaN and infinities, which
 // strconv.ParseFloat happily accepts ("nan", "inf").

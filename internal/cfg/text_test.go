@@ -1,9 +1,55 @@
 package cfg
 
 import (
+	"fmt"
+	"io"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// format renders the graph in the text format; Parse(format(g)) reproduces
+// the graph up to block IDs.
+func (g *Graph) format(w io.Writer) error {
+	for id := 0; id < g.Len(); id++ {
+		b := g.Block(BlockID(id))
+		if b.Call != "" {
+			if _, err := fmt.Fprintf(w, "block %s %g %g call=%s\n", b.Label(), b.EMin, b.EMax, b.Call); err != nil {
+				return err
+			}
+			continue
+		}
+		if _, err := fmt.Fprintf(w, "block %s %g %g\n", b.Label(), b.EMin, b.EMax); err != nil {
+			return err
+		}
+	}
+	if g.entry != NoBlock {
+		if _, err := fmt.Fprintf(w, "entry %s\n", g.Block(g.entry).Label()); err != nil {
+			return err
+		}
+	}
+	for from := 0; from < g.Len(); from++ {
+		succs := append([]BlockID(nil), g.Succs(BlockID(from))...)
+		sort.Slice(succs, func(i, j int) bool { return succs[i] < succs[j] })
+		for _, to := range succs {
+			if _, err := fmt.Fprintf(w, "edge %s %s\n", g.Block(BlockID(from)).Label(), g.Block(to).Label()); err != nil {
+				return err
+			}
+		}
+	}
+	headers := make([]BlockID, 0, len(g.LoopBounds))
+	for h := range g.LoopBounds {
+		headers = append(headers, h)
+	}
+	sort.Slice(headers, func(i, j int) bool { return headers[i] < headers[j] })
+	for _, h := range headers {
+		b := g.LoopBounds[h]
+		if _, err := fmt.Fprintf(w, "loop %s %d %d\n", g.Block(h).Label(), b.Min, b.Max); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 const sampleText = `
 # a diamond with a loop on the left arm
@@ -30,8 +76,8 @@ func TestParseBasic(t *testing.T) {
 	if g.Len() != 5 {
 		t.Fatalf("blocks = %d, want 5", g.Len())
 	}
-	if g.Block(g.Entry()).Name != "top" {
-		t.Fatalf("entry = %s", g.Block(g.Entry()).Name)
+	if g.Block(g.entry).Name != "top" {
+		t.Fatalf("entry = %s", g.Block(g.entry).Name)
 	}
 	if g.Block(4).Call != "f" {
 		t.Fatalf("call = %q, want f", g.Block(4).Call)
@@ -78,7 +124,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 	g := Figure1()
 	g.LoopBounds[0] = Bound{Min: 1, Max: 1} // exercise loop emission
 	var b strings.Builder
-	if err := g.Format(&b); err != nil {
+	if err := g.format(&b); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := Parse(strings.NewReader(b.String()))

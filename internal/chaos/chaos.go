@@ -74,10 +74,6 @@ type Func struct {
 
 var _ delay.Function = (*Func)(nil)
 
-// Queries returns how many work queries (Eval, MaxOn, FirstReachDescending)
-// reached this function.
-func (c *Func) Queries() int64 { return c.queries.Load() }
-
 // Fired returns how many faults this function has injected so far (panics
 // thrown, cancels issued; budget burn is continuous and not counted).
 func (c *Func) Fired() int64 { return c.fired.Load() }

@@ -106,7 +106,7 @@ func TestZeroFaultIsTransparent(t *testing.T) {
 	if err != nil || gr.TotalDelay != clean {
 		t.Fatalf("wrapped bound (%g, %v), want (%g, nil)", gr.TotalDelay, err, clean)
 	}
-	if f.Queries() == 0 {
+	if f.queries.Load() == 0 {
 		t.Fatal("query counter did not advance")
 	}
 	if f.Fired() != 0 {

@@ -100,7 +100,7 @@ func TestUpperBoundLimitedSoundness(t *testing.T) {
 			if len(s) > n {
 				s = s[:n]
 			}
-			run, err := s.Run(f, q)
+			run, err := s.run(f, q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -69,7 +69,7 @@ func TestAlgorithm1OnPiecewiseLinear(t *testing.T) {
 				s = append(s, e)
 				e += q * (1 + r.Float64())
 			}
-			run, err := s.Run(f, q)
+			run, err := s.run(f, q)
 			if err != nil {
 				t.Fatal(err)
 			}

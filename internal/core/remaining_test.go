@@ -88,7 +88,7 @@ func TestRemainingBoundSoundness(t *testing.T) {
 					break
 				}
 			}
-			run, err := s.Run(f, q)
+			run, err := s.run(f, q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"fnpr/internal/delay"
 )
 
 // String renders the result with its iteration trace as a table, the
@@ -27,47 +25,3 @@ func (r Result) String() string {
 	}
 	return b.String()
 }
-
-// QSweep holds the outcome of sweeping Algorithm 1 and Equation 4 over a
-// set of NPR lengths — the computation behind one curve pair of Figure 5.
-type QSweep struct {
-	Q          []float64
-	Algorithm1 []float64
-	Equation4  []float64
-}
-
-// SweepQ evaluates both bounds for every Q in qs.
-func SweepQ(f delay.Function, qs []float64) (*QSweep, error) {
-	out := &QSweep{Q: append([]float64(nil), qs...)}
-	for _, q := range qs {
-		alg, err := Analyze(nil, f, q, Options{})
-		if err != nil {
-			return nil, err
-		}
-		soa, err := Analyze(nil, f, q, Options{Method: Equation4})
-		if err != nil {
-			return nil, err
-		}
-		out.Algorithm1 = append(out.Algorithm1, alg.TotalDelay)
-		out.Equation4 = append(out.Equation4, soa.TotalDelay)
-	}
-	return out, nil
-}
-
-// MaxGain returns the largest Equation4/Algorithm1 ratio across the sweep
-// and the Q at which it occurs (ignoring points where either diverged or
-// the Algorithm 1 bound is zero).
-func (s *QSweep) MaxGain() (q, gain float64) {
-	for i := range s.Q {
-		a, e := s.Algorithm1[i], s.Equation4[i]
-		if a <= 0 || e <= 0 || isInf(a) || isInf(e) {
-			continue
-		}
-		if g := e / a; g > gain {
-			gain, q = g, s.Q[i]
-		}
-	}
-	return q, gain
-}
-
-func isInf(v float64) bool { return v > 1e308 }

@@ -30,58 +30,3 @@ func TestResultString(t *testing.T) {
 		t.Fatal("empty trace should omit the table")
 	}
 }
-
-func TestSweepQ(t *testing.T) {
-	f := delay.FrontLoaded(4, 0.5, 100)
-	s, err := SweepQ(f, []float64{10, 20, 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Algorithm1) != 3 || len(s.Equation4) != 3 {
-		t.Fatalf("sweep shape wrong: %+v", s)
-	}
-	for i := range s.Q {
-		if s.Algorithm1[i] > s.Equation4[i]+1e-9 {
-			t.Fatalf("dominance violated at Q=%g", s.Q[i])
-		}
-	}
-	if _, err := SweepQ(f, []float64{-1}); err == nil {
-		t.Fatal("accepted negative Q")
-	}
-}
-
-func TestMaxGain(t *testing.T) {
-	f := delay.FrontLoaded(4, 0.5, 100)
-	s, err := SweepQ(f, []float64{6, 10, 20, 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, gain := s.MaxGain()
-	if gain < 1 {
-		t.Fatalf("gain = %g, want >= 1 (dominance)", gain)
-	}
-	found := false
-	for _, qq := range s.Q {
-		if qq == q {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("reported Q %g not in sweep", q)
-	}
-}
-
-func TestMaxGainSkipsDivergent(t *testing.T) {
-	f := delay.Constant(8, 100)
-	s, err := SweepQ(f, []float64{8, 20}) // Q=8 diverges (delay == Q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, gain := s.MaxGain()
-	if q == 8 {
-		t.Fatal("MaxGain picked a divergent point")
-	}
-	if gain <= 0 {
-		t.Fatalf("gain = %g, want positive from the finite point", gain)
-	}
-}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"fnpr/internal/delay"
@@ -28,22 +27,6 @@ import (
 // at which the job has already finished are ignored.
 type Scenario []float64
 
-// Validate checks the FNPR spacing constraints.
-func (s Scenario) Validate(q float64) error {
-	prev := 0.0
-	for i, e := range s {
-		min := prev + q
-		if i == 0 {
-			min = q
-		}
-		if e < min-1e-9 {
-			return fmt.Errorf("core: preemption %d at execution time %g violates spacing (needs >= %g)", i, e, min)
-		}
-		prev = e
-	}
-	return nil
-}
-
 // RunResult is the outcome of replaying a scenario.
 type RunResult struct {
 	// TotalDelay is the cumulative preemption delay actually paid.
@@ -55,30 +38,6 @@ type RunResult struct {
 	// FinishTime is the execution time at which the job completes
 	// (C + TotalDelay).
 	FinishTime float64
-}
-
-// Run replays a preemption scenario against the delay function f under FNPR
-// semantics with region length Q and returns the delay actually accrued.
-// Theorem 1 guarantees UpperBound(f, Q) >= Run(...).TotalDelay for every
-// valid scenario; the test suite checks this against adversarial scenarios.
-func (s Scenario) Run(f delay.Function, q float64) (RunResult, error) {
-	if err := s.Validate(q); err != nil {
-		return RunResult{}, err
-	}
-	c := f.Domain()
-	var res RunResult
-	for _, e := range s {
-		prog := e - res.TotalDelay
-		if prog >= c-completionTol(c, e) {
-			break // job already finished before this preemption
-		}
-		d := f.Eval(prog)
-		res.TotalDelay += d
-		res.Preemptions++
-		res.Progressions = append(res.Progressions, prog)
-	}
-	res.FinishTime = c + res.TotalDelay
-	return res, nil
 }
 
 // GreedyScenario builds the scenario that preempts as early and as often as

@@ -42,9 +42,6 @@ type Fingerprint [FingerprintSize]byte
 // records and job manifests store.
 func (fp Fingerprint) String() string { return hex.EncodeToString(fp[:]) }
 
-// IsZero reports whether fp is the zero value (no fingerprint).
-func (fp Fingerprint) IsZero() bool { return fp == Fingerprint{} }
-
 // Fingerprinter is implemented by Function values that can produce (and
 // possibly cache) their own canonical fingerprint. FingerprintOf consults it
 // before falling back to the structural encodings it knows.

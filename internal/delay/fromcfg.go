@@ -76,66 +76,3 @@ func FromUCBAgainst(off *cfg.Offsets, ucb *cache.UCBResult, ecb cache.LineSet) (
 	}
 	return FromCFG(off, crpd)
 }
-
-// RemapCRPD lifts per-original-block CRPD bounds onto a collapsed graph:
-// a collapsed loop node inherits the maximum CRPD of the blocks it covers,
-// which keeps fi conservative after loop collapsing.
-func RemapCRPD(col *cfg.Collapsed, orig map[cfg.BlockID]float64) map[cfg.BlockID]float64 {
-	out := make(map[cfg.BlockID]float64, col.Graph.Len())
-	for id := 0; id < col.Graph.Len(); id++ {
-		var v float64
-		for _, o := range col.Origins[cfg.BlockID(id)] {
-			if c := orig[o]; c > v {
-				v = c
-			}
-		}
-		out[cfg.BlockID(id)] = v
-	}
-	return out
-}
-
-// FromProgram builds the delay function of a whole program (root function
-// plus callees) from per-function, per-block CRPD bounds: a block that calls
-// a function inherits the worst CRPD of the callee's blocks — a preemption
-// may strike while the callee runs on the caller's behalf — computed
-// bottom-up over the acyclic call graph, then laid out over the root's
-// collapsed execution windows.
-func FromProgram(p *cfg.Program, res *cfg.ProgramResult, crpd map[string]map[cfg.BlockID]float64) (*Piecewise, error) {
-	if p == nil || res == nil || res.Root == nil || res.RootCollapsed == nil {
-		return nil, errors.New("delay: incomplete program analysis")
-	}
-	order, err := p.CallOrder()
-	if err != nil {
-		return nil, err
-	}
-	// funcMax[name] = worst effective CRPD anywhere inside the function,
-	// including its callees.
-	funcMax := make(map[string]float64, len(order))
-	// effective[name][block] = block CRPD including callee inheritance.
-	effective := make(map[string]map[cfg.BlockID]float64, len(order))
-	for _, name := range order {
-		g := p.Func(name)
-		if g == nil {
-			return nil, fmt.Errorf("delay: function %q missing from program", name)
-		}
-		eff := make(map[cfg.BlockID]float64, g.Len())
-		var max float64
-		for id := 0; id < g.Len(); id++ {
-			b := cfg.BlockID(id)
-			v := crpd[name][b]
-			if callee := g.Block(b).Call; callee != "" {
-				if cm, ok := funcMax[callee]; ok && cm > v {
-					v = cm
-				}
-			}
-			eff[b] = v
-			if v > max {
-				max = v
-			}
-		}
-		effective[name] = eff
-		funcMax[name] = max
-	}
-	rootEff := RemapCRPD(res.RootCollapsed, effective[p.Root()])
-	return FromCFG(res.Root, rootEff)
-}

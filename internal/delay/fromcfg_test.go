@@ -144,34 +144,6 @@ func TestFromUCBAgainstReducesDelay(t *testing.T) {
 	}
 }
 
-func TestRemapCRPDTakesMaxOverOrigins(t *testing.T) {
-	g := cfg.SimpleLoop(cfg.Bound{Min: 1, Max: 3})
-	col, err := g.CollapseLoops()
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := map[cfg.BlockID]float64{
-		0: 1, // entry
-		1: 5, // header
-		2: 9, // body
-		3: 2, // exit
-	}
-	m := RemapCRPD(col, orig)
-	// Find the loop node (origins > 1) and check it got max(5, 9) = 9.
-	found := false
-	for id := 0; id < col.Graph.Len(); id++ {
-		if len(col.Origins[cfg.BlockID(id)]) > 1 {
-			found = true
-			if m[cfg.BlockID(id)] != 9 {
-				t.Fatalf("loop node CRPD = %g, want 9", m[cfg.BlockID(id)])
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no loop node in collapsed graph")
-	}
-}
-
 func TestRemapAccessesConcatenates(t *testing.T) {
 	g := cfg.SimpleLoop(cfg.Bound{Min: 1, Max: 3})
 	col, err := g.CollapseLoops()
@@ -189,60 +161,5 @@ func TestRemapAccessesConcatenates(t *testing.T) {
 				t.Fatalf("loop node trace has %d accesses, want 3", got)
 			}
 		}
-	}
-}
-
-func TestFromProgramInheritsCalleeCRPD(t *testing.T) {
-	// leaf has an expensive block; main's calling block itself is cheap
-	// but must inherit the callee's worst CRPD.
-	leaf := cfg.New()
-	la := leaf.AddSimple("la", 1, 1)
-	lb := leaf.AddSimple("lb", 3, 3)
-	leaf.MustEdge(la, lb)
-
-	main := cfg.New()
-	entry := main.AddSimple("entry", 2, 2)
-	call := main.AddBlock(cfg.Block{Name: "call", EMin: 1, EMax: 1, Call: "leaf"})
-	exit := main.AddSimple("exit", 2, 2)
-	main.MustEdge(entry, call)
-	main.MustEdge(call, exit)
-
-	p := cfg.NewProgram("main")
-	if err := p.AddFunc("main", main); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddFunc("leaf", leaf); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	crpd := map[string]map[cfg.BlockID]float64{
-		"main": {entry: 1, call: 0.5, exit: 0.2},
-		"leaf": {la: 2, lb: 7},
-	}
-	f, err := FromProgram(p, res, crpd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// main's WCET: entry 2 + call (1 + leaf 4) + exit 2 = 9.
-	if f.Domain() != 9 {
-		t.Fatalf("domain = %g, want 9", f.Domain())
-	}
-	// Mid-execution (inside the call window) the delay is the callee's
-	// worst CRPD 7.
-	if v := f.Eval(4); v != 7 {
-		t.Fatalf("f(4) = %g, want 7 (inherited from leaf)", v)
-	}
-	// The global max is the inherited 7, not main's own 1.
-	if _, fm := f.Max(); fm != 7 {
-		t.Fatalf("max = %g, want 7", fm)
-	}
-}
-
-func TestFromProgramValidation(t *testing.T) {
-	if _, err := FromProgram(nil, nil, nil); err == nil {
-		t.Fatal("accepted nil inputs")
 	}
 }

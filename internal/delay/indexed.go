@@ -145,9 +145,6 @@ func AutoIndex(f Function) Function {
 // Piecewise returns the underlying scan-kernel function.
 func (ix *Indexed) Piecewise() *Piecewise { return ix.p }
 
-// Pieces returns the number of constant pieces.
-func (ix *Indexed) Pieces() int { return ix.p.Pieces() }
-
 // Domain implements Function.
 func (ix *Indexed) Domain() float64 { return ix.p.Domain() }
 

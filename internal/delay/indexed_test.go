@@ -367,7 +367,7 @@ func TestIndexedSinglePiece(t *testing.T) {
 	if ok != wok || x != wx {
 		t.Errorf("FirstReach indexed (%g,%v), scan (%g,%v)", x, ok, wx, wok)
 	}
-	if ix.Domain() != 10 || ix.Eval(5) != 3 || ix.Pieces() != 1 {
+	if ix.Domain() != 10 || ix.Eval(5) != 3 || ix.p.Pieces() != 1 {
 		t.Error("trivial accessors disagree with the underlying function")
 	}
 	if ix.Piecewise() != p {

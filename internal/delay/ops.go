@@ -77,31 +77,6 @@ func (p *Piecewise) Coarsen(n int) (*Piecewise, error) {
 	return NewPiecewise(xs, vs)
 }
 
-// FromSamples builds a conservative piecewise function from measured
-// (time, delay) samples: each inter-sample span takes the maximum of its two
-// endpoint samples, so the result dominates any function that interpolates
-// the measurements monotonically between samples. Times must be strictly
-// increasing, start at 0 and end at c.
-func FromSamples(ts, vs []float64) (*Piecewise, error) {
-	if len(ts) != len(vs) {
-		return nil, fmt.Errorf("delay: %d times for %d values", len(ts), len(vs))
-	}
-	if len(ts) < 2 {
-		return nil, errors.New("delay: need at least two samples")
-	}
-	if ts[0] != 0 {
-		return nil, fmt.Errorf("delay: samples must start at 0, got %g", ts[0])
-	}
-	out := make([]float64, len(ts)-1)
-	for i := 0; i < len(out); i++ {
-		if !(ts[i+1] > ts[i]) {
-			return nil, fmt.Errorf("delay: sample times not strictly increasing at %d", i+1)
-		}
-		out[i] = math.Max(vs[i], vs[i+1])
-	}
-	return NewPiecewise(ts, out)
-}
-
 // ParseCompact parses the compact textual form "a:b=v,b:c=v" (value v on
 // [a,b), then on [b,c), ...) used by the command-line tools: ranges must be
 // contiguous, start at 0 and carry non-negative values.

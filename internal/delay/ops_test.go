@@ -108,31 +108,6 @@ func TestCoarsenIdentityWhenSmall(t *testing.T) {
 	}
 }
 
-func TestFromSamples(t *testing.T) {
-	f, err := FromSamples([]float64{0, 10, 20}, []float64{1, 3, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Eval(5) != 3 { // max(1,3)
-		t.Fatalf("f(5) = %g, want 3", f.Eval(5))
-	}
-	if f.Eval(15) != 3 { // max(3,2)
-		t.Fatalf("f(15) = %g, want 3", f.Eval(15))
-	}
-	for _, bad := range []struct {
-		ts, vs []float64
-	}{
-		{[]float64{0, 1}, []float64{1}},
-		{[]float64{0}, []float64{1}},
-		{[]float64{1, 2}, []float64{1, 2}},
-		{[]float64{0, 0}, []float64{1, 2}},
-	} {
-		if _, err := FromSamples(bad.ts, bad.vs); err == nil {
-			t.Errorf("accepted bad samples %v", bad.ts)
-		}
-	}
-}
-
 func TestParseCompact(t *testing.T) {
 	p, err := ParseCompact("0:5=2,5:20=0.5")
 	if err != nil {

@@ -87,22 +87,3 @@ func AnalyzeSet(g *guard.Ctx, ts task.Set, fns []delay.Function, opts SweepOptio
 	mSetRecomputed.On(sc).Add(recomputed)
 	return out, err
 }
-
-// EffectiveWCETs extracts C'i = Ci + bound from one grid column of an
-// AnalyzeSet result (Equation 5 of the paper): qi indexes the Q grid the
-// curves were computed on. Quarantined points surface as NaN, divergent ones
-// as +Inf — both propagate into the effective WCET so downstream
-// schedulability code cannot mistake a failed point for a finished one.
-func EffectiveWCETs(ts task.Set, curves []SweepResult, qi int) ([]float64, error) {
-	if len(curves) != len(ts) {
-		return nil, guard.Invalidf("eval: %d curves for %d tasks", len(curves), len(ts))
-	}
-	out := make([]float64, len(ts))
-	for i := range ts {
-		if qi < 0 || qi >= len(curves[i].Points) {
-			return nil, guard.Invalidf("eval: grid column %d outside task %s's %d points", qi, ts[i].Name, len(curves[i].Points))
-		}
-		out[i] = ts[i].C + curves[i].Points[qi].Value
-	}
-	return out, nil
-}

@@ -160,31 +160,3 @@ func TestAnalyzeSetAllNil(t *testing.T) {
 		}
 	}
 }
-
-func TestEffectiveWCETs(t *testing.T) {
-	ts, fns := analyzeTestSet(t)
-	qs := []float64{10, 60}
-	res, err := AnalyzeSet(nil, ts, fns, SweepOptions{Qs: qs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eff, err := EffectiveWCETs(ts, res, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ts {
-		want := ts[i].C + res[i].Points[1].Value
-		if eff[i] != want || math.IsNaN(eff[i]) {
-			t.Fatalf("task %s: effective WCET %v, want %v", ts[i].Name, eff[i], want)
-		}
-	}
-	if eff[2] != ts[2].C {
-		t.Fatalf("nil-function task effective WCET %v, want bare C %v", eff[2], ts[2].C)
-	}
-	if _, err := EffectiveWCETs(ts, res[:1], 0); err == nil {
-		t.Error("mismatched curve count accepted")
-	}
-	if _, err := EffectiveWCETs(ts, res, 7); err == nil {
-		t.Error("out-of-range grid column accepted")
-	}
-}

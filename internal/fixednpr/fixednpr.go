@@ -166,9 +166,3 @@ func (t Task) DelayFunction() (*delay.Piecewise, error) {
 	}
 	return delay.NewPiecewise(xs, vs)
 }
-
-// EffectiveWCET returns C plus the selection's total preemption cost — the
-// fixed-model counterpart of the paper's Equation 5.
-func (t Task) EffectiveWCET(sel *Selection) float64 {
-	return t.C() + sel.TotalCost
-}

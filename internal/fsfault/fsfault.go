@@ -20,7 +20,6 @@
 package fsfault
 
 import (
-	"errors"
 	"io"
 	"os"
 	"sync"
@@ -56,10 +55,6 @@ type FS interface {
 	// MkdirAll creates a directory tree like os.MkdirAll.
 	MkdirAll(path string, perm os.FileMode) error
 }
-
-// OS returns the pass-through FS backed by package os. A nil FS everywhere
-// in the durability stack means OS().
-func OS() FS { return osFS{} }
 
 // Real normalizes an FS handle: nil selects the pass-through OS
 // implementation, anything else is returned as-is.
@@ -141,14 +136,6 @@ func (in *Injector) Fired() int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.fired
-}
-
-// Writes returns how many writes have reached the injector — for computing
-// the ordinal a follow-up plan should target.
-func (in *Injector) Writes() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.writes
 }
 
 // writeAction decides what happens to the next write.
@@ -272,12 +259,4 @@ func (f *faultFile) Sync() error {
 		return f.in.plan.SyncErr
 	}
 	return f.File.Sync()
-}
-
-// IsDiskFault reports whether err looks like a disk-level failure (ENOSPC,
-// EIO, short write) — the classes the injector produces and the durability
-// layer must convert into typed storage errors.
-func IsDiskFault(err error) bool {
-	return errors.Is(err, syscall.ENOSPC) || errors.Is(err, syscall.EIO) ||
-		errors.Is(err, io.ErrShortWrite)
 }

@@ -52,9 +52,6 @@ func TestFailWriteOrdinal(t *testing.T) {
 	if in.Fired() != 1 {
 		t.Fatalf("Fired = %d, want 1", in.Fired())
 	}
-	if !IsDiskFault(errs[1]) {
-		t.Fatal("ENOSPC not classified as a disk fault")
-	}
 }
 
 // TestShortWriteTearsPayload pins the torn-write fault: half the payload
@@ -120,9 +117,6 @@ func TestFailSyncLeavesDataIntact(t *testing.T) {
 	if got := readAll(t, path); got != "data\n" {
 		t.Fatalf("file %q changed by a failed fsync", got)
 	}
-	if !IsDiskFault(syscall.EIO) || IsDiskFault(errors.New("plain")) {
-		t.Fatal("IsDiskFault misclassifies")
-	}
 }
 
 // TestCustomErrorsAndTempFiles pins that plans can override the fault errors
@@ -140,8 +134,8 @@ func TestCustomErrorsAndTempFiles(t *testing.T) {
 	if _, err := io.WriteString(f, "x"); !errors.Is(err, custom) {
 		t.Fatalf("temp write: err %v, want custom error", err)
 	}
-	if in.Writes() != 1 {
-		t.Fatalf("Writes = %d, want 1", in.Writes())
+	if in.writes != 1 {
+		t.Fatalf("writes = %d, want 1", in.writes)
 	}
 }
 
@@ -149,7 +143,7 @@ func TestCustomErrorsAndTempFiles(t *testing.T) {
 // like the real filesystem.
 func TestZeroPlanPassesThrough(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f")
-	in := NewInjector(OS(), Plan{})
+	in := NewInjector(osFS{}, Plan{})
 	for _, err := range write(t, in, path, "a\n", "b\n") {
 		if err != nil {
 			t.Fatal(err)

@@ -29,7 +29,7 @@ const (
 func laneEntryCheck(budget int64, cancelAt, prefix int, passed bool, ops []int64) error {
 	par := newTraced(budget, cancelAt)
 	if passed {
-		par.g.WithDeadline(time.Now().Add(-time.Second))
+		par.g.deadline = time.Now().Add(-time.Second)
 	}
 	for i := 0; i < prefix; i++ {
 		_ = par.g.Tick()

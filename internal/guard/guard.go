@@ -133,12 +133,6 @@ func (g *Ctx) WithBudget(n int64) *Ctx {
 	return g
 }
 
-// WithDeadline sets a wall-clock deadline; the zero time means none.
-func (g *Ctx) WithDeadline(t time.Time) *Ctx {
-	g.deadline = t
-	return g
-}
-
 // WithTimeout sets the deadline d from now; d <= 0 means none.
 func (g *Ctx) WithTimeout(d time.Duration) *Ctx {
 	if d > 0 {
@@ -156,7 +150,7 @@ func (g *Ctx) WithCheckpoint(fn func(steps int64)) *Ctx {
 }
 
 // WithObs attaches an observability scope: every analysis running under this
-// guard reports its metrics, spans and progress events there. Like the other
+// guard reports its metrics and progress events there. Like the other
 // With* setters it must be called before the scope is shared.
 func (g *Ctx) WithObs(s *obs.Scope) *Ctx {
 	g.obs = s

@@ -71,7 +71,8 @@ func TestCanceledContext(t *testing.T) {
 }
 
 func TestDeadline(t *testing.T) {
-	g := New(nil).WithDeadline(time.Now().Add(-time.Second))
+	g := New(nil)
+	g.deadline = time.Now().Add(-time.Second)
 	if err := g.Err(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("expired deadline: Err = %v", err)
 	}

@@ -313,9 +313,6 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Latest folds replayed records into a key → data map, last write winning —
 // the resume view of a journal.
 func Latest(recs []Record) map[string]json.RawMessage {

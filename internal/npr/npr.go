@@ -167,8 +167,18 @@ func RequestBound(ts task.Set, i int, t float64) float64 {
 	return w
 }
 
-// FPBlockingTolerance computes, for every task of a priority-sorted set, the
-// maximum blocking βi tolerable by τi under fixed-priority scheduling:
+// fpCursorBuf is how many cursors fpBlockingTolerance keeps on the stack,
+// and how many tolerances and caps ClampQ does.
+const fpCursorBuf = 16
+
+// fpLevels is how many levels the Q derivations sweep under fixed
+// priority: they read βj only for tasks that have a lower-priority task to
+// be blocked by, so the last task's sweep, the longest one, is skipped.
+func fpLevels(ts task.Set) int { return max(len(ts)-1, 0) }
+
+// fpBlockingTolerance validates the priority-sorted set ts and writes into
+// out, for each of its first len(out) tasks, the maximum blocking βi
+// tolerable by τi under fixed-priority scheduling:
 //
 //	βi = max over t in (0, Di] of (t - Wi(t))
 //
@@ -187,25 +197,6 @@ func RequestBound(ts task.Set, i int, t float64) float64 {
 // level-i sweep runs under the guard scope g (nil = no limits), charging
 // one guard step per evaluated point and, per skip, one per point of its
 // longest cursor run: never more than one per scheduling point.
-func FPBlockingTolerance(g *guard.Ctx, ts task.Set) ([]float64, error) {
-	out := make([]float64, len(ts))
-	if err := fpBlockingTolerance(g, ts, out, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// fpCursorBuf is how many cursors fpBlockingTolerance keeps on the stack,
-// and how many tolerances and caps ClampQ does.
-const fpCursorBuf = 16
-
-// fpLevels is how many levels the Q derivations sweep under fixed
-// priority: they read βj only for tasks that have a lower-priority task to
-// be blocked by, so the last task's sweep, the longest one, is skipped.
-func fpLevels(ts task.Set) int { return max(len(ts)-1, 0) }
-
-// fpBlockingTolerance validates the whole set and writes the tolerances of
-// its first len(out) tasks into out.
 //
 // caps, when not nil, holds one cap per level: level i stops as soon as its
 // best slack reaches caps[i] and writes that slack, which lies in
@@ -450,44 +441,6 @@ func setQ(ts task.Set, p Policy, tol []float64, lower bool) error {
 		}
 		if !lower || q < ts[i].Q {
 			ts[i].Q = q
-		}
-	}
-	return nil
-}
-
-// ValidateQ checks that the Q values carried by the task set are admissible
-// under the given policy: every task's non-preemptive region fits within the
-// blocking tolerance of everything it can delay. This is the acceptance-side
-// counterpart of AssignQ for task sets whose Q was chosen externally. The
-// tolerance sweeps run under the guard scope g (nil = no limits).
-func ValidateQ(g *guard.Ctx, ts task.Set, p Policy) error {
-	var tol []float64
-	var err error
-	switch p {
-	case EDF:
-		tol, err = EDFBlockingTolerance(g, ts)
-	case FixedPriority:
-		tol = make([]float64, fpLevels(ts))
-		err = fpBlockingTolerance(g, ts, tol, nil)
-	default:
-		return guard.Invalidf("npr: unknown policy %v", p)
-	}
-	if err != nil {
-		return err
-	}
-	for i, tk := range ts {
-		switch p {
-		case EDF:
-			if tk.Q > tol[i]+1e-9 {
-				return fmt.Errorf("npr: task %s Q=%g exceeds EDF tolerance %g", tk.Name, tk.Q, tol[i])
-			}
-		case FixedPriority:
-			for j := 0; j < i; j++ {
-				if tk.Q > tol[j]+1e-9 {
-					return fmt.Errorf("npr: task %s Q=%g exceeds tolerance %g of higher-priority %s",
-						tk.Name, tk.Q, tol[j], ts[j].Name)
-				}
-			}
 		}
 	}
 	return nil

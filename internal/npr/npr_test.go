@@ -120,7 +120,7 @@ func TestRequestBound(t *testing.T) {
 func TestFPBlockingTolerance(t *testing.T) {
 	ts := implicitSet()
 	ts.AssignRateMonotonic()
-	tol, err := FPBlockingTolerance(nil, ts)
+	tol, err := fpTolerance(nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFPBlockingToleranceUnschedulable(t *testing.T) {
 		{Name: "a", C: 3, T: 4, Prio: 0},
 		{Name: "b", C: 3, T: 8, D: 6, Prio: 1},
 	}
-	tol, err := FPBlockingTolerance(nil, ts)
+	tol, err := fpTolerance(nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestAssignQFPSound(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		tol, err := FPBlockingTolerance(nil, ts)
+		tol, err := fpTolerance(nil, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,39 +321,6 @@ func TestAssignQFPSound(t *testing.T) {
 					trial, i, tol[i], maxLowerQ)
 			}
 		}
-	}
-}
-
-func TestValidateQ(t *testing.T) {
-	ts := implicitSet()
-	ts.AssignRateMonotonic()
-	qs, err := AssignQ(ts, FixedPriority)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateQ(nil, qs, FixedPriority); err != nil {
-		t.Fatalf("AssignQ output rejected: %v", err)
-	}
-	// Inflate one Q beyond tolerance.
-	bad := qs.Clone()
-	bad[2].Q = 100
-	if err := ValidateQ(nil, bad, FixedPriority); err == nil {
-		t.Fatal("oversized Q accepted under FP")
-	}
-	eqs, err := AssignQ(implicitSet(), EDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateQ(nil, eqs, EDF); err != nil {
-		t.Fatalf("EDF AssignQ output rejected: %v", err)
-	}
-	bad2 := eqs.Clone()
-	bad2[2].Q = 100
-	if err := ValidateQ(nil, bad2, EDF); err == nil {
-		t.Fatal("oversized Q accepted under EDF")
-	}
-	if err := ValidateQ(nil, implicitSet(), Policy(9)); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
 

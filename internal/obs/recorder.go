@@ -41,15 +41,6 @@ func (r *TestRecorder) Counter(name string) int64 {
 	return r.reg.Counter(name).Value()
 }
 
-// Events returns a copy of every event observed so far, in emission order.
-func (r *TestRecorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
-}
-
 // CountEvents returns how many events of the given type were observed.
 func (r *TestRecorder) CountEvents(t EventType) int {
 	r.mu.Lock()

@@ -1,6 +1,5 @@
 // Package obs is the observability layer of the analysis stack: atomic
-// counters, gauges and histograms in a Registry, lightweight span tracing
-// with wall-clock timestamps and monotonic durations, and a structured
+// counters, gauges and histograms in a Registry, and a structured
 // progress-event stream that sinks subscribe to. It is dependency-free
 // (standard library only) and sits below every analysis package: guard
 // carries a *Scope, so core, delay, journal, eval and the commands
@@ -135,14 +134,6 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	return h.count.Load()
-}
-
-// Sum returns the sum of all observations; 0 on nil.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // Registry is a concurrent table of instruments. Instruments are created

@@ -1,10 +1,5 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
-
 // EventType enumerates the progress events of the batch runtime. The values
 // are the wire/JSON names.
 type EventType string
@@ -62,29 +57,13 @@ type SinkFunc func(Event)
 // Observe implements Sink.
 func (f SinkFunc) Observe(e Event) { f(e) }
 
-// maxSpans bounds the in-memory span log per scope; beyond it spans still
-// feed their duration histograms but are not individually retained.
-const maxSpans = 4096
-
-// SpanRecord is one finished span: a name, the wall-clock start and the
-// monotonic duration.
-type SpanRecord struct {
-	Name     string        `json:"name"`
-	Start    time.Time     `json:"start"`
-	Duration time.Duration `json:"duration"`
-}
-
 // Scope is the handle the analysis stack threads through: a registry for
-// metrics, subscribed event sinks and a bounded span log. guard.Ctx carries
-// one, so everything below a guarded entry point reports into the same tree.
-// The nil Scope is valid everywhere and collects nothing.
+// metrics and subscribed event sinks. guard.Ctx carries one, so everything
+// below a guarded entry point reports into the same tree. The nil Scope is
+// valid everywhere and collects nothing.
 type Scope struct {
 	reg   *Registry
 	sinks []Sink
-
-	mu      sync.Mutex
-	spans   []SpanRecord
-	dropped int64
 }
 
 // NewScope returns a scope recording into reg (nil means the process-global
@@ -94,14 +73,6 @@ func NewScope(reg *Registry, sinks ...Sink) *Scope {
 		reg = Default()
 	}
 	return &Scope{reg: reg, sinks: sinks}
-}
-
-// Registry returns the scope's registry; nil on a nil scope.
-func (s *Scope) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
 }
 
 // Counter resolves a named counter in the scope's registry; nil (discard) on
@@ -139,53 +110,4 @@ func (s *Scope) Emit(e Event) {
 	for _, sink := range s.sinks {
 		sink.Observe(e)
 	}
-}
-
-// Span starts a span. The returned Span carries the wall-clock start and, via
-// time.Time's monotonic reading, a drift-free duration; see Span.End.
-func (s *Scope) Span(name string) Span {
-	return Span{scope: s, name: name, start: time.Now()}
-}
-
-// spanNs is the family of span duration histograms, one per span name.
-var spanNs = NewFamily(KindHistogram, "span.<name>.ns", "ns", "duration of each Scope.Span region of that name")
-
-// Span is one in-flight timed region. The zero Span (from a nil scope) is
-// valid and End on it is a no-op.
-type Span struct {
-	scope *Scope
-	name  string
-	start time.Time
-}
-
-// End finishes the span: the monotonic duration is observed into the
-// histogram "span.<name>.ns" and the record appended to the scope's bounded
-// span log. It returns the duration (0 for the zero Span).
-func (sp Span) End() time.Duration {
-	if sp.scope == nil {
-		return 0
-	}
-	d := time.Since(sp.start)
-	sp.scope.reg.Histogram(spanNs.Expand(sp.name)).Observe(d.Nanoseconds())
-	sp.scope.mu.Lock()
-	if len(sp.scope.spans) < maxSpans {
-		sp.scope.spans = append(sp.scope.spans, SpanRecord{Name: sp.name, Start: sp.start, Duration: d})
-	} else {
-		sp.scope.dropped++
-	}
-	sp.scope.mu.Unlock()
-	return d
-}
-
-// Spans returns a copy of the finished-span log (at most maxSpans records;
-// the rest only feed the histograms).
-func (s *Scope) Spans() []SpanRecord {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]SpanRecord, len(s.spans))
-	copy(out, s.spans)
-	return out
 }

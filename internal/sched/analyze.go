@@ -5,7 +5,6 @@ import (
 
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
-	"fnpr/internal/memo"
 	"fnpr/internal/obs"
 	"fnpr/internal/task"
 )
@@ -78,11 +77,6 @@ type Options struct {
 
 	// Obs overrides the observability scope (default: the guard's scope).
 	Obs *obs.Scope
-
-	// Memo, when non-nil, content-addresses the per-task delay bounds so
-	// re-analysing after a single-task edit recomputes only that task's
-	// bound (counted by sched.cprime.cached / sched.cprime.computed).
-	Memo *memo.Cache
 }
 
 // Result carries the outcome of Analyze.

@@ -47,7 +47,6 @@ func limitedAnalysis(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options, mon
 			Limited:        lim >= 0,
 			MaxPreemptions: lim,
 			Obs:            sc,
-			Memo:           opts.Memo,
 		})
 	}
 	// Initial C': the unlimited Algorithm 1 bound, or (for divergent

@@ -281,32 +281,10 @@ func Schedulable(ts task.Set, rts []float64) bool {
 	return true
 }
 
-// LiuLaylandBound returns the classic rate-monotonic utilization bound
-// n(2^(1/n) - 1).
-func LiuLaylandBound(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return float64(n) * (math.Pow(2, 1/float64(n)) - 1)
-}
-
-// HyperbolicTest applies Bini and Buttazzo's hyperbolic bound for RM:
-// Π(Ui + 1) <= 2 is sufficient for schedulability.
-func HyperbolicTest(ts task.Set) bool {
-	p := 1.0
-	for _, tk := range ts {
-		p *= tk.Utilization() + 1
-	}
-	return p <= 2
-}
-
 // effectiveWCETs computes C'i = Ci + delay_bound(fi, Qi) for every task
 // (Equation 5 of the paper). A nil Delay slice means no task suffers
-// preemption delay. Per-task bounds run through core.Analyze (or the exact
-// engine for Method Exact), so Options.Memo makes them content-addressed:
-// re-analysing a task set after a single-task edit recomputes only the
-// edited task's bound (counted by sched.cprime.cached /
-// sched.cprime.computed).
+// preemption delay. Per-task bounds run through core.Analyze (counted by
+// sched.cprime.computed) or, for Method Exact, the exact engine.
 //
 // The second return is non-nil only for Method Exact: degraded[i] reports
 // that task i's exact exploration was infeasible (state budget exceeded, or
@@ -324,13 +302,10 @@ func effectiveWCETs(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) ([]f
 	if len(opts.Delay) != len(ts) {
 		return nil, nil, guard.Invalidf("sched: %d delay functions for %d tasks", len(opts.Delay), len(ts))
 	}
-	// Cache outcomes count in locals and flush once per call, on every
+	// Computed bounds count in a local and flush once per call, on every
 	// return path from here on.
-	var cached, computed int64
-	defer func() {
-		mCPrimeCached.On(sc).Add(cached)
-		mCPrimeComputed.On(sc).Add(computed)
-	}()
+	var computed int64
+	defer func() { mCPrimeComputed.On(sc).Add(computed) }()
 	var degraded []bool
 	if opts.Method == Exact {
 		degraded = make([]bool, len(ts))
@@ -346,7 +321,7 @@ func effectiveWCETs(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) ([]f
 		if tk.Q <= 0 {
 			return nil, nil, guard.Invalidf("sched: task %s has no NPR length Q", tk.Name)
 		}
-		copts := core.Options{Obs: sc, Memo: opts.Memo}
+		copts := core.Options{Obs: sc}
 		switch opts.Method {
 		case Algorithm1:
 		case Equation4:
@@ -370,11 +345,7 @@ func effectiveWCETs(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) ([]f
 		if err != nil {
 			return nil, nil, fmt.Errorf("sched: task %s: %w", tk.Name, err)
 		}
-		if r.Cached {
-			cached++
-		} else {
-			computed++
-		}
+		computed++
 		out[i] = tk.C + r.TotalDelay
 	}
 	return out, degraded, nil
@@ -391,7 +362,6 @@ func exactDelay(g *guard.Ctx, sc *obs.Scope, tk task.Task, f delay.Function, opt
 	}
 	res, err := exact.Delay(g, p, tk.Q, exact.Options{
 		MaxStates: opts.ExactStates,
-		Memo:      opts.Memo,
 		Obs:       sc,
 	})
 	if err != nil {

@@ -146,31 +146,6 @@ func TestResponseTimesCRPDBadParams(t *testing.T) {
 	}
 }
 
-func TestLiuLaylandBound(t *testing.T) {
-	if b := LiuLaylandBound(1); b != 1 {
-		t.Fatalf("LL(1) = %g, want 1", b)
-	}
-	if b := LiuLaylandBound(3); math.Abs(b-0.7798) > 1e-3 {
-		t.Fatalf("LL(3) = %g, want ~0.78", b)
-	}
-	if b := LiuLaylandBound(0); b != 0 {
-		t.Fatalf("LL(0) = %g, want 0", b)
-	}
-}
-
-func TestHyperbolicTest(t *testing.T) {
-	if !HyperbolicTest(rmSet()) {
-		t.Fatal("hyperbolic test rejected light set")
-	}
-	heavy := task.Set{
-		{Name: "a", C: 3, T: 4},
-		{Name: "b", C: 2, T: 8},
-	}
-	if HyperbolicTest(heavy) {
-		t.Fatal("hyperbolic test accepted heavy set")
-	}
-}
-
 func fnprFixture() FNPRAnalysis {
 	ts := task.Set{
 		{Name: "hi", C: 10, T: 100, Q: 10},

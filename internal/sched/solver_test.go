@@ -10,10 +10,8 @@ import (
 	"slices"
 	"testing"
 
-	"fnpr/internal/core"
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
-	"fnpr/internal/memo"
 	"fnpr/internal/obs"
 	"fnpr/internal/synth"
 	"fnpr/internal/task"
@@ -514,46 +512,5 @@ func TestAnalyzeMatchesDeprecated(t *testing.T) {
 				t.Fatalf("trial %d: limited results differ", trial)
 			}
 		}
-	}
-}
-
-// TestCPrimeMemoIncremental: with a memo cache attached, re-analysing after a
-// single-task edit recomputes only the edited task's delay bound — the other
-// n-1 bounds are cache hits, counted by sched.cprime.{cached,computed}.
-func TestCPrimeMemoIncremental(t *testing.T) {
-	ts := task.Set{
-		{Name: "a", C: 2, T: 20, Q: 1},
-		{Name: "b", C: 5, T: 60, Q: 2},
-		{Name: "c", C: 9, T: 150, Q: 3},
-		{Name: "d", C: 15, T: 400, Q: 4},
-	}
-	fns := make([]delay.Function, len(ts))
-	for i := 1; i < len(ts); i++ {
-		fn, err := delay.NewFrontLoaded(0.5*ts[i].Q, 0.1*ts[i].Q, ts[i].C)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fns[i] = fn
-	}
-	cache := core.NewResultCache(memo.Options{})
-	run := func(ts task.Set) (cached, computed int64) {
-		reg := obs.NewRegistry()
-		g := guard.New(context.Background()).WithObs(obs.NewScope(reg))
-		if _, err := Analyze(g, ts, Options{Delay: fns, Method: Algorithm1, Memo: cache}); err != nil {
-			t.Fatal(err)
-		}
-		return reg.Counter("sched.cprime.cached").Value(),
-			reg.Counter("sched.cprime.computed").Value()
-	}
-	if cached, computed := run(ts); cached != 0 || computed != 3 {
-		t.Fatalf("cold run: cached=%d computed=%d, want 0/3", cached, computed)
-	}
-	if cached, computed := run(ts); cached != 3 || computed != 0 {
-		t.Fatalf("repeat run: cached=%d computed=%d, want 3/0", cached, computed)
-	}
-	edited := ts.Clone()
-	edited[2].Q = 2.5 // changes only task c's (function, Q) identity
-	if cached, computed := run(edited); cached != 2 || computed != 1 {
-		t.Fatalf("edited run: cached=%d computed=%d, want 2/1", cached, computed)
 	}
 }

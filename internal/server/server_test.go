@@ -379,8 +379,11 @@ func TestDebugMuxMounted(t *testing.T) {
 // result byte-identically.
 func TestDrainLifecycle(t *testing.T) {
 	dir := t.TempDir()
+	// The points left after the first checkpoint must take far longer
+	// than the 50 ms drain timeout, or the job finishes before the drain
+	// can interrupt it.
 	campaign := map[string]any{
-		"sets_per_point": 1500, "tasks": 3,
+		"sets_per_point": 6000, "tasks": 3,
 		"u_start": 0.5, "u_end": 0.9, "u_step": 0.1,
 		"workers": 1, "journal": "acc.journal",
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"strings"
 )
@@ -80,19 +79,4 @@ func (r *Result) Summary() string {
 	}
 	fmt.Fprintf(&b, "idle: %.3f / %.3f (%.1f%%)\n", r.Idle, r.Config.Horizon, 100*r.Idle/r.Config.Horizon)
 	return b.String()
-}
-
-// WriteEventsCSV emits the event trace as CSV (time, kind, task, job,
-// progression, delay) for external analysis.
-func (r *Result) WriteEventsCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "time,kind,task,job,progression,delay"); err != nil {
-		return err
-	}
-	for _, e := range r.Events {
-		if _, err := fmt.Fprintf(w, "%g,%s,%d,%d,%g,%g\n",
-			e.Time, e.Kind, e.Task, e.Job, e.Progression, e.Delay); err != nil {
-			return err
-		}
-	}
-	return nil
 }

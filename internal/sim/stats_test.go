@@ -78,23 +78,3 @@ func TestStatsCountsUnfinishedMisses(t *testing.T) {
 		t.Fatalf("unfinished misses = %d, want 1", st.UnfinishedAtMiss)
 	}
 }
-
-func TestWriteEventsCSV(t *testing.T) {
-	ts := task.Set{{Name: "a", C: 2, T: 10, Prio: 0}}
-	res, err := Run(nil, Config{Tasks: ts, Policy: FixedPriority, Mode: FullyPreemptive, Horizon: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := res.WriteEventsCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	// Header + 2 jobs x (release, start, finish) = 7.
-	if len(lines) != 7 {
-		t.Fatalf("CSV lines = %d, want 7:\n%s", len(lines), b.String())
-	}
-	if lines[0] != "time,kind,task,job,progression,delay" {
-		t.Fatalf("header = %q", lines[0])
-	}
-}

@@ -5,7 +5,6 @@
 package spec
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -292,11 +291,4 @@ func (d *Delay) build(c float64) (delay.Function, error) {
 	default:
 		return nil, fmt.Errorf("unknown delay kind %q", d.Kind)
 	}
-}
-
-// Save encodes a File as indented JSON.
-func Save(w io.Writer, f File) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
 }

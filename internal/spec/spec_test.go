@@ -113,26 +113,6 @@ func TestDefaultNames(t *testing.T) {
 	}
 }
 
-func TestSaveRoundTrip(t *testing.T) {
-	f := File{
-		Policy: "fp",
-		Tasks: []Task{
-			{Name: "a", C: 1, T: 5, Q: 1, Delay: &Delay{Kind: "constant", Value: 0.5}},
-		},
-	}
-	var b strings.Builder
-	if err := Save(&b, f); err != nil {
-		t.Fatal(err)
-	}
-	p, err := Load(nil, strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Tasks[0].Name != "a" || p.Delay[0] == nil {
-		t.Fatalf("round trip lost data: %+v", p)
-	}
-}
-
 func TestLoadLinearDelay(t *testing.T) {
 	in := `{
 	  "policy": "fp",

@@ -44,7 +44,6 @@ func FuzzValidateTask(f *testing.F) {
 		finite("BCET", tk.BCET)
 		finite("Deadline()", tk.Deadline())
 		finite("Utilization()", tk.Utilization())
-		finite("Density()", tk.Density())
 		if tk.C <= 0 || tk.T <= 0 {
 			t.Fatalf("Validate accepted non-positive C or T: %v", tk)
 		}

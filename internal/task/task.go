@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"fnpr/internal/guard"
@@ -81,15 +80,6 @@ func (t Task) Utilization() float64 {
 	return t.C / t.T
 }
 
-// Density returns C/min(D,T).
-func (t Task) Density() float64 {
-	d := math.Min(t.Deadline(), t.T)
-	if d == 0 {
-		return math.Inf(1)
-	}
-	return t.C / d
-}
-
 // Validate reports whether the task parameters are internally consistent:
 // every time quantity must be finite and non-NaN, C and T positive, D, Q,
 // Jitter and BCET non-negative, BCET <= C and C within the deadline. All
@@ -123,7 +113,7 @@ func (t Task) String() string {
 
 // Set is an ordered collection of tasks. The order is significant for
 // fixed-priority analyses: index 0 is conventionally the highest priority
-// after SortByPriority has been applied.
+// (AssignRateMonotonic sorts a set that way).
 type Set []Task
 
 // pairwiseNames is the largest set whose names Validate compares pairwise.
@@ -177,37 +167,6 @@ func (s Set) Clone() Set {
 	return c
 }
 
-// ByName returns the task with the given name, or false when absent.
-func (s Set) ByName(name string) (Task, bool) {
-	for _, t := range s {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return Task{}, false
-}
-
-// IndexByName returns the index of the named task, or -1.
-func (s Set) IndexByName(name string) int {
-	for i, t := range s {
-		if t.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// SortByPriority orders the set by ascending Prio value (highest priority
-// first), breaking ties by name so the order is deterministic.
-func (s Set) SortByPriority() {
-	sort.SliceStable(s, func(i, j int) bool {
-		if s[i].Prio != s[j].Prio {
-			return s[i].Prio < s[j].Prio
-		}
-		return s[i].Name < s[j].Name
-	})
-}
-
 // AssignRateMonotonic assigns priorities by ascending period (shorter period
 // = higher priority = smaller Prio value) and sorts the set accordingly.
 func (s Set) AssignRateMonotonic() {
@@ -226,39 +185,6 @@ func (s Set) AssignRateMonotonic() {
 	for i := range s {
 		s[i].Prio = i
 	}
-}
-
-// AssignDeadlineMonotonic assigns priorities by ascending relative deadline
-// and sorts the set accordingly.
-func (s Set) AssignDeadlineMonotonic() {
-	sort.SliceStable(s, func(i, j int) bool {
-		di, dj := s[i].Deadline(), s[j].Deadline()
-		if di != dj {
-			return di < dj
-		}
-		return s[i].Name < s[j].Name
-	})
-	for i := range s {
-		s[i].Prio = i
-	}
-}
-
-// HigherPriority returns the sub-slice of tasks with strictly higher priority
-// than the task at index i, assuming the set is sorted by priority.
-func (s Set) HigherPriority(i int) Set {
-	if i < 0 || i > len(s) {
-		return nil
-	}
-	return s[:i]
-}
-
-// LowerPriority returns the tasks with strictly lower priority than the task
-// at index i, assuming the set is sorted by priority.
-func (s Set) LowerPriority(i int) Set {
-	if i < 0 || i >= len(s) {
-		return nil
-	}
-	return s[i+1:]
 }
 
 // Hyperperiod returns the least common multiple of the task periods, assuming
@@ -306,24 +232,4 @@ func (s Set) String() string {
 		b.WriteString(t.String())
 	}
 	return b.String()
-}
-
-// ScaleUtilization returns a copy of the set with every C multiplied so the
-// total utilization becomes target (> 0). Deadlines, periods, priorities and
-// Q are unchanged; BCETs scale with C to stay consistent.
-func (s Set) ScaleUtilization(target float64) (Set, error) {
-	u := s.Utilization()
-	if u <= 0 || math.IsNaN(u) || math.IsInf(u, 0) {
-		return nil, guard.Invalidf("task: cannot scale utilization %g", u)
-	}
-	if target <= 0 || math.IsNaN(target) || math.IsInf(target, 0) {
-		return nil, guard.Invalidf("task: invalid target utilization %g", target)
-	}
-	k := target / u
-	out := s.Clone()
-	for i := range out {
-		out[i].C *= k
-		out[i].BCET *= k
-	}
-	return out, nil
 }

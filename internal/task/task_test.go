@@ -31,13 +31,10 @@ func TestBestFallsBackToC(t *testing.T) {
 	}
 }
 
-func TestUtilizationAndDensity(t *testing.T) {
+func TestUtilization(t *testing.T) {
 	tk := Task{Name: "a", C: 2, T: 8, D: 4}
 	if got := tk.Utilization(); got != 0.25 {
 		t.Fatalf("utilization = %v, want 0.25", got)
-	}
-	if got := tk.Density(); got != 0.5 {
-		t.Fatalf("density = %v, want 0.5", got)
 	}
 }
 
@@ -45,9 +42,6 @@ func TestUtilizationZeroPeriod(t *testing.T) {
 	tk := Task{Name: "a", C: 2}
 	if got := tk.Utilization(); !math.IsInf(got, 1) {
 		t.Fatalf("utilization with T=0 = %v, want +Inf", got)
-	}
-	if got := tk.Density(); !math.IsInf(got, 1) {
-		t.Fatalf("density with T=0 = %v, want +Inf", got)
 	}
 }
 
@@ -105,23 +99,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	s := Set{{Name: "a", C: 1, T: 4}, {Name: "b", C: 2, T: 8}}
-	tk, ok := s.ByName("b")
-	if !ok || tk.C != 2 {
-		t.Fatalf("ByName(b) = %+v, %v", tk, ok)
-	}
-	if _, ok := s.ByName("zzz"); ok {
-		t.Fatal("ByName found a nonexistent task")
-	}
-	if i := s.IndexByName("b"); i != 1 {
-		t.Fatalf("IndexByName(b) = %d, want 1", i)
-	}
-	if i := s.IndexByName("zzz"); i != -1 {
-		t.Fatalf("IndexByName(zzz) = %d, want -1", i)
-	}
-}
-
 func TestAssignRateMonotonic(t *testing.T) {
 	s := Set{
 		{Name: "slow", C: 1, T: 100},
@@ -137,58 +114,6 @@ func TestAssignRateMonotonic(t *testing.T) {
 		if s[i].Prio != i {
 			t.Fatalf("RM prio[%d] = %d, want %d", i, s[i].Prio, i)
 		}
-	}
-}
-
-func TestAssignDeadlineMonotonic(t *testing.T) {
-	s := Set{
-		{Name: "a", C: 1, T: 100, D: 50},
-		{Name: "b", C: 1, T: 100, D: 10},
-		{Name: "c", C: 1, T: 100}, // implicit D=100
-	}
-	s.AssignDeadlineMonotonic()
-	want := []string{"b", "a", "c"}
-	for i, n := range want {
-		if s[i].Name != n {
-			t.Fatalf("DM order[%d] = %s, want %s", i, s[i].Name, n)
-		}
-	}
-}
-
-func TestSortByPriorityStableAndTieBreak(t *testing.T) {
-	s := Set{
-		{Name: "z", C: 1, T: 10, Prio: 1},
-		{Name: "a", C: 1, T: 10, Prio: 1},
-		{Name: "m", C: 1, T: 10, Prio: 0},
-	}
-	s.SortByPriority()
-	want := []string{"m", "a", "z"}
-	for i, n := range want {
-		if s[i].Name != n {
-			t.Fatalf("order[%d] = %s, want %s", i, s[i].Name, n)
-		}
-	}
-}
-
-func TestHigherLowerPriority(t *testing.T) {
-	s := Set{
-		{Name: "h", C: 1, T: 4, Prio: 0},
-		{Name: "m", C: 1, T: 8, Prio: 1},
-		{Name: "l", C: 1, T: 16, Prio: 2},
-	}
-	hp := s.HigherPriority(1)
-	if len(hp) != 1 || hp[0].Name != "h" {
-		t.Fatalf("HigherPriority(1) = %v", hp)
-	}
-	lp := s.LowerPriority(1)
-	if len(lp) != 1 || lp[0].Name != "l" {
-		t.Fatalf("LowerPriority(1) = %v", lp)
-	}
-	if got := s.HigherPriority(-1); got != nil {
-		t.Fatalf("HigherPriority(-1) = %v, want nil", got)
-	}
-	if got := s.LowerPriority(5); got != nil {
-		t.Fatalf("LowerPriority(5) = %v, want nil", got)
 	}
 }
 
@@ -268,30 +193,6 @@ func TestSetUtilizationAdditive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScaleUtilization(t *testing.T) {
-	s := Set{{Name: "a", C: 1, BCET: 0.5, T: 4}, {Name: "b", C: 2, T: 8}}
-	scaled, err := s.ScaleUtilization(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(scaled.Utilization()-0.9) > 1e-12 {
-		t.Fatalf("scaled utilization = %g, want 0.9", scaled.Utilization())
-	}
-	// BCET scales with C, original untouched.
-	if scaled[0].BCET != 0.5*scaled[0].C/s[0].C*1 && scaled[0].BCET == s[0].BCET {
-		t.Fatalf("BCET not scaled: %g", scaled[0].BCET)
-	}
-	if s.Utilization() == scaled.Utilization() {
-		t.Fatal("original set mutated")
-	}
-	if _, err := s.ScaleUtilization(0); err == nil {
-		t.Fatal("accepted target 0")
-	}
-	if _, err := (Set{}).ScaleUtilization(0.5); err == nil {
-		t.Fatal("accepted empty set")
 	}
 }
 

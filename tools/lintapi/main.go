@@ -1,28 +1,36 @@
-// lintapi enforces the consolidated-API convention adopted in the
-// observability PR: a package must not grow parallel exported entry points
-// that differ only by a `Ctx` or `Opts` suffix (the pattern that produced
-// the fourteen-function core ladder). New code takes an options struct or a
-// *guard.Ctx parameter on a single entry point instead.
+// lintapi keeps the exported API of internal packages small. It applies two
+// rules to every module under the directory it is given (the root module
+// and nested ones such as bench/):
 //
-// A pair X / XCtx (or X / XOpts) in the same package is reported unless
+// Pairs. A package must not grow parallel exported entry points that differ
+// only by a `Ctx` or `Opts` suffix (the pattern that produced the
+// fourteen-function core ladder). New code takes an options struct or a
+// *guard.Ctx parameter on a single entry point instead. A pair X / XCtx (or
+// X / XOpts) in the same package is reported unless
 //
 //   - the suffixed declaration carries a `Deprecated:` doc comment (it is
 //     inside the one-release migration window), or
 //   - the pair is in the allowlist below (it predates the convention and is
 //     kept for compatibility until its own deprecation cycle).
 //
+// Dead exports. An exported func, method, type, var or const declared in a
+// non-test file under internal/ is reported when no non-test file of any
+// package references it and no test file of another package does: its only
+// callers are its own package's tests. Shared test fixtures pass, because
+// another package's tests use them; so do methods that implement an
+// interface. This rule has no allowlist: delete what it reports, or move a
+// test oracle unexported into a _test.go file.
+//
 // Run with: go run ./tools/lintapi [dir]   (default ".")
-// Exit status 1 if any new pair is found.
+// Exit status 1 if either rule reports anything, 2 if the code does not
+// load.
 package main
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -50,76 +58,68 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	pkgs, err := collect(root)
+	pairs, dead, err := lint(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lintapi:", err)
 		os.Exit(2)
 	}
-	var bad []string
-	for dir, decls := range pkgs {
-		byKey := make(map[string]decl, len(decls))
-		for _, d := range decls {
-			byKey[d.key] = d
-		}
-		for _, d := range decls {
-			for _, suf := range suffixes {
-				base := strings.TrimSuffix(d.key, suf)
-				if base == d.key || base == "" || strings.HasSuffix(base, ".") {
-					continue
-				}
-				if _, ok := byKey[base]; !ok {
-					continue
-				}
-				if d.deprecated || allowlist[dir+":"+d.key] {
-					continue
-				}
-				bad = append(bad, fmt.Sprintf(
-					"%s: exported pair %s / %s — fold the %s variant into an options parameter on %s, or mark it Deprecated:",
-					d.pos, base, d.key, suf, base))
-			}
-		}
+	for _, b := range append(pairs, dead...) {
+		fmt.Fprintln(os.Stderr, b)
 	}
-	if len(bad) > 0 {
-		sort.Strings(bad)
-		for _, b := range bad {
-			fmt.Fprintln(os.Stderr, b)
-		}
-		fmt.Fprintf(os.Stderr, "lintapi: %d new Ctx/Opts pair(s); see tools/lintapi/main.go for the convention\n", len(bad))
+	if len(pairs) > 0 {
+		fmt.Fprintf(os.Stderr, "lintapi: %d new Ctx/Opts pair(s); see tools/lintapi/main.go for the convention\n", len(pairs))
+	}
+	if len(dead) > 0 {
+		fmt.Fprintf(os.Stderr, "lintapi: %d export(s) with no user outside their own package's tests; delete them or move them into a _test.go file\n", len(dead))
+	}
+	if len(pairs)+len(dead) > 0 {
 		os.Exit(1)
 	}
 }
 
-// collect parses every non-test Go file under root, grouped by package
-// directory (relative to root).
-func collect(root string) (map[string][]decl, error) {
-	pkgs := make(map[string][]decl)
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+// lint loads every package under root and returns both rules' findings,
+// each sorted.
+func lint(root string) (pairs, dead []string, err error) {
+	t, err := load(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, p := range t.pkgs {
+		var decls []decl
+		for _, f := range p.src {
+			decls = append(decls, fileDecls(t.fset, f)...)
 		}
-		name := e.Name()
-		if e.IsDir() {
-			if name == "testdata" || name == ".git" || strings.HasPrefix(name, "_") {
-				return filepath.SkipDir
+		pairs = append(pairs, pairFindings(p.dir, decls)...)
+	}
+	dead, err = t.dead()
+	sort.Strings(pairs)
+	return pairs, dead, err
+}
+
+func pairFindings(dir string, decls []decl) []string {
+	var bad []string
+	byKey := make(map[string]decl, len(decls))
+	for _, d := range decls {
+		byKey[d.key] = d
+	}
+	for _, d := range decls {
+		for _, suf := range suffixes {
+			base := strings.TrimSuffix(d.key, suf)
+			if base == d.key || base == "" || strings.HasSuffix(base, ".") {
+				continue
 			}
-			return nil
+			if _, ok := byKey[base]; !ok {
+				continue
+			}
+			if d.deprecated || allowlist[dir+":"+d.key] {
+				continue
+			}
+			bad = append(bad, fmt.Sprintf(
+				"%s: exported pair %s / %s — fold the %s variant into an options parameter on %s, or mark it Deprecated:",
+				d.pos, base, d.key, suf, base))
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		dir, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		pkgs[dir] = append(pkgs[dir], fileDecls(fset, file)...)
-		return nil
-	})
-	return pkgs, err
+	}
+	return bad
 }
 
 func fileDecls(fset *token.FileSet, file *ast.File) []decl {
