@@ -45,9 +45,10 @@ type Block struct {
 	// real flow; here from the program generators or test fixtures.
 	EMin, EMax float64
 
-	// Call names a function invoked by this block, or "" for none. Calls
-	// are resolved by Program.Analyze, which inlines the callee's
-	// execution interval into the block before offset analysis.
+	// Call names a function invoked by this block, or "" for none. It is
+	// only a label, which Graph.DOT prints: no analysis reads it, so the
+	// block's own [EMin, EMax] must already include the callee's
+	// execution.
 	Call string
 }
 

@@ -19,6 +19,9 @@ import (
 //	loop <header> <min> <max>
 //
 // Block references are by name; the entry defaults to the first block.
+// call=<func> names a function the block invokes. It is only a label, kept
+// in Block.Call and printed by Graph.DOT: the block's own <emin> <emax>
+// must already include the callee's execution.
 
 // parseFinite parses a float and rejects NaN and infinities, which
 // strconv.ParseFloat happily accepts ("nan", "inf").

@@ -102,6 +102,21 @@ func TestAnalyzeZeroAllocWithScope(t *testing.T) {
 			}
 		})
 	}
+	// A campaign worker's tally of the scope, flushed after every run,
+	// keeps the contract too.
+	tl := sc.Tally()
+	runs := rec.Counter("core.alg1.runs")
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := Analyze(nil, p, 20, Options{Obs: tl}); err != nil {
+			t.Fatal(err)
+		}
+		tl.Flush()
+	}); avg != 0 {
+		t.Errorf("Analyze with a tally allocates %.1f objects per run, want 0", avg)
+	}
+	if rec.Counter("core.alg1.runs") != runs+201 {
+		t.Fatalf("tally flushed %d runs, want 201", rec.Counter("core.alg1.runs")-runs)
+	}
 	if rec.Counter("core.alg1.runs") == 0 || rec.Counter("core.alg1.iterations") == 0 {
 		t.Fatal("scope recorded no runs/iterations despite being attached")
 	}

@@ -209,17 +209,22 @@ type acceptanceVerdict struct {
 }
 
 // acceptanceWorker is one pool worker's reusable trial state: its shard
-// stream and the delay curves each trial rebuilds in place. none is the
-// all-nil delay slice of the no-delay envelope.
+// stream, the delay curves each trial rebuilds in place, and the tally of
+// the campaign scope its analyses count into. none is the all-nil delay
+// slice of the no-delay envelope.
 type acceptanceWorker struct {
 	st     synth.Stream
 	curves []delay.Piecewise
 	fns    []delay.Function
 	none   []delay.Function
+	sc     *obs.Scope
 }
 
-func newAcceptanceWorker(tasks int) *acceptanceWorker {
+// newAcceptanceWorker returns a worker for sets of up to tasks tasks whose
+// analyses count into a tally of sc.
+func newAcceptanceWorker(tasks int, sc *obs.Scope) *acceptanceWorker {
 	return &acceptanceWorker{
+		sc:     sc.Tally(),
 		curves: make([]delay.Piecewise, tasks),
 		fns:    make([]delay.Function, tasks),
 		none:   make([]delay.Function, tasks),
@@ -238,8 +243,8 @@ func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, tri
 	if err != nil || ts == nil {
 		return acceptanceVerdict{}, err
 	}
-	// The analyses count into the campaign's scope, which p.Obs overrides.
-	return acceptanceVerdicts(g, p.scope(g), ts, fns, w.none[:len(ts)])
+	// The analyses count into the worker's tally of the campaign's scope.
+	return acceptanceVerdicts(g, w.sc, ts, fns, w.none[:len(ts)])
 }
 
 // draw builds the (point, trial) shard's task set and its front-loaded delay
@@ -441,13 +446,14 @@ func (p AcceptanceParams) runSharded(g *guard.Ctx, sc *obs.Scope, pts []float64,
 		pointLeft[i].Store(int64(p.SetsPerPoint))
 	}
 	return runPool(g, workers, total, func() func(*guard.Ctx, int) error {
-		w := newAcceptanceWorker(p.Tasks)
+		w := newAcceptanceWorker(p.Tasks, sc)
 		return func(g *guard.Ctx, idx int) error {
 			pt, tr := idx/p.SetsPerPoint, idx%p.SetsPerPoint
 			if restored[pt] {
 				return nil
 			}
 			v, err := acceptanceTrial(g, p, pt, pts[pt], tr, w)
+			w.sc.Flush()
 			if err != nil {
 				return err
 			}

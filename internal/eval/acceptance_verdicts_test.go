@@ -106,7 +106,7 @@ const (
 func verdictFixture(r *rand.Rand, variants int) (task.Set, []delay.Function) {
 	p := DefaultAcceptanceParams()
 	p.Seed, p.Tasks = r.Int63(), 2+r.Intn(9)
-	w := newAcceptanceWorker(p.Tasks)
+	w := newAcceptanceWorker(p.Tasks, nil)
 	ts, fns, err := w.draw(p, 0, 0.3+0.7*r.Float64(), 0)
 	if err != nil || ts == nil {
 		return nil, nil
@@ -148,7 +148,7 @@ func TestAcceptanceVerdictsMatchOracle(t *testing.T) {
 		var st verdictStats
 		p := DefaultAcceptanceParams()
 		p.Tasks, p.SetsPerPoint = n, sets
-		w := newAcceptanceWorker(n)
+		w := newAcceptanceWorker(n, nil)
 		for pt, u := range p.points() {
 			for tr := 0; tr < sets; tr++ {
 				ts, fns, err := w.draw(p, pt, u, tr)

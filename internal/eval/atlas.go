@@ -32,8 +32,8 @@ type AtlasParams struct {
 	// negative = unbounded).
 	MaxStates int
 	// Workers sizes the worker pool over cells; <= 0 selects GOMAXPROCS.
-	// Each worker owns one pooled exact.Explorer; the table is
-	// bit-identical for every value.
+	// Each worker owns one pooled exact.Explorer, curve slab and metric
+	// tally (atlasWorker); the table is bit-identical for every value.
 	Workers int
 	// Obs receives campaign progress events and metrics; nil falls back
 	// to the guard's scope.
@@ -85,31 +85,40 @@ type atlasCell struct {
 	states, naiveStates    int     // explored states: pruned vs naive bound
 }
 
+// atlasWorker is one pool worker's state: its pooled explorer, shard
+// stream and curve slab, and the tally of the campaign scope its analyses
+// count into.
+type atlasWorker struct {
+	ex    *exact.Explorer
+	st    synth.Stream
+	curve synth.AtlasCurve
+	sc    *obs.Scope
+}
+
 // atlasCellRun computes one cell: FuncsPerCell random functions of the
 // family, each measured exact vs Algorithm 1 vs Equation 4. The cell is a
-// pure function of (Seed, cell index); ex and st are the worker's pooled
-// explorer and shard stream.
-func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, ex *exact.Explorer, st *synth.Stream, sc *obs.Scope) (atlasCell, error) {
+// pure function of (Seed, cell index); w is the worker running it.
+func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, w *atlasWorker) (atlasCell, error) {
 	var cell atlasCell
 	name, q := synth.AtlasFamilies()[fam], p.Qs[qi]
 	for trial := 0; trial < p.FuncsPerCell; trial++ {
 		if err := g.Tick(); err != nil {
 			return cell, err
 		}
-		r := st.Sub(p.Seed, fam*len(p.Qs)+qi, trial)
-		f, err := synth.AtlasFunction(r, name, p.C, q)
+		r := w.st.Sub(p.Seed, fam*len(p.Qs)+qi, trial)
+		f, err := w.curve.Draw(r, name, p.C, q)
 		if err != nil {
 			return cell, err
 		}
-		exRes, err := ex.Delay(g, f, q, exact.Options{MaxStates: p.MaxStates, Obs: sc})
+		exRes, err := w.ex.Delay(g, f, q, exact.Options{MaxStates: p.MaxStates, Obs: w.sc})
 		if err != nil {
 			return cell, fmt.Errorf("eval: atlas %s Q=%g trial %d: %w", name, q, trial, err)
 		}
-		alg1, err := core.Analyze(g, f, q, core.Options{Obs: sc})
+		alg1, err := core.Analyze(g, f, q, core.Options{Obs: w.sc})
 		if err != nil {
 			return cell, err
 		}
-		eq4, err := core.Analyze(g, f, q, core.Options{Method: core.Equation4, Obs: sc})
+		eq4, err := core.Analyze(g, f, q, core.Options{Method: core.Equation4, Obs: w.sc})
 		if err != nil {
 			return cell, err
 		}
@@ -138,9 +147,10 @@ func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, ex *exact.Explor
 
 // Atlas runs the pessimism-atlas campaign: a (family × Q) grid of mean
 // exact delays and mean Algorithm 1 / Equation 4 pessimism gaps. Cells are
-// sharded over p.Workers goroutines, each owning one pooled exact.Explorer
-// and synth.Stream; cells aggregate in grid order, so the table is
-// bit-identical for every worker count.
+// sharded over p.Workers goroutines, each owning one pooled exact.Explorer,
+// synth.Stream and synth.AtlasCurve and a tally of the campaign scope that
+// it flushes after every cell; cells aggregate in grid order, so the table
+// is bit-identical for every worker count.
 func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -161,9 +171,10 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 	cells := make([]atlasCell, cellsTotal)
 	var completed atomic.Int64
 	err := runPool(g, workers, cellsTotal, func() func(*guard.Ctx, int) error {
-		ex, st := exact.NewExplorer(), new(synth.Stream) // per-worker pooled explorer and stream
+		w := &atlasWorker{ex: exact.NewExplorer(), sc: sc.Tally()}
 		return func(g *guard.Ctx, i int) error {
-			c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), ex, st, sc)
+			c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), w)
+			w.sc.Flush()
 			if err != nil {
 				return err
 			}

@@ -39,30 +39,41 @@ func snapshotText(s obs.Snapshot) string {
 // sweep and an atlas campaign, each at one worker under a guard that
 // carries a scope on a fresh registry, and compares the snapshots with a
 // golden: no metric may be renamed, dropped, newly created at zero, or
-// count differently. Regenerate with
+// count differently. Each run repeats at 2 and 4 workers and must give the
+// one-worker snapshot exactly, zero-valued counters included: the workers'
+// tallies flush every count. Regenerate with
 // `go test ./internal/eval -run TestMetricSnapshotsPinned -update-snapshot`.
 func TestMetricSnapshotsPinned(t *testing.T) {
 	var b strings.Builder
-	run := func(name string, fn func(g *guard.Ctx) error) {
-		reg := obs.NewRegistry()
-		if err := fn(guard.New(context.Background()).WithObs(obs.NewScope(reg))); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	run := func(name string, fn func(g *guard.Ctx, workers int) error) {
+		var one string
+		for _, workers := range []int{1, 2, 4} {
+			reg := obs.NewRegistry()
+			if err := fn(guard.New(context.Background()).WithObs(obs.NewScope(reg)), workers); err != nil {
+				t.Fatalf("%s, %d workers: %v", name, workers, err)
+			}
+			got := snapshotText(reg.Snapshot())
+			if workers == 1 {
+				one = got
+			} else if got != one {
+				t.Fatalf("%s: %d workers' snapshot differs from one worker's\none worker:\n%s\n%d workers:\n%s", name, workers, one, workers, got)
+			}
 		}
-		fmt.Fprintf(&b, "# %s\n%s", name, snapshotText(reg.Snapshot()))
+		fmt.Fprintf(&b, "# %s\n%s", name, one)
 	}
-	run("acceptance", func(g *guard.Ctx) error {
+	run("acceptance", func(g *guard.Ctx, workers int) error {
 		p := DefaultAcceptanceParams()
-		p.SetsPerPoint, p.UEnd, p.Workers = 10, 0.80, 1
+		p.SetsPerPoint, p.UEnd, p.Workers = 10, 0.80, workers
 		_, err := Acceptance(g, p)
 		return err
 	})
-	run("figure5", func(g *guard.Ctx) error {
-		_, err := Figure5(g, delay.LiteralParams(), SweepOptions{Workers: 1, Obs: g.Obs()})
+	run("figure5", func(g *guard.Ctx, workers int) error {
+		_, err := Figure5(g, delay.LiteralParams(), SweepOptions{Workers: workers, Obs: g.Obs()})
 		return err
 	})
-	run("atlas", func(g *guard.Ctx) error {
+	run("atlas", func(g *guard.Ctx, workers int) error {
 		p := DefaultAtlasParams()
-		p.FuncsPerCell, p.Workers = 5, 1
+		p.FuncsPerCell, p.Workers = 5, workers
 		_, err := Atlas(g, p)
 		return err
 	})
@@ -102,6 +113,12 @@ func TestCampaignObsMatchesGuardScope(t *testing.T) {
 			p := DefaultAtlasParams()
 			p.FuncsPerCell, p.Workers, p.Obs = 5, 1, sc
 			_, err := Atlas(g, p)
+			return err
+		}},
+		{"montecarlo", []string{"core."}, func(g *guard.Ctx, sc *obs.Scope) error {
+			p := DefaultMonteCarloParams()
+			p.Trials, p.Workers, p.Obs = 20, 2, sc
+			_, err := MonteCarlo(g, p)
 			return err
 		}},
 	}

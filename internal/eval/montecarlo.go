@@ -90,17 +90,25 @@ type mcVerdict struct {
 	maxPaid, minSlack             float64
 }
 
+// mcWorker is one pool worker's state: its pooled simulator and shard
+// stream, and the tally of the campaign scope its analyses count into.
+type mcWorker struct {
+	runner *sim.Runner
+	st     synth.Stream
+	sc     *obs.Scope
+}
+
 // monteCarloTrial draws the trial's jobset from its own RNG sub-stream,
-// simulates it on the (per-worker, pooled) runner and compares every job's
+// simulates it on the worker's pooled runner and compares every job's
 // paid delay against its task's Algorithm 1 bound. The generator mirrors the
 // sim package's Theorem 1 integration test: peaked random delay functions
 // with Q > max delay so every bound converges.
-func monteCarloTrial(g *guard.Ctx, p MonteCarloParams, trial int, runner *sim.Runner, st *synth.Stream) (mcVerdict, error) {
+func monteCarloTrial(g *guard.Ctx, p MonteCarloParams, trial int, w *mcWorker) (mcVerdict, error) {
 	v := mcVerdict{minSlack: math.Inf(1)}
 	if err := g.Tick(); err != nil {
 		return v, err
 	}
-	r := st.Sub(p.Seed, 0, trial)
+	r := w.st.Sub(p.Seed, 0, trial)
 	n := 2 + r.Intn(p.MaxTasks-1)
 	ts := make(task.Set, 0, n)
 	fns := make([]delay.Function, 0, n)
@@ -122,7 +130,7 @@ func monteCarloTrial(g *guard.Ctx, p MonteCarloParams, trial int, runner *sim.Ru
 	if trial%2 == 1 {
 		policy = sim.EDF
 	}
-	res, err := runner.Run(g, sim.Config{
+	res, err := w.runner.Run(g, sim.Config{
 		Tasks: ts, Policy: policy, Mode: sim.FloatingNPR,
 		Horizon: p.Horizon, Delay: fns,
 		ExecTime:   0.6 + 0.4*r.Float64(),
@@ -132,7 +140,7 @@ func monteCarloTrial(g *guard.Ctx, p MonteCarloParams, trial int, runner *sim.Ru
 		return v, err
 	}
 	for i := range ts {
-		b, err := core.Analyze(g, fns[i], ts[i].Q, core.Options{})
+		b, err := core.Analyze(g, fns[i], ts[i].Q, core.Options{Obs: w.sc})
 		if err != nil {
 			return v, err
 		}
@@ -160,7 +168,8 @@ func monteCarloTrial(g *guard.Ctx, p MonteCarloParams, trial int, runner *sim.Ru
 }
 
 // MonteCarlo runs the campaign. Trials are sharded over p.Workers
-// goroutines, each owning one pooled sim.Runner and synth.Stream; verdicts
+// goroutines, each owning one pooled sim.Runner and synth.Stream and a
+// tally of the campaign scope that it flushes after every trial; verdicts
 // are aggregated in trial order, so the report is bit-identical for every
 // worker count.
 func MonteCarlo(g *guard.Ctx, p MonteCarloParams) (*MonteCarloReport, error) {
@@ -187,9 +196,10 @@ func MonteCarlo(g *guard.Ctx, p MonteCarloParams) (*MonteCarloReport, error) {
 	verdicts := make([]mcVerdict, p.Trials)
 	var completed atomic.Int64
 	err := runPool(g, workers, p.Trials, func() func(*guard.Ctx, int) error {
-		runner, st := sim.NewRunner(), new(synth.Stream) // per-worker pooled simulator and stream
+		w := &mcWorker{runner: sim.NewRunner(), sc: sc.Tally()}
 		return func(g *guard.Ctx, tr int) error {
-			v, err := monteCarloTrial(g, p, tr, runner, st)
+			v, err := monteCarloTrial(g, p, tr, w)
+			w.sc.Flush()
 			if err != nil {
 				return err
 			}

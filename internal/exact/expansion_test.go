@@ -203,11 +203,11 @@ func checkFullExpansion(t *testing.T, ex *Explorer, f *delay.Piecewise, q float6
 // rule's corner cases.
 func TestDelayMatchesFullExpansion(t *testing.T) {
 	ex := NewExplorer()
-	st := new(synth.Stream)
+	st, curve := new(synth.Stream), new(synth.AtlasCurve)
 	for fam, name := range synth.AtlasFamilies() {
 		for qi, q := range []float64{4, 6, 8, 12, 16, 24, 32} {
 			for trial := 0; trial < 40; trial++ {
-				f, err := synth.AtlasFunction(st.Sub(19, fam*7+qi, trial), name, 80, q)
+				f, err := curve.Draw(st.Sub(19, fam*7+qi, trial), name, 80, q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -135,11 +135,15 @@ func (f *Family) Expand(parts ...string) string {
 	return b.String()
 }
 
-// On resolves the counter in the scope's registry: an index, no lookup by
-// name. Nil (discard) on a nil scope.
+// On resolves the counter in the scope's registry, or in its private slot
+// on a tally (Scope.Tally): an index, no lookup by name. Nil (discard) on a
+// nil scope.
 func (d *CounterDef) On(s *Scope) *Counter {
 	if s == nil {
 		return nil
+	}
+	if s.tally != nil {
+		return s.tally.counter(d)
 	}
 	return d.In(s.reg)
 }

@@ -17,8 +17,11 @@
 //     instrument on a scope is an index into the registry's slots, not a
 //     lookup by name. Names built at run time (the families) resolve by
 //     name.
-//  3. Everything is safe for concurrent use — the guarded sweep pool hammers
-//     one Registry from every worker.
+//  3. Everything is safe for concurrent use: the sweep pool's workers share
+//     one Registry. A campaign worker counts into a tally of its own
+//     (Scope.Tally) and flushes it into the shared registry after every
+//     item, so its per-item path writes no cache line another worker
+//     writes.
 //  4. The process-global registry (Default) is a convenience, not a
 //     requirement: tests inject their own Registry through a Scope
 //     (TestRecorder) and assert on it in isolation.

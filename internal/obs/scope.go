@@ -64,6 +64,7 @@ func (f SinkFunc) Observe(e Event) { f(e) }
 type Scope struct {
 	reg   *Registry
 	sinks []Sink
+	tally *tally // a worker's private counters; nil on a shared scope
 }
 
 // NewScope returns a scope recording into reg (nil means the process-global
@@ -77,7 +78,8 @@ func NewScope(reg *Registry, sinks ...Sink) *Scope {
 
 // Counter resolves a named counter in the scope's registry; nil (discard) on
 // a nil scope. It serves the dynamic families and reads in tests; a defined
-// counter resolves through CounterDef.On, by index.
+// counter resolves through CounterDef.On, by index. On a tally it resolves
+// in the parent's registry, not in the tally's private slots.
 func (s *Scope) Counter(name string) *Counter {
 	if s == nil {
 		return nil

@@ -220,20 +220,28 @@ func DelayFunction(r *rand.Rand, c, maxV float64, pieces int) *delay.Piecewise {
 // order seeds the atlas cells, so it is returned by value.
 func AtlasFamilies() [3]string { return [3]string{"front", "back", "twopeak"} }
 
-// AtlasFunction draws one delay function of the given atlas family: a
+// AtlasCurve is a worker's reusable atlas draw: the curve Draw returns and
+// the breakpoint and value slabs Draw fills, so a campaign worker draws
+// each of its curves without allocating.
+type AtlasCurve struct {
+	f      delay.Piecewise
+	xs, vs []float64
+}
+
+// Draw draws one delay function of the given atlas family: a
 // piecewise-constant curve over [0, c) whose maximum stays safely below q
 // (so every bound and the exact exploration converge), shaped so the
-// families stress the bounds differently.
-func AtlasFunction(r *rand.Rand, fam string, c, q float64) (*delay.Piecewise, error) {
+// families stress the bounds differently. The curve lives in a's storage
+// and stays valid until the next Draw.
+func (a *AtlasCurve) Draw(r *rand.Rand, fam string, c, q float64) (*delay.Piecewise, error) {
 	maxV := q * (0.35 + 0.4*r.Float64())
 	pieces := 3 + r.Intn(4)
-	xs := make([]float64, 0, pieces+1)
-	xs = append(xs, 0)
+	xs := append(a.xs[:0], 0)
 	for i := 1; i < pieces; i++ {
 		xs = append(xs, c*(float64(i)+r.Float64()*0.6)/float64(pieces))
 	}
 	xs = append(xs, c)
-	vs := make([]float64, pieces)
+	vs := append(a.vs[:0], make([]float64, pieces)...)
 	for i := range vs {
 		frac := float64(i) / float64(pieces-1)
 		jitter := 0.75 + 0.25*r.Float64()
@@ -246,5 +254,9 @@ func AtlasFunction(r *rand.Rand, fam string, c, q float64) (*delay.Piecewise, er
 			vs[i] = maxV * (0.15 + 0.85*math.Abs(2*frac-1)) * jitter
 		}
 	}
-	return delay.NewPiecewise(xs, vs)
+	a.xs, a.vs = xs, vs
+	if err := a.f.Reset(xs, vs); err != nil {
+		return nil, err
+	}
+	return &a.f, nil
 }
